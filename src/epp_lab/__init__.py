@@ -11,7 +11,6 @@ reproducible Monte Carlo.
 from .kraus import (
     CANONICAL_PARAMS,
     ConstraintReport,
-    KrausMap,
     KrausParams,
     PauliExpansion,
     apply_kraus,
@@ -43,12 +42,9 @@ from .protocols import (
     stage2,
 )
 from .sampling import (
-    HaarSample,
     MonteCarloEstimate,
-    dirichlet_moment,
     known_basis_average_mc,
     known_basis_average_quadrature,
-    sample_haar_two_qubit,
     schmidt_lambda_pdf,
     unknown_basis_average_exact,
     unknown_basis_average_mc,

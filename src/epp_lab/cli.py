@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
-from .kraus import KrausParams, constraint_value, f_parameter, params_valid
+from .kraus import KrausParams, f_parameter, params_valid
 from .linalg import as_state, schmidt_state
 
 DEFAULT_SEED = 42
@@ -27,21 +26,8 @@ SEED_ENV_VAR = "EPP_LAB_SEED"
 _NORM_ERROR = 1e-8
 _NORM_WARN = 1e-10
 
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus its validated inputs."""
-
-    command: str
-    seed: int = DEFAULT_SEED
-    samples: int = 10_000
-    grid_points: int = 100
-    state: np.ndarray | None = None
-    mode: str = "known-basis"
-    a: complex = complex(np.sqrt(2) / 2)
-    b: complex = complex(np.sqrt(2) / 2)
-    out: str | None = None
-    corrupt_kraus: bool = False
+# default simulate parameters: the symmetric point a = b = sqrt(2)/2
+_ROOT_HALF = complex(np.sqrt(2) / 2)
 
 
 def _fmt(x) -> str:
@@ -69,7 +55,7 @@ def _parse_state(text: str) -> np.ndarray:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad amplitude: {exc}")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > _NORM_ERROR:
+    if not (abs(norm - 1.0) <= _NORM_ERROR):
         raise argparse.ArgumentTypeError(
             f"amplitudes must be normalized within {_NORM_ERROR:g}; |norm-1| = {abs(norm - 1.0):.3e}"
         )
@@ -143,28 +129,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="larger squared Schmidt coefficient of sqrt(l)|00>+sqrt(1-l)|11>")
 
     p_bounds = sub.add_parser("bounds", help="closed-form success bounds for one state")
+    p_bounds.set_defaults(func=cmd_bounds)
     add_state_args(p_bounds)
 
     p_sim = sub.add_parser("simulate", help="run both purification stages at matrix level")
+    p_sim.set_defaults(func=cmd_simulate)
     add_state_args(p_sim)
-    p_sim.add_argument("--a", type=_parse_complex, default=None, metavar="re,im")
-    p_sim.add_argument("--b", type=_parse_complex, default=None, metavar="re,im")
+    p_sim.add_argument("--a", type=_parse_complex, default=_ROOT_HALF, metavar="re,im")
+    p_sim.add_argument("--b", type=_parse_complex, default=_ROOT_HALF, metavar="re,im")
 
     p_vidal = sub.add_parser("vidal-curve", help="CSV of conversion probabilities over lambda")
+    p_vidal.set_defaults(func=cmd_vidal_curve)
     p_vidal.add_argument("--grid", type=int, default=100, help="number of interior grid points")
     p_vidal.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     p_fgrid = sub.add_parser("f-grid", help="CSV of validity and asymmetry f over (|a|, |b|)")
+    p_fgrid.set_defaults(func=cmd_f_grid)
     p_fgrid.add_argument("--grid", type=int, default=100, help="grid points per axis")
     p_fgrid.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     p_haar = sub.add_parser("haar-average", help="analytic and Monte Carlo Haar averages")
+    p_haar.set_defaults(func=cmd_haar_average)
     p_haar.add_argument("--mode", choices=("known-basis", "unknown-basis"),
                         default="known-basis")
     p_haar.add_argument("--samples", type=int, default=10_000)
     p_haar.add_argument("--seed", type=_parse_seed, default=None)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
+    p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--seed", type=_parse_seed, default=None)
     p_verify.add_argument("--out", default=None, help="JSON summary path")
     p_verify.add_argument("--corrupt-kraus", action="store_true", help=argparse.SUPPRESS)
@@ -172,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    c = as_state(cfg.state, dim=4)
+def cmd_bounds(args) -> int:
+    c = as_state(args.state, dim=4)
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
     if abs(c[1]) <= 1e-10 and abs(c[2]) <= 1e-10:
         lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])))
@@ -189,13 +181,13 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    c = as_state(cfg.state, dim=4)
-    params = KrausParams(cfg.a, cfg.b)
+def cmd_simulate(args) -> int:
+    c = as_state(args.state, dim=4)
+    params = args.params
     lines = [
         "state = " + " ".join(repr(complex(z)) for z in c),
-        f"a = {cfg.a!r}",
-        f"b = {cfg.b!r}",
+        f"a = {args.a!r}",
+        f"b = {args.b!r}",
     ]
     first = protocols.stage1(c, params)
     lines.append("stage1_prob = " + _fmt(first.success_prob))
@@ -214,39 +206,39 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_vidal_curve(cfg: RunConfig) -> int:
+def cmd_vidal_curve(args) -> int:
     lines = ["lambda,p_vidal,p_universal"]
     target = vidal.embedded_bell_coeffs()
-    n = cfg.grid_points
+    n = args.grid
     for k in range(1, n + 1):
         lam = 0.5 + 0.5 * k / (n + 1)
         p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), target)
         p_u = vidal.universal_two_copy_prob(lam)
         lines.append(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}")
-    _write_lines(cfg.out, lines)
+    _write_lines(args.out, lines)
     return 0
 
 
-def cmd_f_grid(cfg: RunConfig) -> int:
+def cmd_f_grid(args) -> int:
     lines = ["abs_a,abs_b,valid,f"]
-    grid = np.linspace(0.0, 1.0, cfg.grid_points)
+    grid = np.linspace(0.0, 1.0, args.grid)
     for a in grid:
         for b in grid:
             valid = int(params_valid(a, b))
             lines.append(f"{_fmt(a)},{_fmt(b)},{valid},{_fmt(f_parameter(a, b))}")
-    _write_lines(cfg.out, lines)
+    _write_lines(args.out, lines)
     return 0
 
 
-def cmd_haar_average(cfg: RunConfig) -> int:
-    lines = [f"mode = {cfg.mode}", f"seed = {cfg.seed}", f"samples = {cfg.samples}"]
-    if cfg.mode == "known-basis":
+def cmd_haar_average(args) -> int:
+    lines = [f"mode = {args.mode}", f"seed = {args.seed}", f"samples = {args.samples}"]
+    if args.mode == "known-basis":
         analytic = sampling.known_basis_average_quadrature()
-        est = sampling.known_basis_average_mc(cfg.samples, cfg.seed)
+        est = sampling.known_basis_average_mc(args.samples, args.seed)
         target = 0.2
     else:
         analytic = sampling.unknown_basis_average_exact()
-        est = sampling.unknown_basis_average_mc(cfg.samples, cfg.seed)
+        est = sampling.unknown_basis_average_mc(args.samples, args.seed)
         target = 2.0 / 105.0
     ok = est.within_sigmas(target, 4.0)
     lines.append("analytic = " + _fmt(analytic))
@@ -258,17 +250,17 @@ def cmd_haar_average(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    rows = verify_mod.run_all(cfg.seed, corrupt_kraus=cfg.corrupt_kraus)
-    print(f"seed = {cfg.seed}")
+def cmd_verify(args) -> int:
+    rows = verify_mod.run_all(args.seed, corrupt_kraus=args.corrupt_kraus)
+    print(f"seed = {args.seed}")
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
         print(f"[{status}] {row.criterion}: expected {row.expected}, "
               f"observed {row.observed}, tolerance {row.tolerance}")
     n_bad = sum(1 for r in rows if not r.passed)
-    if cfg.out is not None:
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write(verify_mod.rows_to_json(rows, cfg.seed))
+    if args.out is not None:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(verify_mod.rows_to_json(rows, args.seed))
     if n_bad:
         print(f"FAILED: {n_bad} of {len(rows)} checks")
         return 1
@@ -279,41 +271,20 @@ def cmd_verify(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command)
-
     if args.command in ("bounds", "simulate"):
-        cfg.state = _resolve_state(parser, args)
+        args.state = _resolve_state(parser, args)
     if args.command == "simulate":
-        root_half = complex(np.sqrt(2) / 2)
-        cfg.a = args.a if args.a is not None else root_half
-        cfg.b = args.b if args.b is not None else root_half
-        if (cfg.a == 0 and cfg.b == 0) or constraint_value(cfg.a, cfg.b) > 1.0 + 1e-12:
+        try:
+            args.params = KrausParams(args.a, args.b)
+        except ValueError:
             parser.error("invalid Kraus parameters: need 2(|a|^4+|b|^4) <= 1, not both zero")
-    if args.command in ("vidal-curve", "f-grid"):
-        if args.grid < 2:
-            parser.error("--grid must be at least 2")
-        cfg.grid_points = args.grid
-        cfg.out = args.out
-    if args.command == "haar-average":
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
-        cfg.samples = args.samples
-        cfg.mode = args.mode
-        cfg.seed = _resolve_seed(parser, args.seed)
-    if args.command == "verify":
-        cfg.seed = _resolve_seed(parser, args.seed)
-        cfg.out = args.out
-        cfg.corrupt_kraus = args.corrupt_kraus
-
-    handlers = {
-        "bounds": cmd_bounds,
-        "simulate": cmd_simulate,
-        "vidal-curve": cmd_vidal_curve,
-        "f-grid": cmd_f_grid,
-        "haar-average": cmd_haar_average,
-        "verify": cmd_verify,
-    }
-    return handlers[args.command](cfg)
+    if args.command in ("vidal-curve", "f-grid") and args.grid < 2:
+        parser.error("--grid must be at least 2")
+    if args.command == "haar-average" and args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.command in ("haar-average", "verify"):
+        args.seed = _resolve_seed(parser, args.seed)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -8,11 +8,11 @@ reorders registers so the lifted operator acts on states stored in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, basis_state, permutation_matrix
+from .linalg import ATOL, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -28,7 +28,8 @@ CNOT = np.array(
 
 # (A,B,A',B') -> (A,A',B,B'); the permutation is an involution
 COPY_INTERLEAVE = (0, 2, 1, 3)
-_P_INTERLEAVE = permutation_matrix(COPY_INTERLEAVE)
+# the same reorder on the row and on the column qubits of a 16x16 operator
+_LIFT_AXES = COPY_INTERLEAVE + tuple(4 + q for q in COPY_INTERLEAVE)
 
 # Slack on the parameter constraint so boundary points like a = b = sqrt(2)/2
 # survive floating-point rounding.
@@ -74,7 +75,7 @@ class KrausParams:
         if self.a == 0 and self.b == 0:
             raise ValueError("a and b must not both vanish")
         value = constraint_value(self.a, self.b)
-        if value > 1.0 + CONSTRAINT_SLACK:
+        if not (value <= 1.0 + CONSTRAINT_SLACK):
             raise ValueError(f"2(|a|^4 + |b|^4) = {value:.6f} exceeds 1")
 
     @property
@@ -114,14 +115,14 @@ def kalman_kraus() -> np.ndarray:
 def lift_local_kraus(K: np.ndarray) -> np.ndarray:
     """Two-party operator K tensor K, expressed in (A, B, A', B') register order.
 
-    K tensor K naturally acts on (A, A')(B, B'); conjugating by the
-    interleaving permutation makes the result applicable directly to
+    K tensor K naturally acts on (A, A')(B, B'); interleaving the row and
+    the column qubits makes the result applicable directly to
     tensor(psi, psi), which is stored as (A, B)(A', B').
     """
     K = np.asarray(K, dtype=complex)
     if K.shape != (4, 4):
         raise ValueError("local operator must be 4x4")
-    return _P_INTERLEAVE @ np.kron(K, K) @ _P_INTERLEAVE
+    return np.kron(K, K).reshape((2,) * 8).transpose(_LIFT_AXES).reshape(16, 16)
 
 
 def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -132,25 +133,6 @@ def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"operator shape {op.shape} does not act on dimension {s.size}")
     out = op @ s
     return out, float(np.vdot(out, out).real)
-
-
-@dataclass
-class KrausMap:
-    """Collection of branch operators on a common space."""
-
-    ops: list = field(default_factory=list)
-    acts_on: int = 16
-
-    def deficit_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of 1 - sum_i op_i^dag op_i; all >= -tol for a physical map."""
-        total = np.zeros((self.acts_on, self.acts_on), dtype=complex)
-        for op in self.ops:
-            op = np.asarray(op, dtype=complex)
-            total += op.conj().T @ op
-        return np.linalg.eigvalsh(np.eye(self.acts_on) - total)
-
-    def is_trace_nonincreasing(self, atol: float = ATOL) -> bool:
-        return bool(self.deficit_eigenvalues().min() >= -atol)
 
 
 # Universality demands the lifted operator kill every two-copy component

@@ -26,14 +26,15 @@ def n_qubits(dim: int) -> int:
 def as_state(amps, dim: int | None = None) -> np.ndarray:
     """Coerce to a complex 1-D array and check normalization.
 
-    Raises ValueError if the norm deviates from 1 by more than ATOL.
+    Raises ValueError if the norm deviates from 1 by more than ATOL or is
+    not finite.
     """
     s = np.asarray(amps, dtype=complex).reshape(-1)
     if dim is not None and s.size != dim:
         raise ValueError(f"expected dimension {dim}, got {s.size}")
     n_qubits(s.size)
     norm = np.linalg.norm(s)
-    if abs(norm - 1.0) > ATOL:
+    if not (abs(norm - 1.0) <= ATOL):
         raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return s
 
@@ -89,26 +90,6 @@ def permute_qubits(s, perm: Sequence[int]) -> np.ndarray:
     n = n_qubits(s.size)
     perm = check_permutation(perm, n)
     return s.reshape((2,) * n).transpose(perm).reshape(-1)
-
-
-def invert_permutation(perm: Sequence[int]) -> tuple:
-    perm = check_permutation(perm, len(perm))
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    """Unitary matrix implementing permute_qubits on column vectors."""
-    n = len(perm)
-    dim = 2**n
-    P = np.zeros((dim, dim))
-    for old in range(dim):
-        e = np.zeros(dim)
-        e[old] = 1.0
-        P[:, old] = permute_qubits(e, perm).real
-    return P
 
 
 @dataclass

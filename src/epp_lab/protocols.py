@@ -132,7 +132,7 @@ def full_pipeline(state, params: KrausParams) -> ProtocolResult:
 
 def schmidt_pair_bound(alpha, beta) -> float:
     """Optimal conclusive probability for two copies of alpha|00> + beta|11>: 2|alpha beta|^2."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ATOL:
+    if not (abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= ATOL):
         raise ValueError("Schmidt pair must be normalized")
     return float(2.0 * abs(alpha * beta) ** 2)
 
@@ -183,24 +183,6 @@ def kalman_stage2_prob(state) -> float:
     u = c[0] * c[3]
     w = c[1] * c[2]
     return float(abs(u**2 - w**2) ** 2 / denom)
-
-
-@dataclass
-class BoundReport:
-    achieved: float
-    bound: float
-    saturated: bool
-    strict: bool
-
-
-def compare_to_bound(achieved: float, bound: float, atol: float = 1e-9) -> BoundReport:
-    """Package an achieved probability against its bound."""
-    return BoundReport(
-        achieved=float(achieved),
-        bound=float(bound),
-        saturated=abs(achieved - bound) <= atol,
-        strict=achieved < bound,
-    )
 
 
 def bell_fidelity(state) -> float:

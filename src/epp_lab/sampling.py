@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, ndtri
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtri
 
 from .protocols import four_copy_bell_bound, full_pipeline, schmidt_pair_bound
 from .kraus import CANONICAL_PARAMS
@@ -38,42 +38,6 @@ def uniform_block(seed: int, n: int, width: int = 8) -> np.ndarray:
     """(n, width) uniforms from Philox keyed by seed; row i depends only on (seed, i)."""
     rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
     return rng.random((n, width))
-
-
-@dataclass
-class HaarSample:
-    """One Haar-random two-qubit pure state with its derived coordinates."""
-
-    state: np.ndarray   # the four amplitudes c1..c4
-    x: np.ndarray       # squared magnitudes |c_i|^2, a point on the simplex
-    theta: np.ndarray   # phases of the amplitudes
-
-
-def _sample_from_uniforms(u: np.ndarray) -> HaarSample:
-    z = ndtri(u)
-    c = z[:4] + 1j * z[4:]
-    c = c / np.linalg.norm(c)
-    return HaarSample(state=c, x=np.abs(c) ** 2, theta=np.angle(c))
-
-
-def sample_haar_two_qubit(rng: np.random.Generator) -> HaarSample:
-    """Haar sample via four normalized complex Gaussians."""
-    return _sample_from_uniforms(rng.random(8))
-
-
-def sample_haar_dirichlet(rng: np.random.Generator) -> HaarSample:
-    """Alternate construction: flat-Dirichlet magnitudes and uniform phases.
-
-    |c_i|^2 is Dirichlet(1,1,1,1) (exponential spacings) and each phase is
-    uniform; the resulting state is Haar-distributed, cross-validating the
-    Gaussian route.
-    """
-    u = rng.random(8)
-    e = -np.log(u[:4])
-    x = e / e.sum()
-    theta = 2.0 * np.pi * u[4:]
-    c = np.sqrt(x) * np.exp(1j * theta)
-    return HaarSample(state=c, x=x, theta=theta)
 
 
 def haar_state_block(seed: int, n: int) -> np.ndarray:
@@ -97,7 +61,13 @@ def _lambda_from_uniform(u):
 
 
 def dirichlet_moment_exact(alpha, beta) -> Fraction:
-    """Exact mixed moment E[prod x_i^beta_i] under Dirichlet(alpha), integer args only."""
+    """Exact mixed moment E[prod x_i^beta_i] under Dirichlet(alpha).
+
+    Entries must be integral (2.0 is accepted, 1.7 raises ValueError).
+    """
+    alpha, beta = list(alpha), list(beta)
+    if not all(float(v).is_integer() for v in alpha + beta):
+        raise ValueError(f"alpha and beta entries must be integers, got {alpha} and {beta}")
     alpha = [int(a) for a in alpha]
     beta = [int(b) for b in beta]
     if len(alpha) != len(beta):
@@ -110,22 +80,6 @@ def dirichlet_moment_exact(alpha, beta) -> Fraction:
     for a, b in zip(alpha, beta):
         total *= Fraction(math.factorial(a + b - 1), math.factorial(a - 1))
     return total
-
-
-def dirichlet_moment(alpha, beta) -> float:
-    """E[prod x_i^beta_i] under Dirichlet(alpha); exact rational path for integer alpha."""
-    if all(float(a).is_integer() for a in alpha):
-        return float(dirichlet_moment_exact([int(a) for a in alpha], beta))
-    alpha = [float(a) for a in alpha]
-    beta = [int(b) for b in beta]
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha entries must be positive")
-    if any(b < 0 for b in beta):
-        raise ValueError("beta entries must be non-negative")
-    log_val = gammaln(sum(alpha)) - gammaln(sum(alpha) + sum(beta))
-    for a, b in zip(alpha, beta):
-        log_val += gammaln(a + b) - gammaln(a)
-    return float(math.exp(log_val))
 
 
 @dataclass
@@ -160,18 +114,15 @@ def _estimate(values, seed: int) -> MonteCarloEstimate:
 def known_basis_average_quadrature() -> float:
     """Average two-copy success over Haar inputs with a known Schmidt basis.
 
-    Integrates 2 lam (1 - lam) against the lambda density; the analytic
-    value is 1/5.
+    Integrates 2 lam (1 - lam) against the lambda density over [1/2, 1]
+    with three-point Gauss-Legendre, which is exact for this degree-4
+    polynomial integrand; the analytic value is 1/5.
     """
-    val, _ = quad(
-        lambda lam: schmidt_pair_bound(math.sqrt(lam), math.sqrt(1.0 - lam))
-        * schmidt_lambda_pdf(lam),
-        0.5,
-        1.0,
-        epsabs=1e-12,
-        epsrel=1e-12,
+    nodes, weights = leggauss(3)
+    return 0.25 * math.fsum(
+        w * (schmidt_pair_bound(math.sqrt(lam), math.sqrt(1.0 - lam)) * schmidt_lambda_pdf(lam))
+        for lam, w in zip(0.75 + 0.25 * nodes, weights)
     )
-    return float(val)
 
 
 def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:

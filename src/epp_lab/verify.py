@@ -249,7 +249,7 @@ def criterion_07(seed: int) -> list:
 def criterion_08(seed: int) -> list:
     """Unknown-basis Haar average: exact rational values plus Monte Carlo at 4 sigma."""
     t0 = time.perf_counter()
-    moment = sampling.dirichlet_moment((1, 1, 1, 1), (2, 0, 0, 2))
+    moment = float(sampling.dirichlet_moment_exact((1, 1, 1, 1), (2, 0, 0, 2)))
     exact = sampling.unknown_basis_average_exact()
     est = sampling.unknown_basis_average_mc(10_000, _sub_seed(seed, 8))
     target = 2.0 / 105.0

@@ -23,7 +23,7 @@ def _clean_coeffs(coeffs) -> np.ndarray:
         raise ValueError(f"negative squared coefficient {x.min():.3e}")
     x = np.clip(x, 0.0, None)
     total = x.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not (abs(total - 1.0) <= 1e-10):
         raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
     return x
 

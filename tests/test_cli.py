@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epp_lab
 from epp_lab import verify
 from epp_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser, main
 
@@ -218,6 +223,8 @@ def test_bad_env_seed_is_usage_error(monkeypatch):
         ["haar-average", "--seed", "-3"],
         ["haar-average", "--seed", str(2**64)],
         ["no-such-command"],
+        ["bounds", "--state", "nan 0 0 1"],          # NaN norm passes |norm-1| > tol
+        ["simulate", "--lambda", "0.7", "--a", "nan", "--b", "0.5"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -251,3 +258,16 @@ def test_corrupt_kraus_hook_fails_kill_vectors():
     assert not kill_row.passed
     clean = verify.criterion_03(42, corrupt_kraus=False)
     assert all(r.passed for r in clean)
+
+
+# ---------------------------------------------------------------- cold start
+
+def test_cold_import_skips_scipy_integrate():
+    """The CLI's cold start must not load scipy.integrate, which alone costs ~0.4 s."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    code = "import sys, epp_lab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

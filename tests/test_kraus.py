@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from epp_lab.kraus import (
     CANONICAL_PARAMS,
-    KrausMap,
     KrausParams,
     apply_kraus,
     build_kraus,
@@ -18,7 +17,7 @@ from epp_lab.kraus import (
     pauli_expand,
     pauli_relation_residuals,
 )
-from epp_lab.linalg import basis_state, bell_phi_plus, tensor
+from epp_lab.linalg import ATOL, basis_state, bell_phi_plus, permute_qubits, tensor
 
 
 def magnitude_pairs():
@@ -90,6 +89,19 @@ def test_f_parameter_range(raw):
 
 def test_lift_identity_is_identity():
     assert np.allclose(lift_local_kraus(np.eye(4)), np.eye(16), atol=1e-15)
+
+
+def test_lift_matches_permuted_kron():
+    """Column j of the lift is kron(K, K) applied between two interleaving
+    reorders of the basis vector e_j, the definition of the lift."""
+    rng = np.random.default_rng(12)
+    K = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    kk = np.kron(K, K)
+    expected = np.column_stack([
+        permute_qubits(kk @ permute_qubits(e, (0, 2, 1, 3)), (0, 2, 1, 3))
+        for e in np.eye(16)
+    ])
+    assert np.array_equal(lift_local_kraus(K), expected)
 
 
 def test_lift_rejects_wrong_shape():
@@ -186,7 +198,7 @@ def test_trace_nonincreasing_inside_operator_region(ra, rb):
     """The single branch is a physical map when both moduli stay at or below
     sqrt(2)/2, where the largest eigenvalue of M^dag M is (2 max(|a|,|b|)^2)^2."""
     M = lift_local_kraus(build_kraus(KrausParams(ra, rb)))
-    assert KrausMap(ops=[M]).is_trace_nonincreasing()
+    assert np.linalg.eigvalsh(M.conj().T @ M).max() <= 1.0 + ATOL
 
 
 def test_trace_condition_fails_at_constraint_corner():
@@ -194,9 +206,10 @@ def test_trace_condition_fails_at_constraint_corner():
     # the lone branch is no longer completable to a physical instrument:
     # the parameter constraint is necessary, not sufficient.
     M = lift_local_kraus(build_kraus(KrausParams(2**-0.25, 0)))
-    kmap = KrausMap(ops=[M])
-    assert not kmap.is_trace_nonincreasing()
-    assert kmap.deficit_eigenvalues().min() == pytest.approx(-1.0, abs=1e-9)
+    largest = np.linalg.eigvalsh(M.conj().T @ M).max()
+    assert largest > 1.0 + ATOL
+    # smallest eigenvalue of 1 - M^dag M
+    assert 1.0 - largest == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_params_valid_helper():

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epp_lab.kraus import CANONICAL_PARAMS, KrausParams
-from epp_lab.linalg import bell_phi_plus, fidelity_up_to_phase, schmidt_state, two_qubit_state
+from epp_lab.linalg import (
+    as_state,
+    bell_phi_plus,
+    fidelity_up_to_phase,
+    schmidt_state,
+    two_qubit_state,
+)
 from epp_lab.protocols import (
-    compare_to_bound,
     four_copy_bell_bound,
     full_pipeline,
     kalman_stage1_prob,
@@ -15,6 +20,7 @@ from epp_lab.protocols import (
     stage1,
     stage2,
 )
+from epp_lab.vidal import monotones, vidal_probability
 
 
 def random_state(seed):
@@ -226,8 +232,21 @@ def test_phase_invariance_of_conversion_bound():
     assert kalman_stage1_prob(phased) == pytest.approx(kalman_stage1_prob(c), abs=1e-12)
 
 
-def test_compare_to_bound_flags():
-    report = compare_to_bound(0.5, 0.5 + 1e-12)
-    assert report.saturated and report.strict
-    report = compare_to_bound(0.3, 0.5)
-    assert not report.saturated and report.strict
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_state([np.nan, 0, 0, 1]),
+        lambda: two_qubit_state(np.inf, 0, 0, 1),
+        lambda: KrausParams(np.nan, 0.5),
+        lambda: KrausParams(0.5, complex(0.1, np.nan)),
+        lambda: schmidt_pair_bound(np.nan, 1.0),
+        lambda: vidal_probability([np.nan, 1.0], [0.5, 0.5]),
+        lambda: monotones([np.nan, 1.0]),
+    ],
+    ids=["as_state", "two_qubit_state", "params_a", "params_b", "pair_bound", "vidal", "monotones"],
+)
+def test_non_finite_input_rejected(call):
+    """NaN makes every |x - 1| > tol test False, so each guard must be finite-safe."""
+    with pytest.raises(ValueError):
+        call()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from epp_lab.linalg import schmidt_coefficients
@@ -12,14 +13,11 @@ from epp_lab.sampling import (
     MonteCarloEstimate,
     _estimate,
     _lambda_from_uniform,
-    dirichlet_moment,
     dirichlet_moment_exact,
     haar_state_block,
     known_basis_average_mc,
     known_basis_average_quadrature,
     phase_term_mc,
-    sample_haar_dirichlet,
-    sample_haar_two_qubit,
     schmidt_lambda_pdf,
     uniform_block,
     unknown_basis_average_exact,
@@ -46,6 +44,16 @@ def test_uniform_block_range_and_shape():
     assert np.all((u >= 0) & (u < 1))
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("start", [1, 7, 600])
+def test_uniform_block_counter_offset(seed, start):
+    """Row i starts at Philox counter 2i (eight doubles use two 4x64 blocks),
+    so a stream advanced by 2i reproduces rows [i, n) bit for bit."""
+    n = 1000
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(2 * start))
+    assert np.array_equal(uniform_block(seed, n)[start:], rng.random((n - start, 8)))
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         uniform_block(-1, 2)
@@ -69,37 +77,43 @@ def _mean_within_4_sigma(values, target):
     return abs(values.mean() - target) <= 4.0 * se
 
 
+def sample_haar_dirichlet(seed: int, n: int) -> np.ndarray:
+    """Reference route: flat-Dirichlet magnitudes (exponential spacings) and
+    uniform phases give Haar-distributed rows, independently of the package's
+    Gaussian construction and of its Philox stream."""
+    u = np.random.default_rng(seed).random((n, 8))
+    e = -np.log(u[:, :4])
+    x = e / e.sum(axis=1, keepdims=True)
+    return np.sqrt(x) * np.exp(2j * np.pi * u[:, 4:])
+
+
 def test_gaussian_sampler_fields_consistent():
-    rng = np.random.default_rng(3)
-    s = sample_haar_two_qubit(rng)
-    assert np.linalg.norm(s.state) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(s.x, np.abs(s.state) ** 2)
-    assert np.allclose(s.theta, np.angle(s.state))
-    assert s.x.sum() == pytest.approx(1.0, abs=1e-12)
+    """Row i is four complex Gaussians, made from that row's uniforms by ndtri, normalized."""
+    u = uniform_block(3, 5)
+    z = ndtri(u[:, :4]) + 1j * ndtri(u[:, 4:])
+    expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+    states = haar_state_block(3, 5)
+    assert np.array_equal(states, expected)
+    assert np.allclose((np.abs(states) ** 2).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_dirichlet_sampler_fields_consistent():
-    rng = np.random.default_rng(3)
-    s = sample_haar_dirichlet(rng)
-    assert np.linalg.norm(s.state) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(s.x, np.abs(s.state) ** 2, atol=1e-12)
-    assert s.x.sum() == pytest.approx(1.0, abs=1e-12)
+    states = sample_haar_dirichlet(3, 5)
+    assert states.shape == (5, 4)
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(states, sample_haar_dirichlet(3, 5))
 
 
-@pytest.mark.parametrize("sampler", [sample_haar_two_qubit, sample_haar_dirichlet])
+@pytest.mark.parametrize("sampler", [haar_state_block, sample_haar_dirichlet])
 def test_sampler_moments(sampler):
     """Both constructions give flat-Dirichlet magnitudes: E[x1] = 1/4,
     E[x1^2 x4^2] = 1/210, and the relative phase combination averages to 0."""
-    rng = np.random.default_rng(2024)
-    samples = [sampler(rng) for _ in range(20000)]
-    x1 = [s.x[0] for s in samples]
-    m14 = [s.x[0] ** 2 * s.x[3] ** 2 for s in samples]
-    cos_eta = [
-        math.cos(2.0 * (s.theta[0] + s.theta[3] - s.theta[1] - s.theta[2]))
-        for s in samples
-    ]
-    assert _mean_within_4_sigma(x1, 0.25)
-    assert _mean_within_4_sigma(m14, 1.0 / 210.0)
+    states = sampler(2024, 20000)
+    x = np.abs(states) ** 2
+    theta = np.angle(states)
+    cos_eta = np.cos(2.0 * (theta[:, 0] + theta[:, 3] - theta[:, 1] - theta[:, 2]))
+    assert _mean_within_4_sigma(x[:, 0], 0.25)
+    assert _mean_within_4_sigma(x[:, 0] ** 2 * x[:, 3] ** 2, 1.0 / 210.0)
     assert _mean_within_4_sigma(cos_eta, 0.0)
 
 
@@ -157,14 +171,20 @@ def test_moment_exact_errors():
 
 
 def test_moment_float_paths():
-    # integer alpha goes through the exact path
-    assert dirichlet_moment((1, 1, 1, 1), (2, 0, 0, 2)) == float(Fraction(1, 210))
-    # non-integer alpha: E[x1] under Dirichlet(3/2, 3/2) is exactly 1/2
-    assert dirichlet_moment((1.5, 1.5), (1, 0)) == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(ValueError):
-        dirichlet_moment((1.5, -0.5), (1, 0))
-    with pytest.raises(ValueError):
-        dirichlet_moment((1.5, 0.5), (-1, 0))
+    # integral floats are accepted and take the exact path; c08 reads it as a float
+    assert dirichlet_moment_exact((1.0, 1.0, 1.0, 1.0), (2.0, 0, 0, 2)) == Fraction(1, 210)
+    assert float(dirichlet_moment_exact((1, 1, 1, 1), (2, 0, 0, 2))) == 1.0 / 210.0
+    # anything non-integral is rejected rather than truncated
+    for alpha, beta in [
+        ((1.5, 1.5), (1, 0)),
+        ((1, 1), (1.7, 0)),
+        ((1.5, -0.5), (1, 0)),
+        ((1.5, 0.5), (-1, 0)),
+        ((math.nan, 1), (1, 0)),
+        ((1, 1), (math.inf, 0)),
+    ]:
+        with pytest.raises(ValueError):
+            dirichlet_moment_exact(alpha, beta)
 
 
 # ------------------------------------------------------------ haar averages
