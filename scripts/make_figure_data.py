@@ -5,7 +5,7 @@ Drives the package CLI so the files are byte-identical to what
 `epp-lab vidal-curve` and `epp-lab f-grid` would produce:
 
   <out-dir>/vidal_curve.csv   conversion probabilities over lambda
-  <out-dir>/f_grid.csv        validity and asymmetry f over (|a|, |b|)
+  <out-dir>/f_grid.csv        validity, asymmetry f and physicality over (|a|, |b|)
 
 Plot with gnuplot, e.g.:
   gnuplot -e "set datafile separator ','; plot 'vidal_curve.csv' skip 1 u 1:2 w l, '' skip 1 u 1:3 w l"

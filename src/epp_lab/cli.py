@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vidal.add_argument("--grid", type=int, default=100, help="number of interior grid points")
     p_vidal.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
-    p_fgrid = sub.add_parser("f-grid", help="CSV of validity and asymmetry f over (|a|, |b|)")
+    p_fgrid = sub.add_parser(
+        "f-grid", help="CSV of validity, asymmetry f and physicality over (|a|, |b|)")
     p_fgrid.set_defaults(func=cmd_f_grid)
     p_fgrid.add_argument("--grid", type=int, default=100, help="grid points per axis")
     p_fgrid.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
@@ -184,6 +185,9 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     c = as_state(args.state, dim=4)
     params = args.params
+    if not params.physical:
+        print("note: max(|a|, |b|) exceeds sqrt(2)/2, so the success branch is not a "
+              "contraction and does not describe a physical operation", file=sys.stderr)
     lines = [
         "state = " + " ".join(repr(complex(z)) for z in c),
         f"a = {args.a!r}",
@@ -220,12 +224,14 @@ def cmd_vidal_curve(args) -> int:
 
 
 def cmd_f_grid(args) -> int:
-    lines = ["abs_a,abs_b,valid,f"]
+    lines = ["abs_a,abs_b,valid,f,physical"]
     grid = np.linspace(0.0, 1.0, args.grid)
-    for a in grid:
-        for b in grid:
-            valid = int(params_valid(a, b))
-            lines.append(f"{_fmt(a)},{_fmt(b)},{valid},{_fmt(f_parameter(a, b))}")
+    labels = [_fmt(x) for x in grid]
+    for a, a_label in zip(grid, labels):
+        for b, b_label in zip(grid, labels):
+            valid = params_valid(a, b)
+            physical = int(valid and KrausParams(a, b).physical)
+            lines.append(f"{a_label},{b_label},{int(valid)},{_fmt(f_parameter(a, b))},{physical}")
     _write_lines(args.out, lines)
     return 0
 

@@ -35,6 +35,9 @@ _LIFT_AXES = COPY_INTERLEAVE + tuple(4 + q for q in COPY_INTERLEAVE)
 # survive floating-point rounding.
 CONSTRAINT_SLACK = 1e-12
 
+# largest |a|, |b| for which the success branch is a contraction
+_MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
+
 
 def constraint_value(a, b) -> float:
     """2(|a|^4 + |b|^4); valid parameter pairs keep this at most 1."""
@@ -86,6 +89,18 @@ class KrausParams:
     def degenerate(self) -> bool:
         return self.a == 0 or self.b == 0
 
+    @property
+    def physical(self) -> bool:
+        """Whether the success branch is a contraction, as a physical branch must be.
+
+        K^dag K has eigenvalues 2|a|^2 and 2|b|^2 (and two zeros), so this
+        holds exactly when max(|a|, |b|) <= sqrt(2)/2, within
+        CONSTRAINT_SLACK.  Every physical pair meets the constraint, but
+        pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25 meet it without
+        being physical.
+        """
+        return max(abs(self.a), abs(self.b)) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK
+
 
 # stage-2 parameters: the symmetric point saturating the constraint
 CANONICAL_PARAMS = KrausParams(np.sqrt(2) / 2, np.sqrt(2) / 2)
@@ -125,14 +140,28 @@ def lift_local_kraus(K: np.ndarray) -> np.ndarray:
     return np.kron(K, K).reshape((2,) * 8).transpose(_LIFT_AXES).reshape(16, 16)
 
 
-def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalized branch output op @ s and its squared norm (the branch probability)."""
+def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:
+    """Unnormalized branch output op @ s and its squared norm (the branch probability).
+
+    s is one state of shape (d,), which gives (out (d,), prob float), or a
+    batch of shape (n, d), which gives (out (n, d), prob (n,)).  Row k of a
+    batch is bitwise the single-state result for s[k]: the batch runs the
+    same matrix-vector product and the same conjugated dot product per row,
+    which s @ op.T or einsum would not.
+    """
     op = np.asarray(op, dtype=complex)
-    s = np.asarray(s, dtype=complex).reshape(-1)
-    if op.shape != (s.size, s.size):
-        raise ValueError(f"operator shape {op.shape} does not act on dimension {s.size}")
-    out = op @ s
-    return out, float(np.vdot(out, out).real)
+    s = np.asarray(s, dtype=complex)
+    if s.ndim not in (1, 2):
+        raise ValueError(f"expected a state (d,) or a batch (n, d), got shape {s.shape}")
+    d = s.shape[-1]
+    if op.shape != (d, d):
+        raise ValueError(f"operator shape {op.shape} does not act on dimension {d}")
+    batch = s.reshape(-1, d)
+    out = np.matmul(op, batch[:, :, None])[:, :, 0]
+    prob = np.matmul(out.conj()[:, None, :], out[:, :, None])[:, 0, 0].real
+    if s.ndim == 1:
+        return out[0], float(prob[0])
+    return out, prob
 
 
 # Universality demands the lifted operator kill every two-copy component

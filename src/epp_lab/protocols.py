@@ -5,6 +5,12 @@ already in the {|00>, |11>} basis; stage 2 (run at the symmetric parameter
 point) maps two copies of such a state to the Bell state (|00>+|11>)/sqrt(2)
 exactly or fails.  All stage functions work at matrix level and cross-check
 themselves against the closed forms.
+
+The stage functions take one state of shape (4,) or a batch of shape
+(n, 4).  A call builds and lifts its operator once and applies it to the
+whole batch; the leak, basis-support and closed-form checks run once per
+call over every row.  Row k of a batch result is bitwise the result of the
+single-state call on row k, and a single state is run as a batch of one.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kraus import CANONICAL_PARAMS, KrausParams, apply_kraus, build_kraus, lift_local_kraus
-from .linalg import ATOL, as_state, bell_phi_plus, tensor
+from .linalg import ATOL, as_state, bell_phi_plus
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
 _AB_SLOTS = np.array([0, 4, 8, 12])
@@ -32,6 +38,10 @@ class ProtocolResult:
     success_prob.  product_output marks a defined but unentangled output
     (one Schmidt coefficient numerically zero), which makes any following
     stage fail.
+
+    For an (n, 4) batch input the fields are arrays: success_prob (n,),
+    output (n, 4) with an all-zero row wherever a single state would give
+    None, stage_probs a list of (n,) arrays, and product_output (n,) bool.
     """
 
     success_prob: float
@@ -40,30 +50,78 @@ class ProtocolResult:
     product_output: bool = False
 
 
-def _stage_amplitudes(state, params: KrausParams) -> tuple[complex, complex, float]:
-    """Matrix-level run of one two-copy branch; returns (alpha', beta', prob)."""
-    c = as_state(state, dim=4)
+def _as_batch(state) -> tuple[np.ndarray, bool]:
+    """(n, 4) complex view of one state or a batch, and whether it was one state.
+
+    Every row must be normalized within ATOL, as in as_state.
+    """
+    c = np.asarray(state, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[-1] != 4:
+        raise ValueError(f"expected a state (4,) or a batch (n, 4), got shape {c.shape}")
+    single = c.ndim == 1
+    c = c.reshape(-1, 4)
+    err = np.abs(np.linalg.norm(c, axis=1) - 1.0)
+    bad = np.flatnonzero(~(err <= ATOL))
+    if bad.size:
+        raise ValueError(f"state not normalized: |norm - 1| = {err[bad[0]]:.3e} in row {bad[0]}")
+    return c, single
+
+
+def _result(single: bool, success_prob, output, stage_probs, product_output, defined):
+    """Pack batch fields; for a single state, plain scalars and None for an undefined output."""
+    if not single:
+        return ProtocolResult(success_prob, output, stage_probs, product_output)
+    return ProtocolResult(
+        success_prob=float(success_prob[0]),
+        output=output[0] if defined[0] else None,
+        stage_probs=[float(p[0]) for p in stage_probs],
+        product_output=bool(product_output[0]),
+    )
+
+
+def _stage_amplitudes(c: np.ndarray, params: KrausParams):
+    """Matrix-level run of one two-copy branch on an (n, 4) batch.
+
+    Returns (alpha', beta', prob), each of shape (n,).
+    """
     M = lift_local_kraus(build_kraus(params))
-    doubled = tensor(c, c)
+    # row k is tensor(c[k], c[k])
+    doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
 
     # the branch must leave the ancilla pair in |00>; anything else is a bug
-    residual = np.linalg.norm(np.delete(out, _AB_SLOTS))
-    if residual > ATOL:
-        raise RuntimeError(f"branch output leaked outside the |00> ancilla slot: {residual:.3e}")
-    ab = out[_AB_SLOTS]
-    if abs(ab[1]) > ATOL or abs(ab[2]) > ATOL:
+    residual = np.linalg.norm(np.delete(out, _AB_SLOTS, axis=1), axis=1)
+    if not np.all(residual <= ATOL):
+        raise RuntimeError(
+            f"branch output leaked outside the |00> ancilla slot: {np.max(residual):.3e}"
+        )
+    ab = out[:, _AB_SLOTS]
+    if not np.all(np.abs(ab[:, 1:3]) <= ATOL):
         raise RuntimeError("branch output has support outside the {|00>, |11>} basis")
 
-    alpha, beta = ab[0], ab[3]
+    alpha, beta = ab[:, 0], ab[:, 3]
     # closed form for the same amplitudes
-    u = c[0] * c[3] + c[1] * c[2]
-    w = c[0] * c[3] - c[1] * c[2]
+    u = c[:, 0] * c[:, 3] + c[:, 1] * c[:, 2]
+    w = c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2]
     expected_alpha = 2.0 * params.a**2 * u
     expected_beta = 2.0 * params.b**2 * w
-    if abs(alpha - expected_alpha) > ATOL or abs(beta - expected_beta) > ATOL:
+    if not (
+        np.all(np.abs(alpha - expected_alpha) <= ATOL)
+        and np.all(np.abs(beta - expected_beta) <= ATOL)
+    ):
         raise RuntimeError("matrix-level amplitudes disagree with the closed form")
     return alpha, beta, prob
+
+
+def _branch_output(alpha, beta, prob) -> tuple[np.ndarray, np.ndarray]:
+    """Rows alpha'|00> + beta'|11> normalized, zero where the branch fails; and the success mask."""
+    defined = prob >= _ZERO_PROB
+    output = np.zeros((prob.size, 4), dtype=complex)
+    output[:, 0] = alpha
+    output[:, 3] = beta
+    output[defined] /= np.sqrt(prob[defined])[:, None]
+    output[~defined] = 0.0
+    return output, defined
 
 
 def stage1(state, params: KrausParams) -> ProtocolResult:
@@ -72,15 +130,15 @@ def stage1(state, params: KrausParams) -> ProtocolResult:
     alpha' = 2 a^2 (c1 c4 + c2 c3) and beta' = 2 b^2 (c1 c4 - c2 c3); the
     success probability is |alpha'|^2 + |beta'|^2.  Degenerate parameters
     (a = 0 or b = 0) give a product output, reported via product_output.
+    Takes one state (4,) or a batch (n, 4).
     """
-    alpha, beta, prob = _stage_amplitudes(state, params)
-    if prob < _ZERO_PROB:
-        return ProtocolResult(success_prob=prob, output=None, stage_probs=[prob])
-    output = np.array([alpha, 0.0, 0.0, beta], dtype=complex) / np.sqrt(prob)
-    product = min(abs(alpha) ** 2, abs(beta) ** 2) / prob <= 1e-12
-    return ProtocolResult(
-        success_prob=prob, output=output, stage_probs=[prob], product_output=product
-    )
+    c, single = _as_batch(state)
+    alpha, beta, prob = _stage_amplitudes(c, params)
+    output, defined = _branch_output(alpha, beta, prob)
+    # squared moduli from real and imaginary parts round the same in any batch size
+    weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
+    product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
+    return _result(single, prob, output, [prob], product, defined)
 
 
 def stage2(state) -> ProtocolResult:
@@ -89,15 +147,14 @@ def stage2(state) -> ProtocolResult:
     Requires c2 = c3 = 0 within tolerance; raises ValueError otherwise.
     Runs the symmetric-parameter branch on two copies.  On success the
     output is exactly (|00>+|11>)/sqrt(2) with probability 2|alpha beta|^2.
+    Takes one state (4,) or a batch (n, 4).
     """
-    c = as_state(state, dim=4)
-    if abs(c[1]) > ATOL or abs(c[2]) > ATOL:
+    c, single = _as_batch(state)
+    if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
     alpha, beta, prob = _stage_amplitudes(c, CANONICAL_PARAMS)
-    if prob < _ZERO_PROB:
-        return ProtocolResult(success_prob=prob, output=None, stage_probs=[prob])
-    output = np.array([alpha, 0.0, 0.0, beta], dtype=complex) / np.sqrt(prob)
-    return ProtocolResult(success_prob=prob, output=output, stage_probs=[prob])
+    output, defined = _branch_output(alpha, beta, prob)
+    return _result(single, prob, output, [prob], np.zeros(prob.shape, dtype=bool), defined)
 
 
 def full_pipeline(state, params: KrausParams) -> ProtocolResult:
@@ -106,28 +163,22 @@ def full_pipeline(state, params: KrausParams) -> ProtocolResult:
     Both stage-1 runs see identical inputs, so their branch probabilities
     coincide and the total success probability is P1^2 * P2.  A failed or
     product stage-1 output makes the pipeline report zero success with an
-    undefined output instead of raising.
+    undefined output instead of raising.  Takes one state (4,) or a batch
+    (n, 4).
     """
-    first = stage1(state, params)
+    c, single = _as_batch(state)
+    first = stage1(c, params)
     p1 = first.success_prob
-    if first.output is None or first.product_output:
-        p2 = 0.0
-        if first.output is not None:
-            p2 = stage2(first.output).success_prob
-        return ProtocolResult(
-            success_prob=p1 * p1 * p2,
-            output=None,
-            stage_probs=[p1, p1, p2],
-            product_output=True,
-        )
-    second = stage2(first.output)
-    p2 = second.success_prob
-    return ProtocolResult(
-        success_prob=p1 * p1 * p2,
-        output=second.output,
-        stage_probs=[p1, p1, p2],
-        product_output=second.output is None,
-    )
+    # stage 2 also runs on product stage-1 outputs; only failed ones skip it
+    ran = p1 >= _ZERO_PROB
+    second = stage2(first.output[ran])
+    p2 = np.zeros_like(p1)
+    p2[ran] = second.success_prob
+    product = first.product_output | (p2 < _ZERO_PROB)
+    output = np.zeros_like(c)
+    output[ran] = second.output
+    output[product] = 0.0
+    return _result(single, p1 * p1 * p2, output, [p1, p1, p2], product, ~product)
 
 
 def schmidt_pair_bound(alpha, beta) -> float:

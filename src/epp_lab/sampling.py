@@ -155,7 +155,7 @@ def unknown_basis_average_mc(
     """
     states = haar_state_block(seed, n_samples)
     if use_pipeline:
-        values = [full_pipeline(c, CANONICAL_PARAMS).success_prob for c in states]
+        values = full_pipeline(states, CANONICAL_PARAMS).success_prob
     else:
         values = [four_copy_bell_bound(c) for c in states]
     return _estimate(values, seed)

@@ -117,12 +117,12 @@ def criterion_01(seed: int) -> list:
     """Stage-2 saturation: matrix success equals 2|alpha beta|^2, Bell output exact."""
     t0 = time.perf_counter()
     lams = np.linspace(0.0, 1.0, 102)[1:-1]
+    states = np.array([schmidt_state(np.sqrt(lam), np.sqrt(1.0 - lam)) for lam in lams])
+    result = protocols.stage2(states)
     worst = 0.0
-    for lam in lams:
-        s = schmidt_state(np.sqrt(lam), np.sqrt(1.0 - lam))
-        result = protocols.stage2(s)
-        dev = abs(result.success_prob - 2.0 * lam * (1.0 - lam))
-        fid_dev = abs(fidelity_up_to_phase(result.output, bell_phi_plus()) - 1.0)
+    for lam, prob, output in zip(lams, result.success_prob, result.output):
+        dev = abs(prob - 2.0 * lam * (1.0 - lam))
+        fid_dev = abs(fidelity_up_to_phase(output, bell_phi_plus()) - 1.0)
         worst = max(worst, dev, fid_dev)
     elapsed = time.perf_counter() - t0
     return [
@@ -136,9 +136,9 @@ def criterion_02(seed: int) -> list:
     t0 = time.perf_counter()
     states = _haar_states(_sub_seed(seed, 2), 1000)
     params = kraus.KrausParams(SQRT_HALF, SQRT_HALF)
+    pipeline = protocols.full_pipeline(states, params)
     worst = 0.0
-    for c in states:
-        achieved = protocols.full_pipeline(c, params).success_prob
+    for c, achieved in zip(states, pipeline.success_prob):
         closed = protocols.four_copy_bell_bound(c)
         p1 = protocols.kalman_stage1_prob(c)
         if p1 == 0.0:
@@ -198,8 +198,8 @@ def criterion_05(seed: int) -> list:
     min_gap_slack = float("inf")
     for p in params:
         floor_factor = 4.0 * (1.0 - p.f)
-        for c in states:
-            achieved = protocols.stage1(c, p).success_prob
+        stage = protocols.stage1(states, p)
+        for c, achieved in zip(states, stage.success_prob):
             bound = protocols.schmidt_conversion_bound(c)
             margin = bound - achieved
             gap_floor = floor_factor * abs(c[0] * c[1] * c[2] * c[3])
@@ -284,9 +284,7 @@ def criterion_10(seed: int) -> list:
             if a == 0.0 or b == 0.0 or not kraus.params_valid(a, b):
                 continue
             p = kraus.KrausParams(a, b)
-            avg = np.mean(
-                [protocols.full_pipeline(c, p).success_prob for c in states]
-            )
+            avg = np.mean(protocols.full_pipeline(states, p).success_prob)
             if avg > best_val:
                 best_val = float(avg)
                 best_point = (float(a), float(b))

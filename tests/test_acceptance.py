@@ -20,6 +20,7 @@ Criteria (same numbering as the verify engine and the CLI verify command):
 Each test prints one pass/fail line so the suite doubles as a report when run
 with `pytest -s tests/test_acceptance.py`.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,8 @@ import sys
 from epp_lab import verify
 
 SEED = 42
+# sha256 of the seed-42 verify.json; a change to any observed value moves it
+VERIFY_SHA256 = "e0c28977e3ad43727bf5a7c55f8037e7d2a4a3fb9e6b28659d7c54d0be07abf0"
 
 
 def _check(number: int, rows) -> None:
@@ -105,3 +108,4 @@ def test_c11_deterministic_verify(tmp_path):
     summary = json.loads(payloads[0])
     assert summary["all_pass"] is True
     assert summary["seed"] == SEED
+    assert hashlib.sha256(payloads[0]).hexdigest() == VERIFY_SHA256

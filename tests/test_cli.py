@@ -93,6 +93,19 @@ def test_simulate_product_input_undefined(capsys):
     assert "bell_fidelity" not in report
 
 
+def test_simulate_notes_nonphysical_params(capsys):
+    """A valid pair beyond max(|a|, |b|) = sqrt(2)/2 gets a stderr note; stdout
+    and the exit code stay as they are."""
+    state = "0 0.7071067811865476 0.7071067811865476 0"
+    code, out, err = run_cli(capsys, "simulate", "--state", state, "--a", "0.84", "--b", "0.1")
+    assert code == 0
+    assert "not a contraction" in err
+    assert float(parse_report(out)["stage1_prob"]) > 0.0
+    code, _, err = run_cli(capsys, "simulate", "--state", state)
+    assert code == 0
+    assert err == ""
+
+
 def test_simulate_rejects_invalid_params(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--lambda", "0.75", "--a", "1", "--b", "1"])
@@ -130,16 +143,22 @@ def test_f_grid_csv(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "f-grid", "--grid", "8", "--out", str(path))
     assert code == 0
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "abs_a,abs_b,valid,f"
+    assert lines[0] == "abs_a,abs_b,valid,f,physical"
     assert len(lines) == 1 + 64
+    n_physical = 0
     for line in lines[1:]:
-        a_s, b_s, valid_s, f_s = line.split(",")
+        a_s, b_s, valid_s, f_s, physical_s = line.split(",")
         a, b, f = float(a_s), float(b_s), float(f_s)
         expect_valid = (
             2.0 * (a**4 + b**4) <= 1.0 + 1e-12 and not (a == 0.0 and b == 0.0)
         )
         assert int(valid_s) == int(expect_valid)
         assert f == pytest.approx(2.0 * abs(a**4 - b**4), abs=1e-12)
+        expect_physical = expect_valid and max(a, b) <= math.sqrt(2.0) / 2.0
+        assert int(physical_s) == int(expect_physical)
+        n_physical += expect_physical
+    # grid 8 has valid points beyond sqrt(2)/2 (|a| = 5/7, b = 0) that are not physical
+    assert 0 < n_physical < sum(line.split(",")[2] == "1" for line in lines[1:])
 
 
 def test_csv_floats_round_trip(tmp_path, capsys):

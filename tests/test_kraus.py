@@ -67,6 +67,7 @@ def test_params_validation():
     # boundary point survives rounding
     p = CANONICAL_PARAMS
     assert constraint_value(p.a, p.b) == pytest.approx(1.0, abs=1e-12)
+    assert p.physical
 
 
 def test_degenerate_params_flagged_not_fatal():
@@ -133,6 +134,28 @@ def test_apply_kraus_basics():
         apply_kraus(np.eye(4), plus)
 
 
+def test_apply_kraus_batch_matches_rows():
+    """Each row of an (n, 16) batch is bitwise the single-state result, which
+    is bitwise the plain product and vdot."""
+    rng = np.random.default_rng(7)
+    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
+    batch = rng.standard_normal((50, 16)) + 1j * rng.standard_normal((50, 16))
+    out, prob = apply_kraus(M, batch)
+    assert out.shape == (50, 16) and prob.shape == (50,)
+    for k, s in enumerate(batch):
+        row_out, row_prob = apply_kraus(M, s)
+        assert np.array_equal(out[k], row_out)
+        assert prob[k] == row_prob
+        assert np.array_equal(row_out, M @ s)
+        assert row_prob == float(np.vdot(M @ s, M @ s).real)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 16), (5, 8), (5, 17)], ids=["3d", "narrow", "wide"])
+def test_apply_kraus_rejects_bad_batch(shape):
+    with pytest.raises(ValueError):
+        apply_kraus(np.eye(16), np.ones(shape))
+
+
 def test_kill_vectors_exactly_annihilated():
     M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
     report = check_universality_constraints(M)
@@ -197,19 +220,35 @@ def test_pauli_relations_on_family(raw):
 def test_trace_nonincreasing_inside_operator_region(ra, rb):
     """The single branch is a physical map when both moduli stay at or below
     sqrt(2)/2, where the largest eigenvalue of M^dag M is (2 max(|a|,|b|)^2)^2."""
-    M = lift_local_kraus(build_kraus(KrausParams(ra, rb)))
+    p = KrausParams(ra, rb)
+    M = lift_local_kraus(build_kraus(p))
     assert np.linalg.eigvalsh(M.conj().T @ M).max() <= 1.0 + ATOL
+    assert p.physical
 
 
 def test_trace_condition_fails_at_constraint_corner():
     # 2(|a|^4+|b|^4) <= 1 admits moduli up to 2**-0.25, but beyond sqrt(2)/2
     # the lone branch is no longer completable to a physical instrument:
     # the parameter constraint is necessary, not sufficient.
-    M = lift_local_kraus(build_kraus(KrausParams(2**-0.25, 0)))
+    corner = KrausParams(2**-0.25, 0)
+    assert not corner.physical
+    M = lift_local_kraus(build_kraus(corner))
     largest = np.linalg.eigvalsh(M.conj().T @ M).max()
     assert largest > 1.0 + ATOL
     # smallest eigenvalue of 1 - M^dag M
     assert 1.0 - largest == pytest.approx(-1.0, abs=1e-9)
+
+
+@given(magnitude_pairs())
+@settings(max_examples=50)
+def test_physical_matches_branch_eigenvalues(raw):
+    """physical holds exactly when the largest eigenvalue of K^dag K,
+    2 max(|a|, |b|)^2, is at most 1."""
+    p = params_from(raw)
+    K = build_kraus(p)
+    largest = np.linalg.eigvalsh(K.conj().T @ K).max()
+    assume(abs(largest - 1.0) > 1e-9)
+    assert p.physical == (largest <= 1.0)
 
 
 def test_params_valid_helper():

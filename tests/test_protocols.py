@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from epp_lab.kraus import CANONICAL_PARAMS, KrausParams
+from epp_lab import protocols
+from epp_lab.kraus import CANONICAL_PARAMS, KrausParams, build_kraus
 from epp_lab.linalg import (
     as_state,
     bell_phi_plus,
@@ -20,6 +21,7 @@ from epp_lab.protocols import (
     stage1,
     stage2,
 )
+from epp_lab.sampling import haar_state_block
 from epp_lab.vidal import monotones, vidal_probability
 
 
@@ -250,3 +252,125 @@ def test_non_finite_input_rejected(call):
     """NaN makes every |x - 1| > tol test False, so each guard must be finite-safe."""
     with pytest.raises(ValueError):
         call()
+
+
+# ------------------------------------------------------------------ batches
+
+def mixed_batch(seed):
+    """Haar, product, Schmidt-basis, |00> and Bell rows in a seeded order."""
+    rng = np.random.default_rng(seed)
+    haar = haar_state_block(seed, 4)
+    q = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    q /= np.linalg.norm(q, axis=2, keepdims=True)
+    product = np.array([np.kron(x, y) for x, y in q])
+    lam = rng.uniform(0.01, 0.99, 3)
+    phase = np.exp(2j * np.pi * rng.random(3))
+    schmidt = np.array(
+        [schmidt_state(np.sqrt(l), np.sqrt(1 - l) * ph) for l, ph in zip(lam, phase)]
+    )
+    batch = np.vstack([haar, product, schmidt, [[1, 0, 0, 0]], [bell_phi_plus()]])
+    return batch[rng.permutation(len(batch))]
+
+
+def assert_batch_equals_rows(run, batch):
+    result = run(batch)
+    rows = [run(c) for c in batch]
+    assert np.array_equal(result.success_prob, [r.success_prob for r in rows])
+    assert np.array_equal(np.transpose(result.stage_probs), [r.stage_probs for r in rows])
+    assert np.array_equal(result.product_output, [r.product_output for r in rows])
+    undefined = np.zeros(4, dtype=complex)
+    assert np.array_equal(
+        result.output, [undefined if r.output is None else r.output for r in rows]
+    )
+
+
+@given(seeds, st.sampled_from(["random", "canonical", "a_only", "b_only"]))
+@settings(max_examples=30, deadline=None)
+def test_batch_equals_row_by_row(seed, kind):
+    """An (n, 4) batch gives bitwise the single-state results, row by row."""
+    params = {
+        "random": random_params(seed),
+        "canonical": CANONICAL_PARAMS,
+        "a_only": KrausParams(0.6, 0),
+        "b_only": KrausParams(0, 0.5),
+    }[kind]
+    batch = mixed_batch(seed)
+    assert_batch_equals_rows(lambda c: stage1(c, params), batch)
+    assert_batch_equals_rows(lambda c: full_pipeline(c, params), batch)
+    # stage-2 inputs: the defined stage-1 outputs plus failing |00>-only rows
+    first = stage1(batch, params)
+    defined = first.output[np.any(first.output != 0, axis=1)]
+    basis = np.vstack([defined, [[1, 0, 0, 0]], [[0, 0, 0, 1]]])
+    assert_batch_equals_rows(stage2, basis)
+
+
+def _leaking_kraus(params):
+    K = build_kraus(params)
+    K[3, 3] = 0.05  # maps |11> to itself: leaks out of the |00> ancilla slot
+    return K
+
+
+def _flipped_kraus(params):
+    K = build_kraus(params)
+    K[2, 2] = -K[2, 2]  # b(|10><01| + |10><10|): support on |01> and |10>
+    return K
+
+
+def _alpha_flipped_kraus(params):
+    return build_kraus(KrausParams(1j * params.a, params.b))  # alpha' changes sign
+
+
+def _beta_flipped_kraus(params):
+    return build_kraus(KrausParams(params.a, 1j * params.b))  # beta' changes sign
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_leaking_kraus, "leaked"),
+        (_flipped_kraus, "support"),
+        (_alpha_flipped_kraus, "closed form"),
+        (_beta_flipped_kraus, "closed form"),
+    ],
+    ids=["leak", "support", "closed-form-alpha", "closed-form-beta"],
+)
+def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
+    """A corrupted operator raises even when only a later row of the batch shows it."""
+    params = KrausParams(0.6, 0.3)
+    clean = np.array([1, 0, 0, 0], dtype=complex)  # every branch maps |00>|00> to zero
+    batch = np.vstack([clean, haar_state_block(3, 5)])
+    monkeypatch.setattr(protocols, "build_kraus", corrupt)
+    stage1(clean, params)
+    for run in (lambda c: stage1(c, params), lambda c: full_pipeline(c, params)):
+        with pytest.raises(RuntimeError, match=message):
+            run(batch)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [[np.nan, 0, 0, 1], [1, 0, 0, 1], [0.6, 0, 0, 0.8 + 1e-9]],
+    ids=["nan", "unnormalized", "slightly-unnormalized"],
+)
+def test_batch_rejects_bad_row(bad_row):
+    batch = np.array([bell_phi_plus(), bad_row, bell_phi_plus()], dtype=complex)
+    for run in (lambda c: stage1(c, CANONICAL_PARAMS), stage2,
+                lambda c: full_pipeline(c, CANONICAL_PARAMS)):
+        with pytest.raises(ValueError, match="row 1"):
+            run(batch)
+
+
+def test_stage2_batch_rejects_off_basis_row():
+    batch = np.array([bell_phi_plus(), [0.5, 0.5, 0.5, 0.5], schmidt_state(0.6, 0.8)])
+    with pytest.raises(ValueError, match="Schmidt basis"):
+        stage2(batch)
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (3,), (5, 3), (2, 2), (2, 3, 4)], ids=["scalar", "short", "narrow", "2x2", "3d"]
+)
+def test_stage_functions_reject_bad_shape(shape):
+    state = np.full(shape, 0.5, dtype=complex)
+    for run in (lambda c: stage1(c, CANONICAL_PARAMS), stage2,
+                lambda c: full_pipeline(c, CANONICAL_PARAMS)):
+        with pytest.raises(ValueError):
+            run(state)

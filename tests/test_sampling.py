@@ -7,7 +7,9 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from epp_lab.kraus import CANONICAL_PARAMS
 from epp_lab.linalg import schmidt_coefficients
+from epp_lab.protocols import full_pipeline
 from epp_lab.sampling import (
     RNG_ALGORITHM,
     MonteCarloEstimate,
@@ -213,6 +215,9 @@ def test_pipeline_route_matches_closed_form_route():
     a = unknown_basis_average_mc(300, seed=9, use_pipeline=False)
     b = unknown_basis_average_mc(300, seed=9, use_pipeline=True)
     assert abs(a.mean - b.mean) < 1e-10
+    # the batched pipeline gives bitwise the per-state values
+    per_state = [full_pipeline(c, CANONICAL_PARAMS).success_prob for c in haar_state_block(9, 300)]
+    assert b == _estimate(per_state, 9)
 
 
 def test_phase_term_averages_to_zero():
