@@ -21,11 +21,9 @@ from .kraus import (
     pauli_expand,
 )
 from .linalg import (
-    SchmidtForm,
     bell_phi_plus,
     fidelity_up_to_phase,
     permute_qubits,
-    schmidt_decompose,
     schmidt_state,
     tensor,
     two_qubit_state,

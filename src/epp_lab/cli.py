@@ -17,7 +17,7 @@ import numpy as np
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
 from .kraus import KrausParams, f_parameter, params_valid
-from .linalg import as_state, schmidt_state
+from .linalg import ATOL, as_state, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bounds(args) -> int:
     c = as_state(args.state, dim=4)
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
-    if abs(c[1]) <= 1e-10 and abs(c[2]) <= 1e-10:
+    if abs(c[1]) <= ATOL and abs(c[2]) <= ATOL:
         lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])))
     lines.append("schmidt_conversion_bound = " + _fmt(protocols.schmidt_conversion_bound(c)))
     lines.append("four_copy_bell_bound = " + _fmt(protocols.four_copy_bell_bound(c)))

@@ -6,7 +6,6 @@ complex vector (c1, c2, c3, c4) over |00>, |01>, |10>, |11>.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,26 +91,6 @@ def permute_qubits(s, perm: Sequence[int]) -> np.ndarray:
     return s.reshape((2,) * n).transpose(perm).reshape(-1)
 
 
-@dataclass
-class SchmidtForm:
-    """Schmidt decomposition of a two-qubit pure state.
-
-    coeffs are non-negative and sorted non-increasing; the columns of
-    left_basis and right_basis hold the local Schmidt vectors, so that
-    sum_k coeffs[k] * (left[:,k] tensor right[:,k]) rebuilds the state.
-    """
-
-    coeffs: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros(4, dtype=complex)
-        for k in range(2):
-            out += self.coeffs[k] * tensor(self.left_basis[:, k], self.right_basis[:, k])
-        return out
-
-
 def schmidt_coefficients(s, left_qubits: int) -> np.ndarray:
     """Singular values of the coefficient matrix across a contiguous cut.
 
@@ -124,17 +103,6 @@ def schmidt_coefficients(s, left_qubits: int) -> np.ndarray:
         raise ValueError("cut must leave a non-empty register on each side")
     C = s.reshape(2**left_qubits, 2 ** (n - left_qubits))
     return np.linalg.svd(C, compute_uv=False)
-
-
-def schmidt_decompose(s, left_qubits: int = 1) -> SchmidtForm:
-    """Full Schmidt form of a two-qubit state (1|1 cut only)."""
-    s = as_state(s)
-    if s.size != 4 or left_qubits != 1:
-        raise ValueError("full decomposition supports only the 1|1 cut of two qubits")
-    C = s.reshape(2, 2)
-    U, sv, Vh = np.linalg.svd(C)
-    # columns of Vh.T (not conjugated) are the right Schmidt vectors
-    return SchmidtForm(coeffs=sv, left_basis=U, right_basis=Vh.T)
 
 
 def fidelity_up_to_phase(a, b) -> float:

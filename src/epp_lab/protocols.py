@@ -6,11 +6,13 @@ point) maps two copies of such a state to the Bell state (|00>+|11>)/sqrt(2)
 exactly or fails.  All stage functions work at matrix level and cross-check
 themselves against the closed forms.
 
-The stage functions take one state of shape (4,) or a batch of shape
-(n, 4).  A call builds and lifts its operator once and applies it to the
-whole batch; the leak, basis-support and closed-form checks run once per
-call over every row.  Row k of a batch result is bitwise the result of the
-single-state call on row k, and a single state is run as a batch of one.
+The stage functions and the closed forms take one state of shape (4,) or
+a batch of shape (n, 4), and a single state is run as a batch of one.  A
+stage call builds and lifts its operator once and applies it to the whole
+batch; the leak, basis-support and closed-form checks run once per call
+over every row.  A closed form returns a float for one state and an (n,)
+array for a batch.  Row k of any batch result is bitwise the result of the
+single-state call on row k.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kraus import CANONICAL_PARAMS, KrausParams, apply_kraus, build_kraus, lift_local_kraus
-from .linalg import ATOL, as_state, bell_phi_plus
+from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
 _AB_SLOTS = np.array([0, 4, 8, 12])
@@ -181,63 +183,112 @@ def full_pipeline(state, params: KrausParams) -> ProtocolResult:
     return _result(single, p1 * p1 * p2, output, [p1, p1, p2], product, ~product)
 
 
-def schmidt_pair_bound(alpha, beta) -> float:
-    """Optimal conclusive probability for two copies of alpha|00> + beta|11>: 2|alpha beta|^2."""
-    if not (abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= ATOL):
-        raise ValueError("Schmidt pair must be normalized")
-    return float(2.0 * abs(alpha * beta) ** 2)
+# ------------------------------------------------------------ closed forms
+#
+# Row k of a batch must be bitwise the value numpy's scalar operators give on
+# row k alone, but some array loops round differently: complex x * y and z**2
+# may use fused multiply-add, np.abs of complex arrays and real x**k other
+# algorithms.  So products are written out in real arithmetic (_cmul), moduli
+# go through hypot (_cabs), and powers through np.power(z, 2) and
+# np.float_power(x, k), which call the scalar routines element by element.
 
 
-def schmidt_conversion_bound(state) -> float:
+def _cmul(x, y):
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cabs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _unbatch(value, single: bool):
+    return float(value[0]) if single else value
+
+
+def _cross_term(c):
+    """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2] for every row of a validated (n, 4) batch."""
+    term = _cmul(np.power(c[:, 0], 2), np.power(c[:, 3], 2))
+    term = _cmul(term, np.power(c[:, 1].conj(), 2))
+    return _cmul(term, np.power(c[:, 2].conj(), 2)).real
+
+
+def phase_term(state):
+    """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2], the phase-dependent part of the four-copy bound."""
+    c, single = _as_batch(state)
+    return _unbatch(_cross_term(c), single)
+
+
+def schmidt_pair_bound(alpha, beta):
+    """Optimal conclusive probability for two copies of alpha|00> + beta|11>: 2|alpha beta|^2.
+
+    Takes two scalars, which give a float, or two (n,) arrays of normalized pairs.
+    """
+    a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    if a.shape != b.shape or a.ndim > 1:
+        raise ValueError(f"expected two scalars or two (n,) arrays, got {a.shape}, {b.shape}")
+    single = a.ndim == 0
+    a, b = a.reshape(-1), b.reshape(-1)
+    err = np.abs(np.float_power(_cabs(a), 2) + np.float_power(_cabs(b), 2) - 1.0)
+    bad = np.flatnonzero(~(err <= ATOL))
+    if bad.size:
+        raise ValueError(f"Schmidt pair not normalized: {err[bad[0]]:.3e} off in row {bad[0]}")
+    return _unbatch(2.0 * np.float_power(_cabs(_cmul(a, b)), 2), single)
+
+
+def schmidt_conversion_bound(state):
     """Upper bound 2(|c1 c4| + |c2 c3|)^2 on any single two-copy branch.
 
     No admissible parameter pair reaches it on states where both c1 c4 and
     c2 c3 are nonzero; the gap is at least 4(1 - f)|c1 c2 c3 c4|.
     """
-    c = as_state(state, dim=4)
-    return float(2.0 * (abs(c[0] * c[3]) + abs(c[1] * c[2])) ** 2)
+    c, single = _as_batch(state)
+    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    return _unbatch(2.0 * np.float_power(_cabs(u) + _cabs(w), 2), single)
 
 
-def four_copy_bell_bound(state) -> float:
+def four_copy_bell_bound(state):
     """Best pipeline success over valid parameters, reached at a = b = sqrt(2)/2.
 
     Equals 2|c2 c3|^4 + 2|c1 c4|^4 - 4 Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2],
     which is 2|(c1 c4)^2 - (c2 c3)^2|^2, manifestly non-negative.
     """
-    c = as_state(state, dim=4)
-    cross = (c[0] ** 2 * c[3] ** 2 * np.conj(c[1]) ** 2 * np.conj(c[2]) ** 2).real
+    c, single = _as_batch(state)
+    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
     value = (
-        2.0 * abs(c[1] * c[2]) ** 4
-        + 2.0 * abs(c[0] * c[3]) ** 4
-        - 4.0 * cross
+        2.0 * np.float_power(_cabs(w), 4)
+        + 2.0 * np.float_power(_cabs(u), 4)
+        - 4.0 * _cross_term(c)
     )
     # clip float dust: the quantity is a squared modulus
-    return float(max(value, 0.0))
+    return _unbatch(np.where(value < 0.0, 0.0, value), single)
 
 
-def kalman_stage1_prob(state) -> float:
+def kalman_stage1_prob(state):
     """First-round success 2(|c2 c3|^2 + |c1 c4|^2) of the symmetric-parameter branch."""
-    c = as_state(state, dim=4)
-    return float(2.0 * (abs(c[1] * c[2]) ** 2 + abs(c[0] * c[3]) ** 2))
+    c, single = _as_batch(state)
+    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    return _unbatch(2.0 * (np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2)), single)
 
 
-def kalman_stage2_prob(state) -> float:
+def kalman_stage2_prob(state):
     """Second-round success conditioned on the first; undefined when the first fails.
 
     |(c1 c4)^2 - (c2 c3)^2|^2 / (2 (|c2 c3|^2 + |c1 c4|^2)^2), raising
-    ValueError when the stage-1 probability vanishes.
+    ValueError when the stage-1 probability of any row vanishes.
     """
-    c = as_state(state, dim=4)
-    denom = 2.0 * (abs(c[1] * c[2]) ** 2 + abs(c[0] * c[3]) ** 2) ** 2
-    if denom == 0.0:
-        raise ValueError("undefined: the first-round success probability vanishes")
-    u = c[0] * c[3]
-    w = c[1] * c[2]
-    return float(abs(u**2 - w**2) ** 2 / denom)
+    c, single = _as_batch(state)
+    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    denom = 2.0 * np.float_power(np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2), 2)
+    vanished = np.flatnonzero(denom == 0.0)
+    if vanished.size:
+        raise ValueError(f"undefined: stage-1 success probability vanishes in row {vanished[0]}")
+    return _unbatch(np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom, single)
 
 
-def bell_fidelity(state) -> float:
+def bell_fidelity(state):
     """Fidelity with (|00>+|11>)/sqrt(2), up to global phase."""
-    from .linalg import fidelity_up_to_phase
-
-    return fidelity_up_to_phase(state, bell_phi_plus())
+    c, single = _as_batch(state)
+    return _unbatch(np.array([fidelity_up_to_phase(row, bell_phi_plus()) for row in c]), single)

@@ -19,15 +19,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtri
 
-from .protocols import four_copy_bell_bound, full_pipeline, schmidt_pair_bound
-from .kraus import CANONICAL_PARAMS
+from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 
 _MAX_SEED = 2**64
 
 
-def _check_seed(seed: int) -> int:
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) and not float(seed).is_integer():
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -97,15 +98,17 @@ class MonteCarloEstimate:
 
 
 def _estimate(values, seed: int) -> MonteCarloEstimate:
-    values = [float(v) for v in values]
-    n = len(values)
+    """Mean and standard error of a 1-D array of per-sample values."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
     if n == 0:
         raise ValueError("need at least one sample")
     # fsum: exactly rounded, so the reduction is order-independent
-    mean = math.fsum(values) / n
+    mean = math.fsum(values.tolist()) / n
     if n == 1:
         return MonteCarloEstimate(mean=mean, std_error=float("nan"), n_samples=1, seed=seed)
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    # float_power squares through libm pow, as float ** 2 does
+    var = math.fsum(np.float_power(values - mean, 2).tolist()) / (n - 1)
     return MonteCarloEstimate(
         mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed
     )
@@ -127,10 +130,8 @@ def known_basis_average_quadrature() -> float:
 
 def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the known-basis average; samples lambda by inverse CDF."""
-    u = uniform_block(seed, n_samples, 1)[:, 0]
-    lams = _lambda_from_uniform(u)
-    values = [schmidt_pair_bound(math.sqrt(l), math.sqrt(1.0 - l)) for l in lams]
-    return _estimate(values, seed)
+    lams = _lambda_from_uniform(uniform_block(seed, n_samples, 1)[:, 0])
+    return _estimate(schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams)), seed)
 
 
 def unknown_basis_average_exact() -> float:
@@ -145,20 +146,9 @@ def unknown_basis_average_exact() -> float:
     return float(2 * m14 + 2 * m23)
 
 
-def unknown_basis_average_mc(
-    n_samples: int, seed: int, use_pipeline: bool = False
-) -> MonteCarloEstimate:
-    """Monte Carlo of the four-copy average over Haar states.
-
-    use_pipeline=True evaluates the matrix-level pipeline at the symmetric
-    parameter point instead of the closed-form bound; both agree pointwise.
-    """
-    states = haar_state_block(seed, n_samples)
-    if use_pipeline:
-        values = full_pipeline(states, CANONICAL_PARAMS).success_prob
-    else:
-        values = [four_copy_bell_bound(c) for c in states]
-    return _estimate(values, seed)
+def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
+    """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
+    return _estimate(four_copy_bell_bound(haar_state_block(seed, n_samples)), seed)
 
 
 def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
@@ -167,9 +157,4 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     The term equals x1 x2 x3 x4 cos(eta) with eta = 2(th1 + th4 - th2 - th3),
     and eta is uniform given the magnitudes.
     """
-    states = haar_state_block(seed, n_samples)
-    values = [
-        (c[0] ** 2 * c[3] ** 2 * np.conj(c[1]) ** 2 * np.conj(c[2]) ** 2).real
-        for c in states
-    ]
-    return _estimate(values, seed)
+    return _estimate(phase_term(haar_state_block(seed, n_samples)), seed)

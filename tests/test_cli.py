@@ -1,11 +1,15 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epp_lab
 from epp_lab import verify
@@ -250,6 +254,43 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+NON_FINITE = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"]
+
+# (command line with {v} where the value goes, EPP_LAB_SEED value or None,
+#  out-of-range values for that slot); non-finite values are tried in every slot
+FUZZ_SLOTS = [
+    (["bounds", "--state={v} 0 0 0.6"], None, ["0.9", "2"]),
+    (["simulate", "--state=0.6 0 {v} 0.8"], None, ["0.5"]),
+    (["bounds", "--lambda={v}"], None, ["0", "1", "-0.5", "1.5"]),
+    (["simulate", "--lambda={v}"], None, ["0", "1"]),
+    (["simulate", "--lambda=0.7", "--a={v}"], None, ["0.9", "0,0.95"]),
+    (["simulate", "--lambda=0.7", "--b={v},0.1"], None, ["2"]),
+    (["vidal-curve", "--grid={v}"], None, ["1", "0", "-4"]),
+    (["f-grid", "--grid={v}"], None, ["1", "-1"]),
+    (["haar-average", "--samples={v}"], None, ["0", "-5"]),
+    (["haar-average", "--samples=10", "--seed={v}"], None, ["-1", "1.5", str(2**64)]),
+    (["verify", "--seed={v}"], None, ["-1", str(2**64)]),
+    (["haar-average", "--samples=10"], "{v}", ["-1", "1.5", str(2**64)]),
+    (["verify"], "{v}", ["-1"]),
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_fuzz_bad_numbers_exit_2(data):
+    """Non-finite or out-of-range numbers in any numeric slot are usage errors, never a nan."""
+    template, env, out_of_range = data.draw(st.sampled_from(FUZZ_SLOTS))
+    value = data.draw(st.sampled_from(NON_FINITE + out_of_range))
+    argv = [arg.format(v=value) for arg in template]
+    environ = {} if env is None else {SEED_ENV_VAR: env.format(v=value)}
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "nan" not in stdout.getvalue().lower()
 
 
 def test_slightly_denormalized_state_warns_and_renormalizes(capsys):

@@ -11,7 +11,6 @@ from epp_lab.linalg import (
     n_qubits,
     permute_qubits,
     schmidt_coefficients,
-    schmidt_decompose,
     schmidt_state,
     tensor,
     two_qubit_state,
@@ -97,48 +96,30 @@ def test_permute_rejects_non_bijection():
 
 
 def test_schmidt_bell():
-    form = schmidt_decompose(bell_phi_plus())
-    assert np.allclose(form.coeffs, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+    coeffs = schmidt_coefficients(bell_phi_plus(), 1)
+    assert np.allclose(coeffs, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_schmidt_product_states():
-    assert np.allclose(schmidt_decompose(basis_state(2, "00")).coeffs, [1, 0], atol=1e-12)
+    assert np.allclose(schmidt_coefficients(basis_state(2, "00"), 1), [1, 0], atol=1e-12)
     plus_plus = two_qubit_state(0.5, 0.5, 0.5, 0.5)
-    assert np.allclose(schmidt_decompose(plus_plus).coeffs, [1, 0], atol=1e-12)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=30)
-def test_schmidt_reconstruction(seed):
-    s = random_state(seed)
-    form = schmidt_decompose(s)
-    assert form.coeffs[0] >= form.coeffs[1] >= 0
-    assert np.linalg.norm(form.coeffs) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(form.reconstruct(), s, atol=1e-10)
+    assert np.allclose(schmidt_coefficients(plus_plus, 1), [1, 0], atol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_schmidt_coeffs_local_unitary_invariant(seed):
-    """Schmidt spectrum cannot change under local basis changes."""
+    """Schmidt spectrum is sorted, normalized, and unchanged by local basis changes."""
     s = random_state(seed)
     rng = np.random.default_rng(seed)
     u = unitary_group.rvs(2, random_state=rng)
     v = unitary_group.rvs(2, random_state=rng)
     rotated = np.kron(u, v) @ s
-    a = schmidt_decompose(s).coeffs
-    b = schmidt_decompose(rotated).coeffs
+    a = schmidt_coefficients(s, 1)
+    b = schmidt_coefficients(rotated, 1)
+    assert a[0] >= a[1] >= 0
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(a, b, atol=1e-9)
-
-
-def test_schmidt_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        schmidt_decompose([1.0, 0, 0, 1.0])
-
-
-def test_schmidt_rejects_general_cut():
-    with pytest.raises(ValueError):
-        schmidt_decompose(random_state(0, 16), left_qubits=2)
 
 
 def test_schmidt_coefficients_doubled_cut():

@@ -12,10 +12,12 @@ from epp_lab.linalg import (
     two_qubit_state,
 )
 from epp_lab.protocols import (
+    bell_fidelity,
     four_copy_bell_bound,
     full_pipeline,
     kalman_stage1_prob,
     kalman_stage2_prob,
+    phase_term,
     schmidt_conversion_bound,
     schmidt_pair_bound,
     stage1,
@@ -43,6 +45,17 @@ def random_params(seed):
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# the closed forms that take one state (4,) or a batch (n, 4); kalman_stage2_prob
+# also needs a nonzero stage-1 probability on every row
+STATE_CLOSED_FORMS = (
+    four_copy_bell_bound,
+    schmidt_conversion_bound,
+    kalman_stage1_prob,
+    kalman_stage2_prob,
+    phase_term,
+    bell_fidelity,
+)
 
 
 def test_stage1_product_input_fails():
@@ -165,6 +178,12 @@ def test_schmidt_pair_bound_values():
     assert schmidt_pair_bound(1.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         schmidt_pair_bound(1.0, 1.0)
+    # every pair of a batch is checked, and alpha and beta must match in shape
+    with pytest.raises(ValueError, match="row 1"):
+        schmidt_pair_bound(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+    for alpha, beta in [(np.ones(2), np.zeros(3)), (np.ones((2, 2)), np.zeros((2, 2)))]:
+        with pytest.raises(ValueError, match="two scalars or two"):
+            schmidt_pair_bound(alpha, beta)
 
 
 def test_conversion_bound_values():
@@ -198,6 +217,9 @@ def test_kalman_probs_on_bell():
 def test_kalman_stage2_undefined_for_product():
     with pytest.raises(ValueError):
         kalman_stage2_prob(two_qubit_state(1, 0, 0, 0))
+    # one vanishing row makes the whole batch undefined
+    with pytest.raises(ValueError, match="row 1"):
+        kalman_stage2_prob(np.array([bell_phi_plus(), [1, 0, 0, 0]]))
 
 
 @given(seeds)
@@ -245,8 +267,12 @@ def test_phase_invariance_of_conversion_bound():
         lambda: schmidt_pair_bound(np.nan, 1.0),
         lambda: vidal_probability([np.nan, 1.0], [0.5, 0.5]),
         lambda: monotones([np.nan, 1.0]),
+        lambda: bell_fidelity([np.nan, 0, 0, 1]),
     ],
-    ids=["as_state", "two_qubit_state", "params_a", "params_b", "pair_bound", "vidal", "monotones"],
+    ids=[
+        "as_state", "two_qubit_state", "params_a", "params_b", "pair_bound", "vidal", "monotones",
+        "bell_fidelity",
+    ],
 )
 def test_non_finite_input_rejected(call):
     """NaN makes every |x - 1| > tol test False, so each guard must be finite-safe."""
@@ -302,6 +328,46 @@ def test_batch_equals_row_by_row(seed, kind):
     defined = first.output[np.any(first.output != 0, axis=1)]
     basis = np.vstack([defined, [[1, 0, 0, 0]], [[0, 0, 0, 1]]])
     assert_batch_equals_rows(stage2, basis)
+    # closed forms: an (n,) array whose row k is bitwise the float for row k
+    defined_p1 = batch[np.array([kalman_stage1_prob(c) for c in batch]) != 0.0]
+    for closed_form in STATE_CLOSED_FORMS:
+        rows = defined_p1 if closed_form is kalman_stage2_prob else batch
+        assert np.array_equal(closed_form(rows), [closed_form(c) for c in rows])
+    alpha, beta = basis[:, 0], basis[:, 3]
+    assert np.array_equal(
+        schmidt_pair_bound(alpha, beta), [schmidt_pair_bound(a, b) for a, b in zip(alpha, beta)]
+    )
+
+
+def scalar_closed_forms(c):
+    """Reference: the closed forms on one state, computed with numpy's scalar operators."""
+    u, w = c[0] * c[3], c[1] * c[2]
+    cross = (c[0] ** 2 * c[3] ** 2 * np.conj(c[1]) ** 2 * np.conj(c[2]) ** 2).real
+    return {
+        four_copy_bell_bound: max(2.0 * abs(w) ** 4 + 2.0 * abs(u) ** 4 - 4.0 * cross, 0.0),
+        schmidt_conversion_bound: 2.0 * (abs(u) + abs(w)) ** 2,
+        kalman_stage1_prob: 2.0 * (abs(w) ** 2 + abs(u) ** 2),
+        kalman_stage2_prob: abs(u**2 - w**2) ** 2 / (2.0 * (abs(w) ** 2 + abs(u) ** 2) ** 2),
+        phase_term: cross,
+    }
+
+
+def test_batch_matches_scalar_operators():
+    """Row k of a closed form is bitwise what numpy's scalar operators give on row k.
+
+    Plain array arithmetic (fused complex products, np.abs, x**k) moves the
+    last bit on 5-45% of Haar rows, so a few thousand rows expose it.
+    """
+    states = haar_state_block(2025, 5000)
+    expected = [scalar_closed_forms(c) for c in states]
+    for closed_form in expected[0]:
+        assert np.array_equal(closed_form(states), [e[closed_form] for e in expected])
+    lam = np.linspace(0.0, 1.0, 5001)
+    alpha, beta = np.sqrt(lam), np.sqrt(1.0 - lam)
+    assert np.array_equal(
+        schmidt_pair_bound(alpha, beta),
+        [2.0 * abs(float(a) * float(b)) ** 2 for a, b in zip(alpha, beta)],
+    )
 
 
 def _leaking_kraus(params):
@@ -354,9 +420,11 @@ def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
 def test_batch_rejects_bad_row(bad_row):
     batch = np.array([bell_phi_plus(), bad_row, bell_phi_plus()], dtype=complex)
     for run in (lambda c: stage1(c, CANONICAL_PARAMS), stage2,
-                lambda c: full_pipeline(c, CANONICAL_PARAMS)):
+                lambda c: full_pipeline(c, CANONICAL_PARAMS), *STATE_CLOSED_FORMS):
         with pytest.raises(ValueError, match="row 1"):
             run(batch)
+    with pytest.raises(ValueError, match="row 1"):
+        schmidt_pair_bound(batch[:, 0], batch[:, 3])
 
 
 def test_stage2_batch_rejects_off_basis_row():
@@ -371,6 +439,6 @@ def test_stage2_batch_rejects_off_basis_row():
 def test_stage_functions_reject_bad_shape(shape):
     state = np.full(shape, 0.5, dtype=complex)
     for run in (lambda c: stage1(c, CANONICAL_PARAMS), stage2,
-                lambda c: full_pipeline(c, CANONICAL_PARAMS)):
+                lambda c: full_pipeline(c, CANONICAL_PARAMS), *STATE_CLOSED_FORMS):
         with pytest.raises(ValueError):
             run(state)

@@ -9,7 +9,7 @@ from scipy.stats import kstest
 
 from epp_lab.kraus import CANONICAL_PARAMS
 from epp_lab.linalg import schmidt_coefficients
-from epp_lab.protocols import full_pipeline
+from epp_lab.protocols import four_copy_bell_bound, full_pipeline
 from epp_lab.sampling import (
     RNG_ALGORITHM,
     MonteCarloEstimate,
@@ -62,6 +62,15 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         uniform_block(2**64, 2)
     uniform_block(2**64 - 1, 1)  # boundary is fine
+
+
+@pytest.mark.parametrize("seed", [1.5, math.inf, math.nan, -1, 2**64])
+def test_seed_rejects_non_integral_and_out_of_range(seed):
+    """A seed is never truncated or overflowed into a different stream."""
+    with pytest.raises(ValueError):
+        uniform_block(seed, 2)
+    with pytest.raises(ValueError):
+        known_basis_average_mc(50, seed=seed)
 
 
 def test_haar_state_block_prefix_and_norms():
@@ -212,12 +221,12 @@ def test_unknown_basis_mc_agrees_with_exact():
 
 
 def test_pipeline_route_matches_closed_form_route():
-    a = unknown_basis_average_mc(300, seed=9, use_pipeline=False)
-    b = unknown_basis_average_mc(300, seed=9, use_pipeline=True)
-    assert abs(a.mean - b.mean) < 1e-10
-    # the batched pipeline gives bitwise the per-state values
-    per_state = [full_pipeline(c, CANONICAL_PARAMS).success_prob for c in haar_state_block(9, 300)]
-    assert b == _estimate(per_state, 9)
+    states = haar_state_block(9, 300)
+    pipeline = full_pipeline(states, CANONICAL_PARAMS).success_prob
+    closed = four_copy_bell_bound(states)
+    assert np.max(np.abs(pipeline - closed)) < 1e-10
+    # the estimator is the closed form on the seeded block
+    assert unknown_basis_average_mc(300, seed=9) == _estimate(closed, 9)
 
 
 def test_phase_term_averages_to_zero():
