@@ -14,6 +14,8 @@ from epp_lab import sampling
 
 def run_mode(name, analytic, estimator, sizes, seed):
     print(f"{name}: analytic = {analytic!r}")
+    # the label says what the estimator draws; it does not depend on n
+    print(f"rng = {estimator(1, seed).algorithm}")
     print(f"{'n':>9}  {'mean':>22}  {'std_error':>22}  {'z':>6}")
     for n in sizes:
         est = estimator(n, seed)
@@ -35,7 +37,6 @@ def main() -> int:
         n *= 10
 
     print(f"seed = {args.seed}")
-    print(f"rng  = {sampling.RNG_ALGORITHM}")
     print()
     run_mode(
         "known-basis two-copy average",

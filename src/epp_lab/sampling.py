@@ -3,17 +3,25 @@
 Reproducibility contract: every Monte Carlo entry point takes a 64-bit seed
 and derives all randomness from a counter-based Philox stream keyed by it.
 Sample i consumes a fixed-width row of uniforms at a fixed counter offset,
-so estimates are bitwise reproducible and independent of how the index
-range would be partitioned across workers.  Gaussians come from the inverse
-normal CDF applied to those uniforms (fixed draw count per sample, unlike
+so row i is a function of (seed, i) alone: `uniform_block` and
+`haar_state_block` take a `start` row and return rows [start, start + n)
+of the same stream, bit for bit.  Gaussians come from the inverse normal
+CDF applied to those uniforms (fixed draw count per sample, unlike
 rejection-based generators).  The Gaussian scale is irrelevant after
 normalization, so unit variance is used.
+
+The estimators draw and evaluate _CHUNK_ROWS rows at a time into one (n,)
+array of per-sample values, and `_estimate` reduces it with `math.fsum`,
+which rounds the exact sum once.  Estimates are therefore bitwise the same
+for every chunk size; memory is 8 bytes per sample plus one chunk's
+workspace.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,28 +30,51 @@ from scipy.special import ndtri
 from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
+KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
 _MAX_SEED = 2**64
+# rows drawn and evaluated per step of a Monte Carlo estimator
+_CHUNK_ROWS = 16_384
+
+
+def _check_int(value, name: str) -> int:
+    """value as an int; integral floats such as 3.0 are accepted, anything else raises."""
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) and not float(seed).is_integer():
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _check_int(seed, "seed")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
 
 
-def uniform_block(seed: int, n: int, width: int = 8) -> np.ndarray:
-    """(n, width) uniforms from Philox keyed by seed; row i depends only on (seed, i)."""
-    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+def _check_count(value, name: str) -> int:
+    value = _check_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarray:
+    """Rows [start, start + n) of the (., width) uniforms from Philox keyed by seed.
+
+    Row i depends only on (seed, i): one Philox counter yields four draws,
+    so the stream advances start*width // 4 counters and discards the
+    remaining start*width % 4 draws.
+    """
+    n, width = _check_count(n, "n"), _check_count(width, "width")
+    skip, discard = divmod(_check_count(start, "start") * width, 4)
+    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)).advance(skip))
+    rng.random(discard)
     return rng.random((n, width))
 
 
-def haar_state_block(seed: int, n: int) -> np.ndarray:
-    """(n, 4) complex amplitudes; row i is sample i of the seeded stream."""
-    u = uniform_block(seed, n, 8)
+def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream."""
+    u = uniform_block(seed, n, 8, start)
     z = ndtri(u)
     c = z[:, :4] + 1j * z[:, 4:]
     return c / np.linalg.norm(c, axis=1, keepdims=True)
@@ -97,20 +128,35 @@ class MonteCarloEstimate:
         return abs(self.mean - target) <= k * self.std_error
 
 
-def _estimate(values, seed: int) -> MonteCarloEstimate:
+def _per_sample(n_samples, chunk_values) -> np.ndarray:
+    """(n,) per-sample values; chunk_values(start, k) gives rows [start, start + k)."""
+    n = _check_count(n_samples, "n_samples")
+    values = np.empty(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        k = min(_CHUNK_ROWS, n - start)
+        values[start:start + k] = chunk_values(start, k)
+    return values
+
+
+def _estimate(values, seed: int, algorithm: str = RNG_ALGORITHM) -> MonteCarloEstimate:
     """Mean and standard error of a 1-D array of per-sample values."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("need at least one sample")
-    # fsum: exactly rounded, so the reduction is order-independent
-    mean = math.fsum(values.tolist()) / n
+    starts = range(0, n, _CHUNK_ROWS)
+    # fsum: exactly rounded, so the reduction is order- and chunk-independent
+    mean = math.fsum(chain.from_iterable(values[i:i + _CHUNK_ROWS].tolist() for i in starts)) / n
     if n == 1:
-        return MonteCarloEstimate(mean=mean, std_error=float("nan"), n_samples=1, seed=seed)
+        return MonteCarloEstimate(
+            mean=mean, std_error=float("nan"), n_samples=1, seed=seed, algorithm=algorithm
+        )
     # float_power squares through libm pow, as float ** 2 does
-    var = math.fsum(np.float_power(values - mean, 2).tolist()) / (n - 1)
+    var = math.fsum(chain.from_iterable(
+        np.float_power(values[i:i + _CHUNK_ROWS] - mean, 2).tolist() for i in starts
+    )) / (n - 1)
     return MonteCarloEstimate(
-        mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed
+        mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed, algorithm=algorithm
     )
 
 
@@ -130,8 +176,10 @@ def known_basis_average_quadrature() -> float:
 
 def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the known-basis average; samples lambda by inverse CDF."""
-    lams = _lambda_from_uniform(uniform_block(seed, n_samples, 1)[:, 0])
-    return _estimate(schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams)), seed)
+    def chunk(start, k):
+        lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
+        return schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
+    return _estimate(_per_sample(n_samples, chunk), seed, KNOWN_BASIS_RNG_ALGORITHM)
 
 
 def unknown_basis_average_exact() -> float:
@@ -148,7 +196,10 @@ def unknown_basis_average_exact() -> float:
 
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
-    return _estimate(four_copy_bell_bound(haar_state_block(seed, n_samples)), seed)
+    values = _per_sample(
+        n_samples, lambda start, k: four_copy_bell_bound(haar_state_block(seed, k, start))
+    )
+    return _estimate(values, seed)
 
 
 def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
@@ -157,4 +208,7 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     The term equals x1 x2 x3 x4 cos(eta) with eta = 2(th1 + th4 - th2 - th3),
     and eta is uniform given the magnitudes.
     """
-    return _estimate(phase_term(haar_state_block(seed, n_samples)), seed)
+    values = _per_sample(
+        n_samples, lambda start, k: phase_term(haar_state_block(seed, k, start))
+    )
+    return _estimate(values, seed)

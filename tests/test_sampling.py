@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +12,13 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+import epp_lab
+from epp_lab import sampling
 from epp_lab.kraus import CANONICAL_PARAMS
 from epp_lab.linalg import schmidt_coefficients
-from epp_lab.protocols import four_copy_bell_bound, full_pipeline
+from epp_lab.protocols import four_copy_bell_bound, full_pipeline, phase_term
 from epp_lab.sampling import (
+    KNOWN_BASIS_RNG_ALGORITHM,
     RNG_ALGORITHM,
     MonteCarloEstimate,
     _estimate,
@@ -54,6 +62,35 @@ def test_uniform_block_counter_offset(seed, start):
     n = 1000
     rng = np.random.Generator(np.random.Philox(key=seed).advance(2 * start))
     assert np.array_equal(uniform_block(seed, n)[start:], rng.random((n - start, 8)))
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 7, 64, 333])
+def test_uniform_block_start_is_a_row_offset(width, start):
+    """Rows [start, start + k) equal that slice of one long block, also when
+    start * width is not a multiple of the four draws per Philox counter."""
+    long = uniform_block(17, 400, width)
+    assert np.array_equal(uniform_block(17, 400 - start, width, start), long[start:])
+    assert np.array_equal(uniform_block(17, 5, width, start), long[start:start + 5])
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 5, 333])
+def test_haar_state_block_start_is_a_row_offset(start):
+    long = haar_state_block(23, 400)
+    assert np.array_equal(haar_state_block(23, 400 - start, start), long[start:])
+    assert np.array_equal(haar_state_block(23, 3, start=start), long[start:start + 3])
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, math.nan, math.inf, -math.inf])
+def test_start_and_count_reject_negative_and_non_integral(bad):
+    with pytest.raises(ValueError):
+        uniform_block(1, 4, 8, bad)
+    with pytest.raises(ValueError):
+        haar_state_block(1, 4, bad)
+    with pytest.raises(ValueError):
+        uniform_block(1, bad)
+    with pytest.raises(ValueError):
+        unknown_basis_average_mc(bad, seed=1)
 
 
 def test_seed_validation():
@@ -212,12 +249,14 @@ def test_known_basis_mc_agrees_with_quadrature():
     est = known_basis_average_mc(20000, seed=42)
     assert est.within_sigmas(0.2, 4.0)
     assert est.n_samples == 20000
-    assert est.algorithm == RNG_ALGORITHM
+    # one width-1 draw per sample through the inverse CDF of 6(2 lam - 1)^2, no ndtri
+    assert est.algorithm == KNOWN_BASIS_RNG_ALGORITHM
 
 
 def test_unknown_basis_mc_agrees_with_exact():
     est = unknown_basis_average_mc(20000, seed=42)
     assert est.within_sigmas(2.0 / 105.0, 4.0)
+    assert est.algorithm == RNG_ALGORITHM
 
 
 def test_pipeline_route_matches_closed_form_route():
@@ -272,3 +311,104 @@ def test_within_sigmas_width():
     assert est.within_sigmas(1.35, 4.0)
     assert not est.within_sigmas(1.45, 4.0)
     assert est.within_sigmas(1.15, 2.0)
+
+
+# ------------------------------------------------------------------ chunking
+
+ESTIMATORS = [known_basis_average_mc, unknown_basis_average_mc, phase_term_mc]
+
+
+def reference_estimate(xs, square=lambda d: d ** 2):
+    """Mean and standard error of a list of floats in plain scalar Python."""
+    n = len(xs)
+    m = math.fsum(xs) / n
+    return m, math.sqrt(math.fsum(square(x - m) for x in xs) / (n - 1) / n)
+
+
+def per_sample_values(monkeypatch, estimator, n, seed):
+    """The (n,) array an estimator hands to _estimate."""
+    seen = []
+    reduce = sampling._estimate
+
+    def capture(values, *args):
+        seen.append(values.copy())
+        return reduce(values, *args)
+
+    monkeypatch.setattr(sampling, "_estimate", capture)
+    estimator(n, seed)
+    monkeypatch.setattr(sampling, "_estimate", reduce)
+    return seen[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096, 5001])
+def test_estimates_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    n = 5000
+    expected = [estimator(n, 8) for estimator in ESTIMATORS]
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
+    assert [estimator(n, 8) for estimator in ESTIMATORS] == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, sampling._CHUNK_ROWS])
+def test_estimate_is_the_scalar_reference_bitwise(monkeypatch, chunk):
+    """_estimate rounds the exact sums once, so any chunking gives the plain scalar result."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
+    values = four_copy_bell_bound(haar_state_block(42, 10_000))
+    est = _estimate(values, seed=42)
+    assert (est.mean, est.std_error) == reference_estimate(values.tolist())
+
+
+@pytest.mark.parametrize("closed_form", [four_copy_bell_bound, phase_term])
+def test_estimate_squares_through_pow(closed_form):
+    """Deviations are squared through libm pow, as float ** 2 is.  A product
+    d * d rounds differently for about one deviation in a thousand, which a
+    long sum hides; in the three-sample windows where it shows in the
+    standard error, _estimate must still match the reference."""
+    xs = closed_form(haar_state_block(42, 10_000)).tolist()
+    windows = [xs[i:i + 3] for i in range(len(xs) - 2)]
+    telling = [w for w in windows if reference_estimate(w) != reference_estimate(w, lambda d: d * d)]
+    assert telling
+    for w in telling:
+        est = _estimate(w, seed=42)
+        assert (est.mean, est.std_error) == reference_estimate(w)
+
+
+@pytest.mark.parametrize(
+    "estimator, digest",
+    [
+        (known_basis_average_mc,
+         "a1676406fd9bbb9cbc0adf9a39a2f32a90906d766b4a75821f62a07fe510e05f"),
+        (unknown_basis_average_mc,
+         "a1542360c027a15976ed8ca0bd17c8fc14bac57abbf7099cba986f1eabeb18d0"),
+        (phase_term_mc,
+         "b92887aec837eb0e983ca356870a8068295bc6a073fe00b04af89c6e49322a77"),
+    ],
+    ids=["known-basis", "unknown-basis", "phase-term"],
+)
+def test_per_sample_values_are_pinned(monkeypatch, estimator, digest):
+    """sha256 of the float64 per-sample values at seed 42, 20 000 samples
+    (more than one chunk); a last-bit change in any value shows here."""
+    values = per_sample_values(monkeypatch, estimator, 20_000, 42)
+    assert hashlib.sha256(np.asarray(values, "<f8").tobytes()).hexdigest() == digest
+
+
+def peak_rss_mb(samples: int) -> float:
+    """Peak RSS of one `haar-average --mode unknown-basis` child, from wait4."""
+    src = Path(epp_lab.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epp_lab", "haar-average", "--mode", "unknown-basis",
+         "--samples", str(samples), "--seed", "5"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
+def test_memory_is_bounded_in_samples():
+    """Four times the samples must not cost more than a few MB: only the
+    8 B-per-sample value array grows, the chunk workspace does not."""
+    small, large = peak_rss_mb(200_000), peak_rss_mb(800_000)
+    assert large - small <= 20.0, (small, large)
