@@ -10,23 +10,17 @@ reproducible Monte Carlo.
 
 from .kraus import (
     CANONICAL_PARAMS,
-    ConstraintReport,
     KrausParams,
-    PauliExpansion,
     apply_kraus,
     build_kraus,
     check_universality_constraints,
-    kalman_kraus,
     lift_local_kraus,
     pauli_expand,
 )
 from .linalg import (
     bell_phi_plus,
     fidelity_up_to_phase,
-    permute_qubits,
     schmidt_state,
-    tensor,
-    two_qubit_state,
 )
 from .protocols import (
     ProtocolResult,

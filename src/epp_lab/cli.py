@@ -3,8 +3,9 @@
 Commands: bounds, simulate, vidal-curve, f-grid, haar-average, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Seeded
 commands take --seed, fall back to the EPP_LAB_SEED environment variable,
-then to DEFAULT_SEED; the seed in effect is echoed in the output.  CSV
-floats are written with repr, which round-trips exactly.
+then to DEFAULT_SEED; the seed in effect is echoed in the output.
+haar-average takes at most MAX_SAMPLES samples.  CSV floats are written
+with repr, which round-trips exactly.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ import numpy as np
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
 from .kraus import KrausParams, f_parameter, params_valid
-from .linalg import ATOL, as_state, schmidt_state
+from .linalg import ATOL, as_state, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
+# haar-average keeps 8 bytes per sample, so this caps its values at 800 MB
+MAX_SAMPLES = 10**8
 
 # CLI inputs tolerate slightly stale normalization; anything past this is an error
 _NORM_ERROR = 1e-8
@@ -79,9 +82,10 @@ def _parse_seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed: {text!r}")
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return seed
+    try:
+        return sampling._check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
@@ -166,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bounds(args) -> int:
-    c = as_state(args.state, dim=4)
+    c = as_state(args.state)
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
     if abs(c[1]) <= ATOL and abs(c[2]) <= ATOL:
         lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])))
@@ -183,7 +187,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    c = as_state(args.state, dim=4)
+    c = as_state(args.state)
     params = args.params
     if not params.physical:
         print("note: max(|a|, |b|) exceeds sqrt(2)/2, so the success branch is not a "
@@ -205,7 +209,8 @@ def cmd_simulate(args) -> int:
     if result.output is None:
         lines.append("pipeline_output = undefined")
     else:
-        lines.append("bell_fidelity = " + _fmt(protocols.bell_fidelity(result.output)))
+        fidelity = fidelity_up_to_phase(result.output, bell_phi_plus())
+        lines.append("bell_fidelity = " + _fmt(fidelity))
     print("\n".join(lines))
     return 0
 
@@ -288,6 +293,8 @@ def main(argv=None) -> int:
         parser.error("--grid must be at least 2")
     if args.command == "haar-average" and args.samples < 1:
         parser.error("--samples must be at least 1")
+    if args.command == "haar-average" and args.samples > MAX_SAMPLES:
+        parser.error(f"--samples must be at most {MAX_SAMPLES}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
     return args.func(args)

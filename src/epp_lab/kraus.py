@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, basis_state
+from .linalg import basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -20,11 +20,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 # basis order used by pauli_expand: (x, y, z, identity)
 PAULI_BASIS = (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2)
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 # (A,B,A',B') -> (A,A',B,B'); the permutation is an involution
 COPY_INTERLEAVE = (0, 2, 1, 3)
@@ -63,18 +58,22 @@ def f_parameter(a, b) -> float:
 class KrausParams:
     """Complex pair (a, b) steering the success branch.
 
-    Invariants enforced on construction: not both zero, and
-    2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK.  A vanishing a or b is
-    allowed but flagged degenerate: that branch can only make product
-    output, so the purification stage it feeds is useless.
+    Invariants enforced on construction: both finite numbers, not both
+    zero, and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK.  A vanishing a
+    or b is allowed, but that branch can only make product output (stage1
+    reports it as product_output), so the purification stage it feeds is
+    useless.
     """
 
     a: complex
     b: complex
 
     def __post_init__(self):
-        self.a = complex(self.a)
-        self.b = complex(self.b)
+        try:
+            self.a = complex(self.a)
+            self.b = complex(self.b)
+        except OverflowError:
+            raise ValueError("a and b must lie within the float range") from None
         if self.a == 0 and self.b == 0:
             raise ValueError("a and b must not both vanish")
         value = constraint_value(self.a, self.b)
@@ -84,10 +83,6 @@ class KrausParams:
     @property
     def f(self) -> float:
         return f_parameter(self.a, self.b)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.a == 0 or self.b == 0
 
     @property
     def physical(self) -> bool:
@@ -117,22 +112,12 @@ def build_kraus(params: KrausParams) -> np.ndarray:
     return K
 
 
-def kalman_kraus() -> np.ndarray:
-    """Success branch of the Kalman purification circuit.
-
-    Composition (H tensor |0><0|) . CNOT . (1 tensor sigma_x) with qubit 0
-    as the CNOT control; equals build_kraus at a = b = sqrt(2)/2.
-    """
-    proj0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    return np.kron(HADAMARD, proj0) @ CNOT @ np.kron(IDENTITY_2, SIGMA_X)
-
-
 def lift_local_kraus(K: np.ndarray) -> np.ndarray:
     """Two-party operator K tensor K, expressed in (A, B, A', B') register order.
 
     K tensor K naturally acts on (A, A')(B, B'); interleaving the row and
     the column qubits makes the result applicable directly to
-    tensor(psi, psi), which is stored as (A, B)(A', B').
+    np.kron(psi, psi), which is stored as (A, B)(A', B').
     """
     K = np.asarray(K, dtype=complex)
     if K.shape != (4, 4):
@@ -188,49 +173,24 @@ def kill_vectors() -> list[tuple[str, np.ndarray]]:
     return out
 
 
-@dataclass
-class ConstraintReport:
-    kill_vector_norms: list
-    passed: bool
-    tolerance: float = ATOL
+def check_universality_constraints(M: np.ndarray) -> np.ndarray:
+    """Residual norms ||M v|| over the eight kill vectors, in KILL_VECTOR_LABELS order.
 
-    @property
-    def max_residual(self) -> float:
-        return max(r for _, r in self.kill_vector_norms)
-
-
-def check_universality_constraints(M: np.ndarray, atol: float = ATOL) -> ConstraintReport:
-    """Residual norms ||M v|| over the eight kill vectors."""
+    M satisfies the constraints when every residual is at most linalg.ATOL.
+    """
     M = np.asarray(M, dtype=complex)
     if M.shape != (16, 16):
         raise ValueError("lifted operator must be 16x16")
-    norms = []
-    for label, v in kill_vectors():
-        norms.append((label, float(np.linalg.norm(M @ v))))
-    passed = all(r <= atol for _, r in norms)
-    return ConstraintReport(kill_vector_norms=norms, passed=passed, tolerance=atol)
+    return np.array([np.linalg.norm(M @ v) for _, v in kill_vectors()])
 
 
-@dataclass
-class PauliExpansion:
-    """Coefficients r[k, l] of K = sum_kl r[k, l] sigma_k tensor sigma_l."""
+def pauli_expand(K: np.ndarray) -> np.ndarray:
+    """Coefficients r[k, l] of K = sum_kl r[k, l] sigma_k tensor sigma_l, as a (4, 4) array.
 
-    r: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for k in range(4):
-            for l in range(4):
-                out += self.r[k, l] * np.kron(PAULI_BASIS[k], PAULI_BASIS[l])
-        return out
-
-
-def pauli_expand(K: np.ndarray) -> PauliExpansion:
-    """Expand a 4x4 operator over the (x, y, z, 1) tensor-pair basis.
-
-    r[k, l] = Tr[(sigma_k tensor sigma_l)^dag K] / 4.  For build_kraus the
-    expansion collapses to two free entries, r[0, 3] = a/4 and r[2, 3] = b/4,
-    with every other entry fixed by linear relations.
+    The basis is (x, y, z, 1) and r[k, l] = Tr[(sigma_k tensor sigma_l)^dag K] / 4.
+    For build_kraus the expansion collapses to two free entries,
+    r[0, 3] = a/4 and r[2, 3] = b/4, with every other entry fixed by linear
+    relations.
     """
     K = np.asarray(K, dtype=complex)
     if K.shape != (4, 4):
@@ -240,16 +200,16 @@ def pauli_expand(K: np.ndarray) -> PauliExpansion:
         for l in range(4):
             basis_op = np.kron(PAULI_BASIS[k], PAULI_BASIS[l])
             r[k, l] = np.trace(basis_op.conj().T @ K) / 4.0
-    return PauliExpansion(r=r)
+    return r
 
 
-def pauli_relation_residuals(expansion: PauliExpansion) -> dict[str, float]:
+def pauli_relation_residuals(r: np.ndarray) -> dict[str, float]:
     """Residuals of the linear relations satisfied by the purifying family.
 
-    Keys name the relation; values are absolute deviations.  All residuals
-    vanish (to rounding) exactly when K came from build_kraus.
+    r is the (4, 4) array from pauli_expand.  Keys name the relation; values
+    are absolute deviations.  All residuals vanish (to rounding) exactly
+    when K came from build_kraus.
     """
-    r = expansion.r
     i = 1j
     checks = {
         "r21+r12": r[1, 0] + r[0, 1],

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kraus import CANONICAL_PARAMS, KrausParams, apply_kraus, build_kraus, lift_local_kraus
-from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase
+from .linalg import ATOL, _as_array, _check_normalized
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
 _AB_SLOTS = np.array([0, 4, 8, 12])
@@ -57,16 +57,10 @@ def _as_batch(state) -> tuple[np.ndarray, bool]:
 
     Every row must be normalized within ATOL, as in as_state.
     """
-    c = np.asarray(state, dtype=complex)
+    c = _as_array(state)
     if c.ndim not in (1, 2) or c.shape[-1] != 4:
         raise ValueError(f"expected a state (4,) or a batch (n, 4), got shape {c.shape}")
-    single = c.ndim == 1
-    c = c.reshape(-1, 4)
-    err = np.abs(np.linalg.norm(c, axis=1) - 1.0)
-    bad = np.flatnonzero(~(err <= ATOL))
-    if bad.size:
-        raise ValueError(f"state not normalized: |norm - 1| = {err[bad[0]]:.3e} in row {bad[0]}")
-    return c, single
+    return _check_normalized(c.reshape(-1, 4)), c.ndim == 1
 
 
 def _result(single: bool, success_prob, output, stage_probs, product_output, defined):
@@ -87,7 +81,7 @@ def _stage_amplitudes(c: np.ndarray, params: KrausParams):
     Returns (alpha', beta', prob), each of shape (n,).
     """
     M = lift_local_kraus(build_kraus(params))
-    # row k is tensor(c[k], c[k])
+    # row k is np.kron(c[k], c[k])
     doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
 
@@ -226,7 +220,7 @@ def schmidt_pair_bound(alpha, beta):
 
     Takes two scalars, which give a float, or two (n,) arrays of normalized pairs.
     """
-    a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    a, b = _as_array(alpha), _as_array(beta)
     if a.shape != b.shape or a.ndim > 1:
         raise ValueError(f"expected two scalars or two (n,) arrays, got {a.shape}, {b.shape}")
     single = a.ndim == 0
@@ -286,9 +280,3 @@ def kalman_stage2_prob(state):
     if vanished.size:
         raise ValueError(f"undefined: stage-1 success probability vanishes in row {vanished[0]}")
     return _unbatch(np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom, single)
-
-
-def bell_fidelity(state):
-    """Fidelity with (|00>+|11>)/sqrt(2), up to global phase."""
-    c, single = _as_batch(state)
-    return _unbatch(np.array([fidelity_up_to_phase(row, bell_phi_plus()) for row in c]), single)

@@ -33,6 +33,8 @@ RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
 _MAX_SEED = 2**64
+# one key's Philox stream: 2**256 counters of four draws each
+_STREAM_DRAWS = 2**258
 # rows drawn and evaluated per step of a Monte Carlo estimator
 _CHUNK_ROWS = 16_384
 
@@ -63,10 +65,14 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
 
     Row i depends only on (seed, i): one Philox counter yields four draws,
     so the stream advances start*width // 4 counters and discards the
-    remaining start*width % 4 draws.
+    remaining start*width % 4 draws.  Rows past the end of the stream raise
+    ValueError, since Philox would wrap around to its first counter.
     """
     n, width = _check_count(n, "n"), _check_count(width, "width")
-    skip, discard = divmod(_check_count(start, "start") * width, 4)
+    start = _check_count(start, "start")
+    if (start + n) * width > _STREAM_DRAWS:
+        raise ValueError("rows run past the end of the Philox stream")
+    skip, discard = divmod(start * width, 4)
     rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)).advance(skip))
     rng.random(discard)
     return rng.random((n, width))

@@ -81,11 +81,11 @@ def _runtime_row(name: str, elapsed: float, budget: float) -> CriterionRow:
     )
 
 
-def _random_valid_params(seed: int, n: int, min_mag: float = 0.05) -> list:
-    """n parameter pairs with random phases, both moduli nonzero, constraint met."""
+def _random_valid_params(seed: int, n: int) -> list:
+    """n parameter pairs with random phases, both moduli at least 0.05, constraint met."""
     out = []
     block_index = 0
-    max_mag = 2.0**-0.25
+    min_mag, max_mag = 0.05, 2.0**-0.25
     while len(out) < n:
         u = sampling.uniform_block(seed + block_index, 4 * n, 4)
         block_index += 1
@@ -163,17 +163,16 @@ def criterion_03(seed: int, corrupt_kraus: bool = False) -> list:
             K = K.copy()
             K[0, 0] += 0.05  # test hook: breaks the |0000> kill constraint
         M = kraus.lift_local_kraus(K)
-        report = kraus.check_universality_constraints(M)
-        worst = max(worst, report.max_residual)
-    control = kraus.check_universality_constraints(np.eye(16, dtype=complex))
+        worst = max(worst, kraus.check_universality_constraints(M).max())
+    control = kraus.check_universality_constraints(np.eye(16, dtype=complex)).max()
     return [
         CriterionRow("c03-kill-vectors", 0.0, worst, 1e-10, worst <= 1e-10),
         CriterionRow(
             "c03-negative-control",
             "identity violates the constraints",
-            f"max residual {control.max_residual:.3f}",
+            f"max residual {control:.3f}",
             1e-6,
-            (not control.passed) and control.max_residual > 1e-6,
+            control > 1e-6,
         ),
     ]
 
@@ -183,11 +182,11 @@ def criterion_04(seed: int) -> list:
     params = _random_valid_params(_sub_seed(seed, 4), 100)
     worst = 0.0
     for p in params:
-        expansion = kraus.pauli_expand(kraus.build_kraus(p))
-        residuals = kraus.pauli_relation_residuals(expansion)
+        r = kraus.pauli_expand(kraus.build_kraus(p))
+        residuals = kraus.pauli_relation_residuals(r)
         worst = max(worst, max(residuals.values()))
-        worst = max(worst, abs(expansion.r[0, 3] - p.a / 4.0))
-        worst = max(worst, abs(expansion.r[2, 3] - p.b / 4.0))
+        worst = max(worst, abs(r[0, 3] - p.a / 4.0))
+        worst = max(worst, abs(r[2, 3] - p.b / 4.0))
     return [CriterionRow("c04-pauli-relations", 0.0, worst, 1e-12, worst <= 1e-12)]
 
 

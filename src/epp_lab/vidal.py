@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
+from .linalg import _as_array
+
 # squared Schmidt coefficients may carry tiny negative float dust
 _NEG_TOL = 1e-12
 
 
 def _clean_coeffs(coeffs) -> np.ndarray:
-    x = np.asarray(coeffs, dtype=float).reshape(-1)
+    x = _as_array(coeffs, float).reshape(-1)
     if x.size == 0:
         raise ValueError("need at least one coefficient")
     if x.min() < -_NEG_TOL:

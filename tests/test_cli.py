@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import epp_lab
 from epp_lab import verify
-from epp_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser, main
+from epp_lab.cli import DEFAULT_SEED, MAX_SAMPLES, SEED_ENV_VAR, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +248,9 @@ def test_bad_env_seed_is_usage_error(monkeypatch):
         ["no-such-command"],
         ["bounds", "--state", "nan 0 0 1"],          # NaN norm passes |norm-1| > tol
         ["simulate", "--lambda", "0.7", "--a", "nan", "--b", "0.5"],
+        # rejected before any sample is drawn
+        ["haar-average", "--samples", str(MAX_SAMPLES + 1)],
+        ["haar-average", "--samples", "100000000000000000000"],
     ],
 )
 def test_usage_errors_exit_2(argv):

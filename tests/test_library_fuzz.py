@@ -1,9 +1,10 @@
-"""Non-finite input to any public library entry point raises ValueError.
+"""Non-finite or out-of-range input to any public library entry point raises ValueError.
 
 Each entry point is called with valid arguments in which one scalar slot is
-replaced by nan, +inf, -inf or 1e400 (which parses to inf); in a complex
-slot the bad value goes into the real or the imaginary part.  The call must
-raise ValueError: returning anything, a nan above all, fails the test.
+replaced by nan, +inf, -inf, 1e400 (which parses to inf) or the integers
++-10**400, which no float can hold; in a complex slot a bad float goes into
+the real or the imaginary part.  The call must raise ValueError: returning
+anything, a nan above all, or raising OverflowError fails the test.
 """
 import math
 
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from epp_lab import protocols, sampling, vidal
 from epp_lab.kraus import KrausParams
-from epp_lab.linalg import as_state, two_qubit_state
+from epp_lab.linalg import as_state
 
-BAD = [math.nan, math.inf, -math.inf, float("1e400")]
+BAD = [math.nan, math.inf, -math.inf, float("1e400"), 10**400, -10**400]
 
 STATE = [0.5, 0.5, 0.5, 0.5]
 SCHMIDT_STATE = [0.6, 0.0, 0.0, 0.8]
@@ -23,8 +24,9 @@ PARAMS = [0.5, 0.3]
 
 
 def state_or_batch(flat):
-    """Four values are one state; eight are a batch of two."""
-    return np.array(flat, dtype=complex).reshape(-1, 4) if len(flat) > 4 else flat
+    """Four values are one state; eight are a batch of two, as nested lists
+    so that the entry point itself converts every value."""
+    return [list(flat[:4]), list(flat[4:])] if len(flat) > 4 else flat
 
 
 def closed_form(fn, state):
@@ -34,7 +36,6 @@ def closed_form(fn, state):
 # (name, call taking the flat slot values, valid slot values, complex slots?)
 ENTRY_POINTS = [
     ("as_state", lambda *v: as_state(v), STATE, True),
-    ("two_qubit_state", two_qubit_state, STATE, True),
     ("KrausParams", KrausParams, PARAMS, True),
     ("stage1", lambda *v: protocols.stage1(state_or_batch(v[:-2]), KrausParams(*v[-2:])),
      STATE + STATE + PARAMS, True),
@@ -48,11 +49,10 @@ ENTRY_POINTS = [
         protocols.kalman_stage1_prob,
         protocols.kalman_stage2_prob,
         protocols.phase_term,
-        protocols.bell_fidelity,
     ) for state in (STATE, STATE + SCHMIDT_STATE)],
     ("schmidt_pair_bound", protocols.schmidt_pair_bound, [0.6, 0.8], True),
     ("schmidt_pair_bound[batch]",
-     lambda *v: protocols.schmidt_pair_bound(np.array(v[:2]), np.array(v[2:])),
+     lambda *v: protocols.schmidt_pair_bound(list(v[:2]), list(v[2:])),
      [0.6, 1.0, 0.8, 0.0], True),
     ("vidal_probability", lambda *v: vidal.vidal_probability(v[:2], v[2:]),
      [0.7, 0.3, 0.5, 0.5], False),
@@ -92,9 +92,23 @@ def test_non_finite_slot_raises_value_error(data):
     name, call, valid, complex_slots = data.draw(st.sampled_from(ENTRY_POINTS), label="entry")
     slot = data.draw(st.integers(0, len(valid) - 1), label="slot")
     bad = data.draw(st.sampled_from(BAD), label="bad")
-    if complex_slots and data.draw(st.booleans(), label="imaginary"):
+    # an int beyond the float range cannot be the imaginary part of a complex
+    if complex_slots and isinstance(bad, float) and data.draw(st.booleans(), label="imaginary"):
         bad = complex(valid[slot], bad)
     args = list(valid)
     args[slot] = bad
     with pytest.raises(ValueError):
         call(*args)
+
+
+def test_huge_integer_in_every_slot_raises_value_error():
+    """The sweep above samples slots at random; this visits every slot with
+    +-10**400, where numpy and complex() raise OverflowError and a Philox
+    counter offset would wrap around."""
+    for name, call, valid, _ in ENTRY_POINTS:
+        for slot in range(len(valid)):
+            for bad in (10**400, -10**400):
+                args = list(valid)
+                args[slot] = bad
+                with pytest.raises(ValueError):
+                    call(*args)

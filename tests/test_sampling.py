@@ -15,7 +15,6 @@ from scipy.stats import kstest
 import epp_lab
 from epp_lab import sampling
 from epp_lab.kraus import CANONICAL_PARAMS
-from epp_lab.linalg import schmidt_coefficients
 from epp_lab.protocols import four_copy_bell_bound, full_pipeline, phase_term
 from epp_lab.sampling import (
     KNOWN_BASIS_RNG_ALGORITHM,
@@ -33,6 +32,7 @@ from epp_lab.sampling import (
     unknown_basis_average_exact,
     unknown_basis_average_mc,
 )
+from oracles import schmidt_coefficients
 
 
 # ---------------------------------------------------------------- rng stream

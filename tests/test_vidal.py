@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epp_lab.linalg import (
-    basis_state,
-    bell_phi_plus,
-    permute_qubits,
-    schmidt_coefficients,
-    schmidt_state,
-    tensor,
-)
+from epp_lab.linalg import basis_state, bell_phi_plus, schmidt_state
 from epp_lab.vidal import (
     doubled_schmidt_coeffs,
     embedded_bell_coeffs,
@@ -18,6 +11,7 @@ from epp_lab.vidal import (
     universal_two_copy_prob,
     vidal_probability,
 )
+from oracles import permute_qubits, schmidt_coefficients
 
 
 def test_monotones_trivial():
@@ -63,7 +57,7 @@ def test_monotones_rejects_bad_input():
 
 def test_embedded_bell_matches_schmidt_oracle():
     """Padding the Bell target with an ancilla pair gives spectrum (1/2, 1/2, 0, 0)."""
-    doubled = tensor(bell_phi_plus(), basis_state(2, "00"))
+    doubled = np.kron(bell_phi_plus(), basis_state(2, "00"))
     interleaved = permute_qubits(doubled, (0, 2, 1, 3))
     sv = schmidt_coefficients(interleaved, 2)
     assert np.allclose(np.sort(sv**2)[::-1], embedded_bell_coeffs(), atol=1e-12)
@@ -73,7 +67,7 @@ def test_embedded_bell_matches_schmidt_oracle():
 @settings(max_examples=40)
 def test_doubled_coeffs_match_schmidt_oracle(lam):
     psi = schmidt_state(np.sqrt(lam), np.sqrt(1 - lam))
-    doubled = permute_qubits(tensor(psi, psi), (0, 2, 1, 3))
+    doubled = permute_qubits(np.kron(psi, psi), (0, 2, 1, 3))
     sv = schmidt_coefficients(doubled, 2)
     expected = np.sort(doubled_schmidt_coeffs(lam))[::-1]
     assert np.allclose(np.sort(sv**2)[::-1], expected, atol=1e-10)
