@@ -8,11 +8,12 @@ reorders registers so the lifted operator acts on states stored in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_state
+from .linalg import _as_finite, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,8 +24,9 @@ PAULI_BASIS = (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2)
 
 # (A,B,A',B') -> (A,A',B,B'); the permutation is an involution
 COPY_INTERLEAVE = (0, 2, 1, 3)
-# the same reorder on the row and on the column qubits of a 16x16 operator
-_LIFT_AXES = COPY_INTERLEAVE + tuple(4 + q for q in COPY_INTERLEAVE)
+# the same reorder on the row and on the column qubits of a stack of 16x16
+# operators, behind its leading axis
+_LIFT_AXES = (0,) + tuple(1 + q for q in COPY_INTERLEAVE) + tuple(5 + q for q in COPY_INTERLEAVE)
 
 # Slack on the parameter constraint so boundary points like a = b = sqrt(2)/2
 # survive floating-point rounding.
@@ -34,9 +36,21 @@ CONSTRAINT_SLACK = 1e-12
 _MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
 
 
+def _fourth_powers(a, b) -> tuple[float, float]:
+    """|a|^4 and |b|^4, raising ValueError unless both are finite floats."""
+    try:
+        a4, b4 = abs(complex(a)) ** 4, abs(complex(b)) ** 4
+    except OverflowError:
+        raise ValueError("|a|^4 and |b|^4 must lie within the float range") from None
+    if not (math.isfinite(a4) and math.isfinite(b4)):
+        raise ValueError(f"a and b must be finite, got {a!r} and {b!r}")
+    return a4, b4
+
+
 def constraint_value(a, b) -> float:
     """2(|a|^4 + |b|^4); valid parameter pairs keep this at most 1."""
-    return float(2.0 * (abs(a) ** 4 + abs(b) ** 4))
+    a4, b4 = _fourth_powers(a, b)
+    return 2.0 * (a4 + b4)
 
 
 def params_valid(a, b) -> bool:
@@ -51,7 +65,8 @@ def f_parameter(a, b) -> float:
     f = 1 only at the degenerate corners (|a| = 2**-0.25, b = 0) and the
     mirror image, where the branch output is always a product state.
     """
-    return float(2.0 * abs(abs(a) ** 4 - abs(b) ** 4))
+    a4, b4 = _fourth_powers(a, b)
+    return 2.0 * abs(a4 - b4)
 
 
 @dataclass
@@ -117,36 +132,47 @@ def lift_local_kraus(K: np.ndarray) -> np.ndarray:
 
     K tensor K naturally acts on (A, A')(B, B'); interleaving the row and
     the column qubits makes the result applicable directly to
-    np.kron(psi, psi), which is stored as (A, B)(A', B').
+    np.kron(psi, psi), which is stored as (A, B)(A', B').  K is one (4, 4)
+    operator, which gives a (16, 16) result, or a (P, 4, 4) stack, which
+    gives (P, 16, 16).  The kron is the broadcast outer product np.kron
+    itself computes, so entry [p] of a stack is bitwise the lift of K[p].
     """
-    K = np.asarray(K, dtype=complex)
-    if K.shape != (4, 4):
-        raise ValueError("local operator must be 4x4")
-    return np.kron(K, K).reshape((2,) * 8).transpose(_LIFT_AXES).reshape(16, 16)
+    K = _as_finite(K, "local operator")
+    if K.ndim not in (2, 3) or K.shape[-2:] != (4, 4):
+        raise ValueError(f"local operator must be 4x4 or a (P, 4, 4) stack, got shape {K.shape}")
+    stack = K.reshape(-1, 4, 4)
+    # kron[p, i, k, j, l] = K[p, i, j] * K[p, k, l]
+    kron = stack[:, :, None, :, None] * stack[:, None, :, None, :]
+    lifted = kron.reshape((-1,) + (2,) * 8).transpose(_LIFT_AXES).reshape(-1, 16, 16)
+    return lifted[0] if K.ndim == 2 else lifted
 
 
 def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:
     """Unnormalized branch output op @ s and its squared norm (the branch probability).
 
-    s is one state of shape (d,), which gives (out (d,), prob float), or a
-    batch of shape (n, d), which gives (out (n, d), prob (n,)).  Row k of a
-    batch is bitwise the single-state result for s[k]: the batch runs the
-    same matrix-vector product and the same conjugated dot product per row,
-    which s @ op.T or einsum would not.
+    op is one (d, d) operator or a (P, d, d) stack; s is one state of
+    shape (d,) or a batch of shape (n, d).  One operator on one state
+    gives (out (d,), prob float), on a batch (out (n, d), prob (n,)); a
+    stack puts its (P,) axis in front of both.  Entry [p, k] is bitwise
+    op[p] @ s[k]: every (operator, row) pair runs the same matrix-vector
+    product and the same conjugated dot product, which s @ op.T or einsum
+    would not.
     """
-    op = np.asarray(op, dtype=complex)
-    s = np.asarray(s, dtype=complex)
+    op = _as_finite(op, "operator")
+    s = _as_finite(s, "state")
     if s.ndim not in (1, 2):
         raise ValueError(f"expected a state (d,) or a batch (n, d), got shape {s.shape}")
     d = s.shape[-1]
-    if op.shape != (d, d):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {op.shape} does not act on dimension {d}")
-    batch = s.reshape(-1, d)
-    out = np.matmul(op, batch[:, :, None])[:, :, 0]
-    prob = np.matmul(out.conj()[:, None, :], out[:, :, None])[:, 0, 0].real
+    # (P, 1, d, d) @ (1, n, d, 1) -> (P, n, d)
+    out = np.matmul(op.reshape(-1, 1, d, d), s.reshape(1, -1, d, 1))[..., 0]
+    prob = np.matmul(out.conj()[..., None, :], out[..., :, None])[..., 0, 0].real
     if s.ndim == 1:
-        return out[0], float(prob[0])
-    return out, prob
+        out, prob = out[:, 0], prob[:, 0]
+    if op.ndim == 2:
+        out, prob = out[0], prob[0]
+    return out, (float(prob) if prob.ndim == 0 else prob)
 
 
 # Universality demands the lifted operator kill every two-copy component
@@ -178,7 +204,7 @@ def check_universality_constraints(M: np.ndarray) -> np.ndarray:
 
     M satisfies the constraints when every residual is at most linalg.ATOL.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _as_finite(M, "lifted operator")
     if M.shape != (16, 16):
         raise ValueError("lifted operator must be 16x16")
     return np.array([np.linalg.norm(M @ v) for _, v in kill_vectors()])

@@ -26,6 +26,14 @@ def _as_array(values, dtype=complex) -> np.ndarray:
         raise ValueError("number beyond the float range") from None
 
 
+def _as_finite(values, what: str) -> np.ndarray:
+    """_as_array(values), raising ValueError if any entry is nan or infinite."""
+    array = _as_array(values)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what} has a non-finite entry")
+    return array
+
+
 def _check_normalized(rows: np.ndarray) -> np.ndarray:
     """rows, after checking that every row of a 2-D array has norm 1 within ATOL.
 
@@ -69,8 +77,8 @@ def bell_phi_plus() -> np.ndarray:
 
 def fidelity_up_to_phase(a, b) -> float:
     """|<a|b>|^2, insensitive to global phase on either argument."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
+    a = _as_finite(a, "state").reshape(-1)
+    b = _as_finite(b, "state").reshape(-1)
     if a.size != b.size:
         raise ValueError("states must have equal dimension")
     return float(abs(np.vdot(a, b)) ** 2)

@@ -7,12 +7,18 @@ exactly or fails.  All stage functions work at matrix level and cross-check
 themselves against the closed forms.
 
 The stage functions and the closed forms take one state of shape (4,) or
-a batch of shape (n, 4), and a single state is run as a batch of one.  A
-stage call builds and lifts its operator once and applies it to the whole
-batch; the leak, basis-support and closed-form checks run once per call
-over every row.  A closed form returns a float for one state and an (n,)
-array for a batch.  Row k of any batch result is bitwise the result of the
-single-state call on row k.
+a batch of shape (n, 4), and a single state is run as a batch of one.
+stage1 and full_pipeline also take one KrausParams or a sequence of P of
+them; a sequence puts a (P,) axis in front of every field, so success_prob
+is (P, n), and one KrausParams is run as a stack of one.  The stage kernel
+builds and lifts a (P, 16, 16) operator stack and applies it to the whole
+batch, walking the pairs in steps of at most _STEP_ROWS pair x state rows
+so that peak memory does not grow with P; stage 2 of full_pipeline runs
+on the P x n stage-1 outputs of the same step.  The leak, basis-support
+and closed-form checks run on every (pair, row).  A closed form returns a
+float for one state and an (n,) array for a batch.  Entry [p, k] of any
+result is bitwise the result of the single-pair, single-state call on
+pair p and row k, whatever the step size.
 """
 from __future__ import annotations
 
@@ -30,6 +36,12 @@ _AB_SLOTS = np.array([0, 4, 8, 12])
 # for product inputs, so this only guards float dust)
 _ZERO_PROB = 1e-30
 
+# pair x state rows one step of the stage kernel runs.  A step's workspace
+# grows by about 1 KB per row and 8 KB per lifted pair, so the cap keeps it
+# under 1 MB however many pairs a call takes (verify's 1 540-pair grid in
+# one step would peak near 13 MB)
+_STEP_ROWS = 512
+
 
 @dataclass
 class ProtocolResult:
@@ -44,6 +56,7 @@ class ProtocolResult:
     For an (n, 4) batch input the fields are arrays: success_prob (n,),
     output (n, 4) with an all-zero row wherever a single state would give
     None, stage_probs a list of (n,) arrays, and product_output (n,) bool.
+    A sequence of P parameter pairs puts a (P,) axis in front of each.
     """
 
     success_prob: float
@@ -63,44 +76,75 @@ def _as_batch(state) -> tuple[np.ndarray, bool]:
     return _check_normalized(c.reshape(-1, 4)), c.ndim == 1
 
 
-def _result(single: bool, success_prob, output, stage_probs, product_output, defined):
-    """Pack batch fields; for a single state, plain scalars and None for an undefined output."""
-    if not single:
-        return ProtocolResult(success_prob, output, stage_probs, product_output)
+def _as_params(params) -> tuple[list, bool]:
+    """The pairs of one KrausParams or of a non-empty sequence of them, and whether it was one."""
+    if isinstance(params, KrausParams):
+        return [params], True
+    try:
+        pairs = list(params)
+    except TypeError:
+        pairs = []
+    if not pairs or not all(isinstance(p, KrausParams) for p in pairs):
+        raise ValueError("expected a KrausParams or a non-empty sequence of KrausParams")
+    return pairs, False
+
+
+def _walk(step, c: np.ndarray, pairs: list) -> list:
+    """step(c, chunk) over the pairs, at most _STEP_ROWS pair x state rows a chunk.
+
+    step returns a tuple of arrays with a leading pair axis; the chunks are
+    joined along it.  A batch longer than _STEP_ROWS runs one pair at a time.
+    """
+    size = max(1, _STEP_ROWS // max(len(c), 1))
+    parts = [step(c, pairs[i:i + size]) for i in range(0, len(pairs), size)]
+    return [np.concatenate(field) for field in zip(*parts)]
+
+
+def _result(single, one_pair, success_prob, output, stage_probs, product_output, defined):
+    """Pack (P, n) fields: one KrausParams drops the pair axis, one state the state axis.
+
+    One state under one KrausParams gives plain scalars, and None for an
+    undefined output.
+    """
+    at = (0 if one_pair else slice(None), 0 if single else slice(None))
+    if not (single and one_pair):
+        return ProtocolResult(
+            success_prob[at], output[at], [p[at] for p in stage_probs], product_output[at]
+        )
     return ProtocolResult(
-        success_prob=float(success_prob[0]),
-        output=output[0] if defined[0] else None,
-        stage_probs=[float(p[0]) for p in stage_probs],
-        product_output=bool(product_output[0]),
+        success_prob=float(success_prob[at]),
+        output=output[at] if defined[at] else None,
+        stage_probs=[float(p[at]) for p in stage_probs],
+        product_output=bool(product_output[at]),
     )
 
 
-def _stage_amplitudes(c: np.ndarray, params: KrausParams):
-    """Matrix-level run of one two-copy branch on an (n, 4) batch.
+def _stage_amplitudes(c: np.ndarray, pairs: list):
+    """Matrix-level run of one two-copy branch per pair on an (n, 4) batch.
 
-    Returns (alpha', beta', prob), each of shape (n,).
+    Returns (alpha', beta', prob), each of shape (P, n).
     """
-    M = lift_local_kraus(build_kraus(params))
+    M = lift_local_kraus(np.stack([build_kraus(p) for p in pairs]))
     # row k is np.kron(c[k], c[k])
     doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
 
     # the branch must leave the ancilla pair in |00>; anything else is a bug
-    residual = np.linalg.norm(np.delete(out, _AB_SLOTS, axis=1), axis=1)
+    residual = np.linalg.norm(np.delete(out, _AB_SLOTS, axis=2), axis=2)
     if not np.all(residual <= ATOL):
         raise RuntimeError(
             f"branch output leaked outside the |00> ancilla slot: {np.max(residual):.3e}"
         )
-    ab = out[:, _AB_SLOTS]
-    if not np.all(np.abs(ab[:, 1:3]) <= ATOL):
+    ab = out[..., _AB_SLOTS]
+    if not np.all(np.abs(ab[..., 1:3]) <= ATOL):
         raise RuntimeError("branch output has support outside the {|00>, |11>} basis")
 
-    alpha, beta = ab[:, 0], ab[:, 3]
+    alpha, beta = ab[..., 0], ab[..., 3]
     # closed form for the same amplitudes
     u = c[:, 0] * c[:, 3] + c[:, 1] * c[:, 2]
     w = c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2]
-    expected_alpha = 2.0 * params.a**2 * u
-    expected_beta = 2.0 * params.b**2 * w
+    expected_alpha = np.array([2.0 * p.a**2 for p in pairs])[:, None] * u
+    expected_beta = np.array([2.0 * p.b**2 for p in pairs])[:, None] * w
     if not (
         np.all(np.abs(alpha - expected_alpha) <= ATOL)
         and np.all(np.abs(beta - expected_beta) <= ATOL)
@@ -112,29 +156,36 @@ def _stage_amplitudes(c: np.ndarray, params: KrausParams):
 def _branch_output(alpha, beta, prob) -> tuple[np.ndarray, np.ndarray]:
     """Rows alpha'|00> + beta'|11> normalized, zero where the branch fails; and the success mask."""
     defined = prob >= _ZERO_PROB
-    output = np.zeros((prob.size, 4), dtype=complex)
-    output[:, 0] = alpha
-    output[:, 3] = beta
+    output = np.zeros(prob.shape + (4,), dtype=complex)
+    output[..., 0] = alpha
+    output[..., 3] = beta
     output[defined] /= np.sqrt(prob[defined])[:, None]
     output[~defined] = 0.0
     return output, defined
 
 
-def stage1(state, params: KrausParams) -> ProtocolResult:
+def _stage1_rows(c: np.ndarray, pairs: list) -> tuple:
+    alpha, beta, prob = _stage_amplitudes(c, pairs)
+    output, defined = _branch_output(alpha, beta, prob)
+    # squared moduli from real and imaginary parts round the same in any batch size
+    weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
+    product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
+    return prob, output, product, defined
+
+
+def stage1(state, params) -> ProtocolResult:
     """First purification round: psi x psi -> alpha'|00> + beta'|11>, or failure.
 
     alpha' = 2 a^2 (c1 c4 + c2 c3) and beta' = 2 b^2 (c1 c4 - c2 c3); the
     success probability is |alpha'|^2 + |beta'|^2.  Degenerate parameters
     (a = 0 or b = 0) give a product output, reported via product_output.
-    Takes one state (4,) or a batch (n, 4).
+    Takes one state (4,) or a batch (n, 4), and one KrausParams or a
+    sequence of P of them, which puts a (P,) axis in front of every field.
     """
     c, single = _as_batch(state)
-    alpha, beta, prob = _stage_amplitudes(c, params)
-    output, defined = _branch_output(alpha, beta, prob)
-    # squared moduli from real and imaginary parts round the same in any batch size
-    weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
-    product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
-    return _result(single, prob, output, [prob], product, defined)
+    pairs, one_pair = _as_params(params)
+    prob, output, product, defined = _walk(_stage1_rows, c, pairs)
+    return _result(single, one_pair, prob, output, [prob], product, defined)
 
 
 def stage2(state) -> ProtocolResult:
@@ -148,22 +199,13 @@ def stage2(state) -> ProtocolResult:
     c, single = _as_batch(state)
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
-    alpha, beta, prob = _stage_amplitudes(c, CANONICAL_PARAMS)
+    alpha, beta, prob = _stage_amplitudes(c, [CANONICAL_PARAMS])
     output, defined = _branch_output(alpha, beta, prob)
-    return _result(single, prob, output, [prob], np.zeros(prob.shape, dtype=bool), defined)
+    return _result(single, True, prob, output, [prob], np.zeros(prob.shape, dtype=bool), defined)
 
 
-def full_pipeline(state, params: KrausParams) -> ProtocolResult:
-    """Four copies in, one Bell pair out: stage1 on two independent pairs, then stage2.
-
-    Both stage-1 runs see identical inputs, so their branch probabilities
-    coincide and the total success probability is P1^2 * P2.  A failed or
-    product stage-1 output makes the pipeline report zero success with an
-    undefined output instead of raising.  Takes one state (4,) or a batch
-    (n, 4).
-    """
-    c, single = _as_batch(state)
-    first = stage1(c, params)
+def _pipeline_rows(c: np.ndarray, pairs: list) -> tuple:
+    first = stage1(c, pairs)
     p1 = first.success_prob
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= _ZERO_PROB
@@ -171,10 +213,26 @@ def full_pipeline(state, params: KrausParams) -> ProtocolResult:
     p2 = np.zeros_like(p1)
     p2[ran] = second.success_prob
     product = first.product_output | (p2 < _ZERO_PROB)
-    output = np.zeros_like(c)
+    output = np.zeros_like(first.output)
     output[ran] = second.output
     output[product] = 0.0
-    return _result(single, p1 * p1 * p2, output, [p1, p1, p2], product, ~product)
+    return p1, p2, output, product
+
+
+def full_pipeline(state, params) -> ProtocolResult:
+    """Four copies in, one Bell pair out: stage1 on two independent pairs, then stage2.
+
+    Both stage-1 runs see identical inputs, so their branch probabilities
+    coincide and the total success probability is P1^2 * P2.  A failed or
+    product stage-1 output makes the pipeline report zero success with an
+    undefined output instead of raising.  Takes one state (4,) or a batch
+    (n, 4), and one KrausParams or a sequence of P of them, which puts a
+    (P,) axis in front of every field.
+    """
+    c, single = _as_batch(state)
+    pairs, one_pair = _as_params(params)
+    p1, p2, output, product = _walk(_pipeline_rows, c, pairs)
+    return _result(single, one_pair, p1 * p1 * p2, output, [p1, p1, p2], product, ~product)
 
 
 # ------------------------------------------------------------ closed forms

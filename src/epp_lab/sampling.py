@@ -25,7 +25,6 @@ from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtri
 
 from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 
@@ -80,6 +79,10 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
 
 def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream."""
+    # scipy is imported here, on the one path that draws Gaussians, so that
+    # the commands that never do start without it
+    from scipy.special import ndtri
+
     u = uniform_block(seed, n, 8, start)
     z = ndtri(u)
     c = z[:, :4] + 1j * z[:, 4:]

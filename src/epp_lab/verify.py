@@ -197,7 +197,7 @@ def criterion_05(seed: int) -> list:
     bound = protocols.schmidt_conversion_bound(states)
     # |c1 c2 c3 c4|, multiplied left to right and rounded as on a single state
     corner = protocols._cabs(functools.reduce(protocols._cmul, states.T))
-    margin = np.array([bound - protocols.stage1(states, p).success_prob for p in params])
+    margin = bound - protocols.stage1(states, params).success_prob
     gap_floor = np.array([4.0 * (1.0 - p.f) for p in params])[:, None] * corner
     min_margin = margin.min()
     min_gap_slack = (margin - gap_floor).min()
@@ -273,17 +273,14 @@ def criterion_10(seed: int) -> list:
     grid = np.linspace(0.0, 1.0, 50)
     cell = grid[1] - grid[0]
     states = sampling.haar_state_block(_sub_seed(seed, 10), 8)
-    best_val = -1.0
-    best_point = (0.0, 0.0)
-    for a in grid:
-        for b in grid:
-            if a == 0.0 or b == 0.0 or not kraus.params_valid(a, b):
-                continue
-            p = kraus.KrausParams(a, b)
-            avg = np.mean(protocols.full_pipeline(states, p).success_prob)
-            if avg > best_val:
-                best_val = float(avg)
-                best_point = (float(a), float(b))
+    points = [
+        (a, b) for a in grid for b in grid
+        if a != 0.0 and b != 0.0 and kraus.params_valid(a, b)
+    ]
+    result = protocols.full_pipeline(states, [kraus.KrausParams(a, b) for a, b in points])
+    # argmax takes the first maximum in a-major order, as a strict > scan would
+    best = points[int(np.argmax(np.mean(result.success_prob, axis=1)))]
+    best_point = (float(best[0]), float(best[1]))
     off = max(abs(best_point[0] - SQRT_HALF), abs(best_point[1] - SQRT_HALF))
     return [
         CriterionRow(

@@ -25,7 +25,9 @@ import json
 import subprocess
 import sys
 
-from epp_lab import verify
+import numpy as np
+
+from epp_lab import kraus, protocols, sampling, verify
 
 SEED = 42
 # sha256 of the seed-42 verify.json; a change to any observed value moves it
@@ -82,6 +84,23 @@ def test_c09_phase_cancellation():
 
 def test_c10_kraus_maximizer():
     _check(10, verify.criterion_10(SEED))
+
+
+def test_c10_stacked_grid_matches_per_pair_scan():
+    """One stacked pipeline call and argmax pick the point that one call per
+    pair and a strict > scan in a-major order pick."""
+    grid = np.linspace(0.0, 1.0, 50)
+    states = sampling.haar_state_block(verify._sub_seed(SEED, 10), 8)
+    best_val, best_point = -1.0, None
+    for a in grid:
+        for b in grid:
+            if a == 0.0 or b == 0.0 or not kraus.params_valid(a, b):
+                continue
+            avg = np.mean(protocols.full_pipeline(states, kraus.KrausParams(a, b)).success_prob)
+            if avg > best_val:
+                best_val, best_point = avg, (a, b)
+    observed = verify.criterion_10(SEED)[0].observed
+    assert observed == f"argmax ({best_point[0]:.6f}, {best_point[1]:.6f})"
 
 
 def test_c11_deterministic_verify(tmp_path):

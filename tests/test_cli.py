@@ -111,9 +111,11 @@ def test_simulate_notes_nonphysical_params(capsys):
 
 
 def test_simulate_rejects_invalid_params(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--lambda", "0.75", "--a", "1", "--b", "1"])
-    assert exc.value.code == 2
+    # |a|^4 beyond the float range is a usage error too, not an OverflowError
+    for a, b in [("1", "1"), ("1e200", "0.5"), ("0.5", "0,1e100")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--lambda", "0.75", "--a", a, "--b", b])
+        assert exc.value.code == 2
 
 
 # --------------------------------------------------------------------- csvs
@@ -326,11 +328,16 @@ def test_corrupt_kraus_hook_fails_kill_vectors():
 # ---------------------------------------------------------------- cold start
 
 def test_cold_import_skips_scipy_integrate():
-    """The CLI's cold start must not load scipy.integrate, which alone costs ~0.4 s."""
+    """The CLI's cold start loads no scipy module at all: scipy.special alone
+    costs ~0.4 s and ~24 MB, and only Gaussian draws need it.  Neither the
+    import nor a bounds run, each in a fresh child, may load scipy*."""
     src = str(Path(epp_lab.__file__).resolve().parent.parent)
-    code = "import sys, epp_lab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    report = "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    for run in ("", "epp_lab.cli.main(['bounds', '--lambda', '0.3'])"):
+        code = f"import sys, epp_lab.cli\n{run}\n{report}"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+        assert ("four_copy_bell_bound = " in out) == bool(run)

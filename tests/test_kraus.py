@@ -72,6 +72,16 @@ def test_params_validation():
     assert p.physical
 
 
+def test_overflowing_fourth_power_raises_value_error():
+    """|a|^4 beyond the float range raises ValueError, not Python's OverflowError."""
+    for a in (1e200, 1e100j, np.float64(1e200)):
+        for fn in (constraint_value, f_parameter, KrausParams):
+            with pytest.raises(ValueError):
+                fn(a, 0.5)
+            with pytest.raises(ValueError):
+                fn(0.5, a)
+
+
 def test_degenerate_params_flagged_not_fatal():
     corner = KrausParams(2**-0.25, 0)
     assert stage1(bell_phi_plus(), corner).product_output
@@ -107,9 +117,26 @@ def test_lift_matches_permuted_kron():
     assert np.array_equal(lift_local_kraus(K), expected)
 
 
+def test_lift_stack_equals_single_lifts():
+    """Entry p of a lifted (P, 4, 4) stack is bitwise the lift of K[p], and
+    the lift of one operator is bitwise the reordered np.kron."""
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+    stack[0] = build_kraus(CANONICAL_PARAMS)
+    stack[1] = build_kraus(KrausParams(0.6, 0))
+    lifted = lift_local_kraus(stack)
+    assert lifted.shape == (7, 16, 16)
+    for K, M in zip(stack, lifted):
+        assert np.array_equal(M, lift_local_kraus(K))
+        kron = np.kron(K, K).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        assert np.array_equal(M, kron.reshape(16, 16))
+    assert np.array_equal(lift_local_kraus(stack[2:3]), lifted[2:3])
+
+
 def test_lift_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        lift_local_kraus(np.eye(2))
+    for shape in [(2, 2), (4,), (3, 4, 5), (2, 2, 4, 4)]:
+        with pytest.raises(ValueError):
+            lift_local_kraus(np.ones(shape))
 
 
 def test_lifted_branch_on_bell_pair():
@@ -152,10 +179,36 @@ def test_apply_kraus_batch_matches_rows():
         assert row_prob == float(np.vdot(M @ s, M @ s).real)
 
 
+def test_apply_kraus_stack_matches_single_operators():
+    """Entry [p, k] of a (P, 16, 16) stack on an (n, 16) batch is bitwise op[p] on row k."""
+    rng = np.random.default_rng(8)
+    ops = lift_local_kraus(np.stack([
+        build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)),
+        build_kraus(CANONICAL_PARAMS),
+        build_kraus(KrausParams(0, 0.5)),
+    ]))
+    batch = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
+    out, prob = apply_kraus(ops, batch)
+    assert out.shape == (3, 20, 16) and prob.shape == (3, 20)
+    one_out, one_prob = apply_kraus(ops, batch[4])
+    assert one_out.shape == (3, 16) and one_prob.shape == (3,)
+    for p, M in enumerate(ops):
+        row_out, row_prob = apply_kraus(M, batch)
+        assert np.array_equal(out[p], row_out)
+        assert np.array_equal(prob[p], row_prob)
+        assert np.array_equal(one_out[p], out[p, 4]) and one_prob[p] == prob[p, 4]
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 16), (5, 8), (5, 17)], ids=["3d", "narrow", "wide"])
 def test_apply_kraus_rejects_bad_batch(shape):
     with pytest.raises(ValueError):
         apply_kraus(np.eye(16), np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 8), (2, 16, 8), (2, 2, 16, 16)])
+def test_apply_kraus_rejects_bad_operator(shape):
+    with pytest.raises(ValueError):
+        apply_kraus(np.ones(shape), np.ones((3, 16)))
 
 
 def test_kill_vectors_exactly_annihilated():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epp_lab import protocols, sampling, vidal
+from epp_lab import kraus, protocols, sampling, vidal
 from epp_lab.kraus import KrausParams
-from epp_lab.linalg import as_state
+from epp_lab.linalg import as_state, fidelity_up_to_phase
 
 BAD = [math.nan, math.inf, -math.inf, float("1e400"), 10**400, -10**400]
 
@@ -27,6 +27,19 @@ def state_or_batch(flat):
     """Four values are one state; eight are a batch of two, as nested lists
     so that the entry point itself converts every value."""
     return [list(flat[:4]), list(flat[4:])] if len(flat) > 4 else flat
+
+
+def stack(flat, shape):
+    """Flat values as nested lists of the given shape, converted by the entry point."""
+    if len(shape) == 1:
+        return list(flat)
+    size = len(flat) // shape[0]
+    return [stack(flat[i:i + size], shape[1:]) for i in range(0, len(flat), size)]
+
+
+KRAUS = kraus.build_kraus(KrausParams(0.5 + 0.1j, 0.3)).ravel().tolist()
+CANONICAL_KRAUS = kraus.build_kraus(kraus.CANONICAL_PARAMS).ravel().tolist()
+IDENTITY_16 = np.eye(16).ravel().tolist()
 
 
 def closed_form(fn, state):
@@ -43,6 +56,22 @@ ENTRY_POINTS = [
     ("full_pipeline",
      lambda *v: protocols.full_pipeline(state_or_batch(v[:-2]), KrausParams(*v[-2:])),
      STATE + PARAMS, True),
+    ("stage1[pairs]",
+     lambda *v: protocols.stage1(v[:4], [KrausParams(*v[4:6]), KrausParams(*v[6:])]),
+     STATE + PARAMS + PARAMS, True),
+    ("constraint_value", kraus.constraint_value, PARAMS, True),
+    ("f_parameter", kraus.f_parameter, PARAMS, True),
+    ("fidelity_up_to_phase", lambda *v: fidelity_up_to_phase(v[:4], v[4:]),
+     STATE + SCHMIDT_STATE, True),
+    ("lift_local_kraus", lambda *v: kraus.lift_local_kraus(stack(v, (4, 4))), KRAUS, True),
+    ("lift_local_kraus[stack]", lambda *v: kraus.lift_local_kraus(stack(v, (2, 4, 4))),
+     KRAUS + CANONICAL_KRAUS, True),
+    ("apply_kraus", lambda *v: kraus.apply_kraus(stack(v[:16], (4, 4)), stack(v[16:], (2, 4))),
+     KRAUS + STATE + SCHMIDT_STATE, True),
+    ("apply_kraus[stack]", lambda *v: kraus.apply_kraus(stack(v[:32], (2, 4, 4)), v[32:]),
+     KRAUS + CANONICAL_KRAUS + STATE, True),
+    ("check_universality_constraints",
+     lambda *v: kraus.check_universality_constraints(stack(v, (16, 16))), IDENTITY_16, True),
     *[closed_form(fn, state) for fn in (
         protocols.schmidt_conversion_bound,
         protocols.four_copy_bell_bound,
@@ -74,6 +103,8 @@ def as_floats(result):
     if hasattr(result, "__dataclass_fields__"):
         fields = [getattr(result, name) for name in result.__dataclass_fields__]
         return [x for f in fields if not isinstance(f, str) for x in as_floats(f)]
+    if isinstance(result, tuple):
+        return [x for part in result for x in as_floats(part)]
     if result is None or isinstance(result, bool):
         return []
     return np.abs(np.asarray(result, dtype=complex)).ravel().tolist()

@@ -331,6 +331,62 @@ def test_batch_equals_row_by_row(seed, kind):
     )
 
 
+def assert_stack_equals_single_calls(run, batch, pairs):
+    """Entry [p, k] of a stacked run is bitwise the single-pair, single-state run."""
+    result = run(batch, pairs)
+    single_state = run(batch[0], pairs)
+    for p, params in enumerate(pairs):
+        for k, c in enumerate(batch):
+            one = run(c, params)
+            assert result.success_prob[p, k] == one.success_prob
+            assert [q[p, k] for q in result.stage_probs] == one.stage_probs
+            assert result.product_output[p, k] == one.product_output
+            expected = np.zeros(4, dtype=complex) if one.output is None else one.output
+            assert np.array_equal(result.output[p, k], expected)
+            if k == 0:
+                assert single_state.success_prob[p] == one.success_prob
+                assert np.array_equal(single_state.output[p], expected)
+
+
+@given(seeds)
+@settings(max_examples=15, deadline=None)
+def test_parameter_axis_equals_single_calls(seed):
+    """A sequence of P pairs gives bitwise the single-pair calls, pair by pair and row by row.
+
+    The batch mixes Haar, product, Schmidt, |00> and Bell rows; the pairs mix
+    random, canonical and degenerate ones.
+    """
+    pairs = [random_params(seed), CANONICAL_PARAMS, KrausParams(0.6, 0),
+             random_params(seed + 1), KrausParams(0, 0.5)]
+    batch = mixed_batch(seed)
+    assert_stack_equals_single_calls(stage1, batch, pairs)
+    assert_stack_equals_single_calls(full_pipeline, batch, pairs)
+
+
+@pytest.mark.parametrize("step_rows", [1, 3, 8, 10**6])
+def test_step_rows_do_not_change_results(monkeypatch, step_rows):
+    """However the parameter axis is cut into steps, every field is bitwise the same."""
+    pairs = [random_params(s) for s in range(6)] + [CANONICAL_PARAMS, KrausParams(0, 0.5)]
+    batch = mixed_batch(11)
+    expected = [stage1(batch, pairs), full_pipeline(batch, pairs)]
+    monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
+    for want, got in zip(expected, [stage1(batch, pairs), full_pipeline(batch, pairs)]):
+        assert np.array_equal(got.success_prob, want.success_prob)
+        assert np.array_equal(got.stage_probs, want.stage_probs)
+        assert np.array_equal(got.product_output, want.product_output)
+        assert np.array_equal(got.output, want.output)
+
+
+@pytest.mark.parametrize(
+    "params", [[], (), [CANONICAL_PARAMS, (0.5, 0.3)], (0.5, 0.3), None, 0.5],
+    ids=["empty-list", "empty-tuple", "raw-pair-item", "raw-pair", "none", "number"],
+)
+def test_stage_functions_reject_bad_params(params):
+    for run in (stage1, full_pipeline):
+        with pytest.raises(ValueError, match="KrausParams"):
+            run(bell_phi_plus(), params)
+
+
 def scalar_closed_forms(c):
     """Reference: the closed forms on one state, computed with numpy's scalar operators."""
     u, w = c[0] * c[3], c[1] * c[2]
@@ -393,7 +449,8 @@ def _beta_flipped_kraus(params):
     ids=["leak", "support", "closed-form-alpha", "closed-form-beta"],
 )
 def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
-    """A corrupted operator raises even when only a later row of the batch shows it."""
+    """A corrupted operator raises even when only a later row of the batch, or a
+    later pair of the stack, shows it."""
     params = KrausParams(0.6, 0.3)
     clean = np.array([1, 0, 0, 0], dtype=complex)  # every branch maps |00>|00> to zero
     batch = np.vstack([clean, haar_state_block(3, 5)])
@@ -402,6 +459,17 @@ def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
     for run in (lambda c: stage1(c, params), lambda c: full_pipeline(c, params)):
         with pytest.raises(RuntimeError, match=message):
             run(batch)
+    # only the last pair is corrupted, so the stack's first pairs run clean
+    stack = [KrausParams(0.5, 0.4), CANONICAL_PARAMS, params]
+    monkeypatch.setattr(
+        protocols, "build_kraus", lambda p: corrupt(p) if p is params else build_kraus(p)
+    )
+    stage1(batch, stack[:2])
+    for step_rows in (protocols._STEP_ROWS, 1):
+        monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
+        for run in (stage1, full_pipeline):
+            with pytest.raises(RuntimeError, match=message):
+                run(batch, stack)
 
 
 @pytest.mark.parametrize(
