@@ -18,7 +18,7 @@ import numpy as np
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
 from .kraus import KrausParams, f_parameter, params_valid
-from .linalg import ATOL, as_state, bell_phi_plus, fidelity_up_to_phase, schmidt_state
+from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
@@ -67,14 +67,14 @@ def _parse_state(text: str) -> np.ndarray:
     return amps / norm
 
 
-def _parse_lambda(text: str) -> float:
+def _parse_lambda(text: str) -> np.ndarray:
     try:
         lam = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda: {text!r}")
     if not 0.0 < lam < 1.0:
         raise argparse.ArgumentTypeError("lambda must lie strictly between 0 and 1")
-    return lam
+    return schmidt_state(np.sqrt(lam), np.sqrt(1.0 - lam))
 
 
 def _parse_seed(text: str) -> int:
@@ -100,16 +100,6 @@ def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_state(parser: argparse.ArgumentParser, args) -> np.ndarray:
-    if args.state is None and args.lam is None:
-        parser.error("provide --state or --lambda")
-    if args.state is not None and args.lam is not None:
-        parser.error("--state and --lambda are mutually exclusive")
-    if args.state is not None:
-        return args.state
-    return schmidt_state(np.sqrt(args.lam), np.sqrt(1.0 - args.lam))
-
-
 def _write_lines(path: str | None, lines: list) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -127,10 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_args(p):
-        p.add_argument("--state", type=_parse_state, default=None, metavar='"c1 c2 c3 c4"',
-                       help="four complex amplitudes, e.g. \"0.6 0 0 0.8\"")
-        p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                       help="larger squared Schmidt coefficient of sqrt(l)|00>+sqrt(1-l)|11>")
+        state = p.add_mutually_exclusive_group(required=True)
+        state.add_argument("--state", type=_parse_state, metavar='"c1 c2 c3 c4"',
+                           help="four complex amplitudes, e.g. \"0.6 0 0 0.8\"")
+        state.add_argument("--lambda", dest="state", type=_parse_lambda, metavar="LAM",
+                           help="larger squared Schmidt coefficient of sqrt(l)|00>+sqrt(1-l)|11>")
 
     p_bounds = sub.add_parser("bounds", help="closed-form success bounds for one state")
     p_bounds.set_defaults(func=cmd_bounds)
@@ -170,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bounds(args) -> int:
-    c = as_state(args.state)
+    c = args.state
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
     if abs(c[1]) <= ATOL and abs(c[2]) <= ATOL:
         lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])))
@@ -187,7 +178,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    c = as_state(args.state)
+    c = args.state
     params = args.params
     if not params.physical:
         print("note: max(|a|, |b|) exceeds sqrt(2)/2, so the success branch is not a "
@@ -282,8 +273,6 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("bounds", "simulate"):
-        args.state = _resolve_state(parser, args)
     if args.command == "simulate":
         try:
             args.params = KrausParams(args.a, args.b)

@@ -5,6 +5,10 @@ two copies).  A single successful branch is modeled; an implicit failure
 branch completes the physical map.  Lifting tensors two local copies and
 reorders registers so the lifted operator acts on states stored in
 (A, B, A', B') order.
+
+Every function that takes operators takes a (P, ...) stack of them, and
+one operator is a stack of one; entry [p] of a result is bitwise the
+result on the stack of one K[p:p + 1].
 """
 from __future__ import annotations
 
@@ -34,6 +38,15 @@ CONSTRAINT_SLACK = 1e-12
 
 # largest |a|, |b| for which the success branch is a contraction
 _MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
+
+
+def _as_stack(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a finite complex (P,) + shape stack, raising ValueError otherwise."""
+    stack = _as_finite(values, what)
+    if stack.ndim != len(shape) + 1 or stack.shape[1:] != shape:
+        raise ValueError(f"{what} must be a (P, {', '.join(map(str, shape))}) stack, "
+                         f"got shape {stack.shape}")
+    return stack
 
 
 def _fourth_powers(a, b) -> tuple[float, float]:
@@ -128,51 +141,39 @@ def build_kraus(params: KrausParams) -> np.ndarray:
 
 
 def lift_local_kraus(K: np.ndarray) -> np.ndarray:
-    """Two-party operator K tensor K, expressed in (A, B, A', B') register order.
+    """Two-party operators K[p] tensor K[p], expressed in (A, B, A', B') register order.
 
     K tensor K naturally acts on (A, A')(B, B'); interleaving the row and
     the column qubits makes the result applicable directly to
-    np.kron(psi, psi), which is stored as (A, B)(A', B').  K is one (4, 4)
-    operator, which gives a (16, 16) result, or a (P, 4, 4) stack, which
-    gives (P, 16, 16).  The kron is the broadcast outer product np.kron
-    itself computes, so entry [p] of a stack is bitwise the lift of K[p].
+    np.kron(psi, psi), which is stored as (A, B)(A', B').  K is a (P, 4, 4)
+    stack and the result (P, 16, 16).  The kron is the broadcast outer
+    product np.kron itself computes, so entry [p] is bitwise the lift of
+    K[p:p + 1].
     """
-    K = _as_finite(K, "local operator")
-    if K.ndim not in (2, 3) or K.shape[-2:] != (4, 4):
-        raise ValueError(f"local operator must be 4x4 or a (P, 4, 4) stack, got shape {K.shape}")
-    stack = K.reshape(-1, 4, 4)
+    K = _as_stack(K, (4, 4), "local operators")
     # kron[p, i, k, j, l] = K[p, i, j] * K[p, k, l]
-    kron = stack[:, :, None, :, None] * stack[:, None, :, None, :]
-    lifted = kron.reshape((-1,) + (2,) * 8).transpose(_LIFT_AXES).reshape(-1, 16, 16)
-    return lifted[0] if K.ndim == 2 else lifted
+    kron = K[:, :, None, :, None] * K[:, None, :, None, :]
+    return kron.reshape((-1,) + (2,) * 8).transpose(_LIFT_AXES).reshape(-1, 16, 16)
 
 
 def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:
-    """Unnormalized branch output op @ s and its squared norm (the branch probability).
+    """Unnormalized branch outputs op[p] @ s[k] and their squared norms (the branch probabilities).
 
-    op is one (d, d) operator or a (P, d, d) stack; s is one state of
-    shape (d,) or a batch of shape (n, d).  One operator on one state
-    gives (out (d,), prob float), on a batch (out (n, d), prob (n,)); a
-    stack puts its (P,) axis in front of both.  Entry [p, k] is bitwise
-    op[p] @ s[k]: every (operator, row) pair runs the same matrix-vector
+    op is a (P, d, d) stack and s an (n, d) batch; the outputs are (P, n, d)
+    and the probabilities (P, n).  Entry [p, k] is bitwise op[p] @ s[k]
+    on its own: every (operator, row) pair runs the same matrix-vector
     product and the same conjugated dot product, which s @ op.T or einsum
     would not.
     """
-    op = _as_finite(op, "operator")
-    s = _as_finite(s, "state")
-    if s.ndim not in (1, 2):
-        raise ValueError(f"expected a state (d,) or a batch (n, d), got shape {s.shape}")
-    d = s.shape[-1]
-    if op.ndim not in (2, 3) or op.shape[-2:] != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not act on dimension {d}")
+    s = _as_finite(s, "states")
+    if s.ndim != 2:
+        raise ValueError(f"expected a batch (n, d) of states, got shape {s.shape}")
+    d = s.shape[1]
+    op = _as_stack(op, (d, d), "operators")
     # (P, 1, d, d) @ (1, n, d, 1) -> (P, n, d)
-    out = np.matmul(op.reshape(-1, 1, d, d), s.reshape(1, -1, d, 1))[..., 0]
+    out = np.matmul(op[:, None], s[None, :, :, None])[..., 0]
     prob = np.matmul(out.conj()[..., None, :], out[..., :, None])[..., 0, 0].real
-    if s.ndim == 1:
-        out, prob = out[:, 0], prob[:, 0]
-    if op.ndim == 2:
-        out, prob = out[0], prob[0]
-    return out, (float(prob) if prob.ndim == 0 else prob)
+    return out, prob
 
 
 # Universality demands the lifted operator kill every two-copy component
@@ -190,52 +191,52 @@ KILL_VECTOR_LABELS = (
 )
 
 
-def kill_vectors() -> list[tuple[str, np.ndarray]]:
-    out = []
-    for label in KILL_VECTOR_LABELS:
-        parts = label.split("+")
-        v = sum(basis_state(4, bits) for bits in parts)
-        out.append((label, v / np.linalg.norm(v)))
-    return out
+# column j is the normalized sum of the basis states KILL_VECTOR_LABELS[j] names
+KILL_VECTORS = np.array([
+    sum(basis_state(4, bits) for bits in label.split("+")) / np.sqrt(label.count("+") + 1)
+    for label in KILL_VECTOR_LABELS
+]).T
+
+# PAULI_PRODUCTS[k, l] = PAULI_BASIS[k] tensor PAULI_BASIS[l]
+PAULI_PRODUCTS = np.einsum("kij,lmn->klimjn", PAULI_BASIS, PAULI_BASIS).reshape(4, 4, 4, 4)
 
 
 def check_universality_constraints(M: np.ndarray) -> np.ndarray:
-    """Residual norms ||M v|| over the eight kill vectors, in KILL_VECTOR_LABELS order.
+    """Residual norms ||M[p] v|| over the eight kill vectors, as a (P, 8) array.
 
-    M satisfies the constraints when every residual is at most linalg.ATOL.
+    M is a (P, 16, 16) stack; column j is KILL_VECTOR_LABELS[j].  M[p]
+    satisfies the constraints when every residual is at most linalg.ATOL.
     """
-    M = _as_finite(M, "lifted operator")
-    if M.shape != (16, 16):
-        raise ValueError("lifted operator must be 16x16")
-    return np.array([np.linalg.norm(M @ v) for _, v in kill_vectors()])
+    # apply_kraus checks the stack.  Its per-column product and conjugated dot
+    # round as M[p] @ v and norm(M[p] @ v) do on one vector, where one
+    # matmul against KILL_VECTORS and a norm over axis 1 move the last bit
+    _, squared = apply_kraus(M, KILL_VECTORS.T)
+    return np.sqrt(squared)
 
 
 def pauli_expand(K: np.ndarray) -> np.ndarray:
-    """Coefficients r[k, l] of K = sum_kl r[k, l] sigma_k tensor sigma_l, as a (4, 4) array.
+    """Coefficients r[p, k, l] of K[p] = sum_kl r[p, k, l] sigma_k tensor sigma_l, as (P, 4, 4).
 
-    The basis is (x, y, z, 1) and r[k, l] = Tr[(sigma_k tensor sigma_l)^dag K] / 4.
-    For build_kraus the expansion collapses to two free entries,
-    r[0, 3] = a/4 and r[2, 3] = b/4, with every other entry fixed by linear
-    relations.
+    K is a (P, 4, 4) stack.  The basis is (x, y, z, 1) and
+    r[p, k, l] = Tr[(sigma_k tensor sigma_l)^dag K[p]] / 4.  For build_kraus
+    the expansion collapses to two free entries, r[p, 0, 3] = a/4 and
+    r[p, 2, 3] = b/4, with every other entry fixed by linear relations.
     """
-    K = np.asarray(K, dtype=complex)
-    if K.shape != (4, 4):
-        raise ValueError("operator must be 4x4")
-    r = np.zeros((4, 4), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            basis_op = np.kron(PAULI_BASIS[k], PAULI_BASIS[l])
-            r[k, l] = np.trace(basis_op.conj().T @ K) / 4.0
-    return r
+    K = _as_stack(K, (4, 4), "operators")
+    return np.einsum("klij,pij->pkl", PAULI_PRODUCTS.conj(), K) / 4.0
 
 
-def pauli_relation_residuals(r: np.ndarray) -> dict[str, float]:
+def pauli_relation_residuals(r: np.ndarray) -> dict:
     """Residuals of the linear relations satisfied by the purifying family.
 
-    r is the (4, 4) array from pauli_expand.  Keys name the relation; values
-    are absolute deviations.  All residuals vanish (to rounding) exactly
-    when K came from build_kraus.
+    r is a (..., 4, 4) array of coefficients from pauli_expand.  Keys name
+    the relation; values are absolute deviations of shape (...).  All
+    residuals vanish (to rounding) exactly when K came from build_kraus.
     """
+    r = _as_finite(r, "Pauli coefficients")
+    if r.shape[-2:] != (4, 4) or r.ndim < 2:
+        raise ValueError(f"Pauli coefficients must be a (..., 4, 4) array, got shape {r.shape}")
+    r = np.moveaxis(r, (-2, -1), (0, 1))
     i = 1j
     checks = {
         "r21+r12": r[1, 0] + r[0, 1],
@@ -253,4 +254,5 @@ def pauli_relation_residuals(r: np.ndarray) -> dict[str, float]:
         "r32-i*r14": r[2, 1] - i * r[0, 3],
         "r33-r34": r[2, 2] - r[2, 3],
     }
-    return {name: float(abs(val)) for name, val in checks.items()}
+    # hypot, as abs() of one complex number computes it
+    return {name: np.hypot(val.real, val.imag) for name, val in checks.items()}

@@ -10,10 +10,12 @@ The stage functions and the closed forms take one state of shape (4,) or
 a batch of shape (n, 4), and a single state is run as a batch of one.
 stage1 and full_pipeline also take one KrausParams or a sequence of P of
 them; a sequence puts a (P,) axis in front of every field, so success_prob
-is (P, n), and one KrausParams is run as a stack of one.  The stage kernel
-builds and lifts a (P, 16, 16) operator stack and applies it to the whole
-batch, walking the pairs in steps of at most _STEP_ROWS pair x state rows
-so that peak memory does not grow with P; stage 2 of full_pipeline runs
+is (P, n), and one KrausParams is run as a stack of one.  This is the one
+module that takes single states and pairs; the kraus functions take
+stacks only.  The stage kernel builds and lifts a (P, 16, 16) operator
+stack and applies it to the whole batch, walking the pairs in steps of at
+most _STEP_ROWS pair x state rows so that peak memory does not grow with
+P.  Stage 2 is that kernel at CANONICAL_PARAMS; in full_pipeline it runs
 on the P x n stage-1 outputs of the same step.  The leak, basis-support
 and closed-form checks run on every (pair, row).  A closed form returns a
 float for one state and an (n,) array for a batch.  Entry [p, k] of any
@@ -199,21 +201,20 @@ def stage2(state) -> ProtocolResult:
     c, single = _as_batch(state)
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
-    alpha, beta, prob = _stage_amplitudes(c, [CANONICAL_PARAMS])
-    output, defined = _branch_output(alpha, beta, prob)
-    return _result(single, True, prob, output, [prob], np.zeros(prob.shape, dtype=bool), defined)
+    # two copies of such a state never make a product output
+    prob, output, product, defined = _stage1_rows(c, [CANONICAL_PARAMS])
+    return _result(single, True, prob, output, [prob], product, defined)
 
 
 def _pipeline_rows(c: np.ndarray, pairs: list) -> tuple:
-    first = stage1(c, pairs)
-    p1 = first.success_prob
+    p1, first_output, first_product, _ = _stage1_rows(c, pairs)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= _ZERO_PROB
-    second = stage2(first.output[ran])
+    second = stage2(first_output[ran])
     p2 = np.zeros_like(p1)
     p2[ran] = second.success_prob
-    product = first.product_output | (p2 < _ZERO_PROB)
-    output = np.zeros_like(first.output)
+    product = first_product | (p2 < _ZERO_PROB)
+    output = np.zeros_like(first_output)
     output[ran] = second.output
     output[product] = 0.0
     return p1, p2, output, product

@@ -155,16 +155,11 @@ def criterion_02(seed: int) -> list:
 
 def criterion_03(seed: int, corrupt_kraus: bool = False) -> list:
     """Kill vectors annihilated for random valid parameters; identity must fail."""
-    params = _random_valid_params(_sub_seed(seed, 3), 100)
-    worst = 0.0
-    for p in params:
-        K = kraus.build_kraus(p)
-        if corrupt_kraus:
-            K = K.copy()
-            K[0, 0] += 0.05  # test hook: breaks the |0000> kill constraint
-        M = kraus.lift_local_kraus(K)
-        worst = max(worst, kraus.check_universality_constraints(M).max())
-    control = kraus.check_universality_constraints(np.eye(16, dtype=complex)).max()
+    K = np.stack([kraus.build_kraus(p) for p in _random_valid_params(_sub_seed(seed, 3), 100)])
+    if corrupt_kraus:
+        K[:, 0, 0] += 0.05  # test hook: breaks the |0000> kill constraint
+    worst = kraus.check_universality_constraints(kraus.lift_local_kraus(K)).max()
+    control = kraus.check_universality_constraints(np.eye(16)[None]).max()
     return [
         CriterionRow("c03-kill-vectors", 0.0, worst, 1e-10, worst <= 1e-10),
         CriterionRow(
@@ -180,13 +175,10 @@ def criterion_03(seed: int, corrupt_kraus: bool = False) -> list:
 def criterion_04(seed: int) -> list:
     """Pauli-expansion relations with r[0,3] = a/4 and r[2,3] = b/4."""
     params = _random_valid_params(_sub_seed(seed, 4), 100)
-    worst = 0.0
-    for p in params:
-        r = kraus.pauli_expand(kraus.build_kraus(p))
-        residuals = kraus.pauli_relation_residuals(r)
-        worst = max(worst, max(residuals.values()))
-        worst = max(worst, abs(r[0, 3] - p.a / 4.0))
-        worst = max(worst, abs(r[2, 3] - p.b / 4.0))
+    r = kraus.pauli_expand(np.stack([kraus.build_kraus(p) for p in params]))
+    free = r[:, [0, 2], 3] - np.array([(p.a, p.b) for p in params]) / 4.0
+    deviations = [*kraus.pauli_relation_residuals(r).values(), protocols._cabs(free)]
+    worst = max(d.max() for d in deviations)
     return [CriterionRow("c04-pauli-relations", 0.0, worst, 1e-12, worst <= 1e-12)]
 
 

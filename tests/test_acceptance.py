@@ -22,16 +22,31 @@ with `pytest -s tests/test_acceptance.py`.
 """
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from epp_lab import kraus, protocols, sampling, verify
+import epp_lab
+from epp_lab import cli, kraus, protocols, sampling, verify
 
 SEED = 42
 # sha256 of the seed-42 verify.json; a change to any observed value moves it
 VERIFY_SHA256 = "e0c28977e3ad43727bf5a7c55f8037e7d2a4a3fb9e6b28659d7c54d0be07abf0"
+# sha256 of --out files no criterion checks: the seed-42 --corrupt-kraus
+# verify.json, the one run where c03's observed residual is nonzero, so its
+# bits are pinned, and two CSVs
+PINNED_SHA256 = {
+    ("verify", "--seed", "42", "--corrupt-kraus"):
+        "d338646da800aeb0ffa278a170009c94f09bb6bab018eb008b09444d4b5b3c32",
+    ("vidal-curve", "--grid", "400"):
+        "92060711ece29b51eb7f1c6a47050028ac260523da995d936e7b5626d960934a",
+    ("f-grid", "--grid", "201"):
+        "d41c47f23ec78cda6456a8fce660eba2873043dce973d33d84dd840bf7d57f1a",
+}
 
 
 def _check(number: int, rows) -> None:
@@ -58,8 +73,37 @@ def test_c03_kill_vectors():
     _check(3, verify.criterion_03(SEED))
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+def test_c03_stacked_check_matches_per_pair_loop(corrupt):
+    """One stacked lift and check give, bit for bit, the residuals that one
+    lift per pair and one norm per kill vector give, and c03 reports their
+    maximum."""
+    K = np.stack([kraus.build_kraus(p)
+                  for p in verify._random_valid_params(verify._sub_seed(SEED, 3), 100)])
+    K[:, 0, 0] += 0.05 if corrupt else 0.0
+    expected = [[np.linalg.norm(M @ v) for v in kraus.KILL_VECTORS.T]
+                for M in (kraus.lift_local_kraus(one[None])[0] for one in K)]
+    residuals = kraus.check_universality_constraints(kraus.lift_local_kraus(K))
+    assert np.array_equal(residuals, expected)
+    assert verify.criterion_03(SEED, corrupt_kraus=corrupt)[0].observed == np.max(expected)
+    assert (np.max(expected) > 0.0) == corrupt
+
+
 def test_c04_pauli_relations():
     _check(4, verify.criterion_04(SEED))
+
+
+def test_c04_stacked_expansion_matches_per_pair_loop():
+    """One stacked expansion gives the worst deviation that a trace per Pauli
+    product and pair gives."""
+    worst = 0.0
+    for p in verify._random_valid_params(verify._sub_seed(SEED, 4), 100):
+        K = kraus.build_kraus(p)
+        r = np.array([[np.trace(np.kron(sk, sl).conj().T @ K) / 4.0
+                       for sl in kraus.PAULI_BASIS] for sk in kraus.PAULI_BASIS])
+        residuals = kraus.pauli_relation_residuals(r)
+        worst = max([worst, *residuals.values(), abs(r[0, 3] - p.a / 4), abs(r[2, 3] - p.b / 4)])
+    assert verify.criterion_04(SEED)[0].observed == worst
 
 
 def test_c05_stage1_strict_bound():
@@ -103,6 +147,14 @@ def test_c10_stacked_grid_matches_per_pair_scan():
     assert observed == f"argmax ({best_point[0]:.6f}, {best_point[1]:.6f})"
 
 
+@pytest.mark.parametrize("argv", PINNED_SHA256, ids=["corrupt-verify", "vidal-curve", "f-grid"])
+def test_pinned_outputs(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    cli.main([*argv, "--out", str(out)])
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[argv]
+
+
 def test_c11_deterministic_verify(tmp_path):
     payloads = []
     codes = []
@@ -111,6 +163,8 @@ def test_c11_deterministic_verify(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "epp_lab", "verify", "--seed", str(SEED),
              "--out", str(out)],
+            # the child finds the package where this process found it
+            env={**os.environ, "PYTHONPATH": str(Path(epp_lab.__file__).resolve().parent.parent)},
             capture_output=True,
             text=True,
         )

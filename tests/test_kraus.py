@@ -5,13 +5,13 @@ from hypothesis import assume, given, settings, strategies as st
 from epp_lab.kraus import (
     CANONICAL_PARAMS,
     KILL_VECTOR_LABELS,
+    KILL_VECTORS,
     KrausParams,
     apply_kraus,
     build_kraus,
     check_universality_constraints,
     constraint_value,
     f_parameter,
-    kill_vectors,
     lift_local_kraus,
     params_valid,
     pauli_expand,
@@ -101,7 +101,7 @@ def test_f_parameter_range(raw):
 
 
 def test_lift_identity_is_identity():
-    assert np.allclose(lift_local_kraus(np.eye(4)), np.eye(16), atol=1e-15)
+    assert np.allclose(lift_local_kraus(np.eye(4)[None]), np.eye(16), atol=1e-15)
 
 
 def test_lift_matches_permuted_kron():
@@ -114,69 +114,108 @@ def test_lift_matches_permuted_kron():
         permute_qubits(kk @ permute_qubits(e, (0, 2, 1, 3)), (0, 2, 1, 3))
         for e in np.eye(16)
     ])
-    assert np.array_equal(lift_local_kraus(K), expected)
+    assert np.array_equal(lift_local_kraus(K[None]), expected[None])
 
 
 def test_lift_stack_equals_single_lifts():
-    """Entry p of a lifted (P, 4, 4) stack is bitwise the lift of K[p], and
-    the lift of one operator is bitwise the reordered np.kron."""
+    """Entry p of a lifted (P, 4, 4) stack is bitwise the lift of the stack
+    of one K[p:p + 1], which is bitwise the reordered np.kron."""
     rng = np.random.default_rng(31)
     stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
     stack[0] = build_kraus(CANONICAL_PARAMS)
     stack[1] = build_kraus(KrausParams(0.6, 0))
     lifted = lift_local_kraus(stack)
     assert lifted.shape == (7, 16, 16)
-    for K, M in zip(stack, lifted):
-        assert np.array_equal(M, lift_local_kraus(K))
+    for p, (K, M) in enumerate(zip(stack, lifted)):
+        assert np.array_equal(M, lift_local_kraus(stack[p:p + 1])[0])
         kron = np.kron(K, K).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
         assert np.array_equal(M, kron.reshape(16, 16))
-    assert np.array_equal(lift_local_kraus(stack[2:3]), lifted[2:3])
+
+
+def test_check_and_expansion_stack_equal_stacks_of_one():
+    """Entry p of check_universality_constraints and of pauli_expand on a
+    stack is bitwise the result on the stack of one K[p:p + 1]."""
+    rng = np.random.default_rng(32)
+    stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+    stack[0] = build_kraus(CANONICAL_PARAMS)
+    stack[1] = build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j))
+    stack[2] = stack[1]
+    stack[2, 0, 0] += 0.05
+    residuals = check_universality_constraints(lift_local_kraus(stack))
+    coeffs = pauli_expand(stack)
+    assert residuals.shape == (7, 8) and coeffs.shape == (7, 4, 4)
+    relations = pauli_relation_residuals(coeffs)
+    for p in range(len(stack)):
+        one = stack[p:p + 1]
+        assert np.array_equal(residuals[p], check_universality_constraints(lift_local_kraus(one))[0])
+        assert np.array_equal(coeffs[p], pauli_expand(one)[0])
+        for name, value in pauli_relation_residuals(coeffs[p]).items():
+            assert value == relations[name][p], name
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 5), (2, 2, 4, 4)])
+def test_pauli_expand_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError):
+        pauli_expand(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 3)])
+def test_pauli_relation_residuals_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError):
+        pauli_relation_residuals(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16,), (2, 16, 8), (2, 2, 16, 16)])
+def test_check_universality_constraints_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError):
+        check_universality_constraints(np.ones(shape))
 
 
 def test_lift_rejects_wrong_shape():
-    for shape in [(2, 2), (4,), (3, 4, 5), (2, 2, 4, 4)]:
+    for shape in [(4, 4), (2, 2), (4,), (3, 4, 5), (2, 2, 4, 4)]:
         with pytest.raises(ValueError):
             lift_local_kraus(np.ones(shape))
 
 
 def test_lifted_branch_on_bell_pair():
     """Two copies of the Bell state succeed with probability 1/2 and stay Bell."""
-    M = lift_local_kraus(build_kraus(CANONICAL_PARAMS))
+    M = lift_local_kraus(build_kraus(CANONICAL_PARAMS)[None])
     doubled = np.kron(bell_phi_plus(), bell_phi_plus())
-    out, prob = apply_kraus(M, doubled)
-    assert prob == pytest.approx(0.5, abs=1e-12)
+    out, prob = apply_kraus(M, doubled[None])
+    assert out.shape == (1, 1, 16) and prob.shape == (1, 1)
+    assert prob[0, 0] == pytest.approx(0.5, abs=1e-12)
     expected = np.zeros(16, dtype=complex)
     expected[0b0000] = 0.5
     expected[0b1100] = 0.5
-    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(out[0, 0], expected, atol=1e-12)
 
 
 def test_apply_kraus_basics():
     s = bell_phi_plus()
-    out, prob = apply_kraus(np.eye(4), s)
-    assert prob == pytest.approx(1.0)
-    proj0 = np.zeros((2, 2)); proj0[0, 0] = 1.0
-    plus = np.array([1, 1]) / np.sqrt(2)
+    out, prob = apply_kraus(np.eye(4)[None], s[None])
+    assert prob.shape == (1, 1) and prob[0, 0] == pytest.approx(1.0)
+    proj0 = np.zeros((1, 2, 2)); proj0[0, 0, 0] = 1.0
+    plus = np.array([[1, 1]]) / np.sqrt(2)
     _, prob = apply_kraus(proj0, plus)
-    assert prob == pytest.approx(0.5)
+    assert prob[0, 0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        apply_kraus(np.eye(4), plus)
+        apply_kraus(np.eye(4)[None], plus)
 
 
 def test_apply_kraus_batch_matches_rows():
-    """Each row of an (n, 16) batch is bitwise the single-state result, which
+    """Each row of an (n, 16) batch is bitwise the batch-of-one result, which
     is bitwise the plain product and vdot."""
     rng = np.random.default_rng(7)
-    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
+    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j))[None])
     batch = rng.standard_normal((50, 16)) + 1j * rng.standard_normal((50, 16))
     out, prob = apply_kraus(M, batch)
-    assert out.shape == (50, 16) and prob.shape == (50,)
+    assert out.shape == (1, 50, 16) and prob.shape == (1, 50)
     for k, s in enumerate(batch):
-        row_out, row_prob = apply_kraus(M, s)
-        assert np.array_equal(out[k], row_out)
-        assert prob[k] == row_prob
-        assert np.array_equal(row_out, M @ s)
-        assert row_prob == float(np.vdot(M @ s, M @ s).real)
+        row_out, row_prob = apply_kraus(M, batch[k:k + 1])
+        assert np.array_equal(out[:, k:k + 1], row_out)
+        assert np.array_equal(prob[:, k:k + 1], row_prob)
+        assert np.array_equal(row_out[0, 0], M[0] @ s)
+        assert row_prob[0, 0] == np.vdot(M[0] @ s, M[0] @ s).real
 
 
 def test_apply_kraus_stack_matches_single_operators():
@@ -190,31 +229,33 @@ def test_apply_kraus_stack_matches_single_operators():
     batch = rng.standard_normal((20, 16)) + 1j * rng.standard_normal((20, 16))
     out, prob = apply_kraus(ops, batch)
     assert out.shape == (3, 20, 16) and prob.shape == (3, 20)
-    one_out, one_prob = apply_kraus(ops, batch[4])
-    assert one_out.shape == (3, 16) and one_prob.shape == (3,)
-    for p, M in enumerate(ops):
-        row_out, row_prob = apply_kraus(M, batch)
-        assert np.array_equal(out[p], row_out)
-        assert np.array_equal(prob[p], row_prob)
-        assert np.array_equal(one_out[p], out[p, 4]) and one_prob[p] == prob[p, 4]
+    one_out, one_prob = apply_kraus(ops, batch[4:5])
+    assert one_out.shape == (3, 1, 16) and one_prob.shape == (3, 1)
+    for p in range(len(ops)):
+        row_out, row_prob = apply_kraus(ops[p:p + 1], batch)
+        assert np.array_equal(out[p], row_out[0])
+        assert np.array_equal(prob[p], row_prob[0])
+        assert np.array_equal(one_out[p, 0], out[p, 4]) and one_prob[p, 0] == prob[p, 4]
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 16), (5, 8), (5, 17)], ids=["3d", "narrow", "wide"])
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 16), (5, 8), (5, 17), (16,)], ids=["3d", "narrow", "wide", "one-state"]
+)
 def test_apply_kraus_rejects_bad_batch(shape):
     with pytest.raises(ValueError):
-        apply_kraus(np.eye(16), np.ones(shape))
+        apply_kraus(np.eye(16)[None], np.ones(shape))
 
 
-@pytest.mark.parametrize("shape", [(16,), (16, 8), (2, 16, 8), (2, 2, 16, 16)])
+@pytest.mark.parametrize("shape", [(16,), (16, 8), (2, 16, 8), (2, 2, 16, 16), (16, 16)])
 def test_apply_kraus_rejects_bad_operator(shape):
     with pytest.raises(ValueError):
         apply_kraus(np.ones(shape), np.ones((3, 16)))
 
 
 def test_kill_vectors_exactly_annihilated():
-    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
+    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j))[None])
     residuals = check_universality_constraints(M)
-    assert residuals.shape == (len(KILL_VECTOR_LABELS),) == (8,)
+    assert residuals.shape == (1, len(KILL_VECTOR_LABELS)) == (1, 8)
     assert residuals.max() <= 1e-14
     assert "0000" in KILL_VECTOR_LABELS and "0001+0100" in KILL_VECTOR_LABELS
 
@@ -222,27 +263,27 @@ def test_kill_vectors_exactly_annihilated():
 def test_other_cross_pair_also_annihilated():
     # |0111>+|1101> (the c2*c4 component of the doubled state) dies too,
     # because the local operator kills |11>; kept alongside the listed set
-    M = lift_local_kraus(build_kraus(KrausParams(0.5, 0.4)))
+    M = lift_local_kraus(build_kraus(KrausParams(0.5, 0.4))[None])
     v = basis_state(4, "0111") + basis_state(4, "1101")
-    assert np.linalg.norm(M @ (v / np.sqrt(2))) <= 1e-14
+    assert np.linalg.norm(M[0] @ (v / np.sqrt(2))) <= 1e-14
 
 
 @given(magnitude_pairs())
 @settings(max_examples=50, deadline=None)
 def test_universality_sweep(raw):
     p = params_from(raw)
-    residuals = check_universality_constraints(lift_local_kraus(build_kraus(p)))
+    residuals = check_universality_constraints(lift_local_kraus(build_kraus(p)[None]))
     assert np.all(residuals <= ATOL)
 
 
 def test_identity_fails_constraints():
-    residuals = check_universality_constraints(np.eye(16, dtype=complex))
+    residuals = check_universality_constraints(np.eye(16, dtype=complex)[None])
     assert not np.all(residuals <= ATOL)
     assert residuals.max() == pytest.approx(1.0)
 
 
 def test_pauli_expand_identity():
-    r = pauli_expand(np.eye(4, dtype=complex))
+    r = pauli_expand(np.eye(4, dtype=complex)[None])[0]
     assert r[3, 3] == pytest.approx(1.0)
     r[3, 3] = 0.0
     assert np.allclose(r, 0.0, atol=1e-15)
@@ -251,14 +292,14 @@ def test_pauli_expand_identity():
 def test_pauli_expand_roundtrip_random():
     rng = np.random.default_rng(8)
     K = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(pauli_reconstruct(pauli_expand(K)), K, atol=1e-12)
+    assert np.allclose(pauli_reconstruct(pauli_expand(K[None])[0]), K, atol=1e-12)
 
 
 @given(magnitude_pairs())
 @settings(max_examples=50, deadline=None)
 def test_pauli_relations_on_family(raw):
     p = params_from(raw)
-    r = pauli_expand(build_kraus(p))
+    r = pauli_expand(build_kraus(p)[None])[0]
     residuals = pauli_relation_residuals(r)
     assert max(residuals.values()) <= 1e-12
     assert abs(r[0, 3] - p.a / 4) <= 1e-12
@@ -274,7 +315,7 @@ def test_trace_nonincreasing_inside_operator_region(ra, rb):
     """The single branch is a physical map when both moduli stay at or below
     sqrt(2)/2, where the largest eigenvalue of M^dag M is (2 max(|a|,|b|)^2)^2."""
     p = KrausParams(ra, rb)
-    M = lift_local_kraus(build_kraus(p))
+    M = lift_local_kraus(build_kraus(p)[None])[0]
     assert np.linalg.eigvalsh(M.conj().T @ M).max() <= 1.0 + ATOL
     assert p.physical
 
@@ -285,7 +326,7 @@ def test_trace_condition_fails_at_constraint_corner():
     # the parameter constraint is necessary, not sufficient.
     corner = KrausParams(2**-0.25, 0)
     assert not corner.physical
-    M = lift_local_kraus(build_kraus(corner))
+    M = lift_local_kraus(build_kraus(corner)[None])[0]
     largest = np.linalg.eigvalsh(M.conj().T @ M).max()
     assert largest > 1.0 + ATOL
     # smallest eigenvalue of 1 - M^dag M
@@ -311,5 +352,9 @@ def test_params_valid_helper():
 
 
 def test_kill_vector_list_normalized():
-    for label, v in kill_vectors():
+    """Column j of KILL_VECTORS is the normalized sum of the basis states its label names."""
+    assert KILL_VECTORS.shape == (16, len(KILL_VECTOR_LABELS))
+    for label, v in zip(KILL_VECTOR_LABELS, KILL_VECTORS.T):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12), label
+        expected = sum(basis_state(4, bits) for bits in label.split("+"))
+        assert np.array_equal(v, expected / np.linalg.norm(expected)), label

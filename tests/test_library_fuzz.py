@@ -40,6 +40,7 @@ def stack(flat, shape):
 KRAUS = kraus.build_kraus(KrausParams(0.5 + 0.1j, 0.3)).ravel().tolist()
 CANONICAL_KRAUS = kraus.build_kraus(kraus.CANONICAL_PARAMS).ravel().tolist()
 IDENTITY_16 = np.eye(16).ravel().tolist()
+PAULI_COEFFS = kraus.pauli_expand(np.reshape(KRAUS, (1, 4, 4))).ravel().tolist()
 
 
 def closed_form(fn, state):
@@ -63,15 +64,20 @@ ENTRY_POINTS = [
     ("f_parameter", kraus.f_parameter, PARAMS, True),
     ("fidelity_up_to_phase", lambda *v: fidelity_up_to_phase(v[:4], v[4:]),
      STATE + SCHMIDT_STATE, True),
-    ("lift_local_kraus", lambda *v: kraus.lift_local_kraus(stack(v, (4, 4))), KRAUS, True),
+    ("lift_local_kraus", lambda *v: kraus.lift_local_kraus(stack(v, (1, 4, 4))), KRAUS, True),
     ("lift_local_kraus[stack]", lambda *v: kraus.lift_local_kraus(stack(v, (2, 4, 4))),
      KRAUS + CANONICAL_KRAUS, True),
-    ("apply_kraus", lambda *v: kraus.apply_kraus(stack(v[:16], (4, 4)), stack(v[16:], (2, 4))),
+    ("apply_kraus",
+     lambda *v: kraus.apply_kraus(stack(v[:16], (1, 4, 4)), stack(v[16:], (2, 4))),
      KRAUS + STATE + SCHMIDT_STATE, True),
-    ("apply_kraus[stack]", lambda *v: kraus.apply_kraus(stack(v[:32], (2, 4, 4)), v[32:]),
+    ("apply_kraus[stack]",
+     lambda *v: kraus.apply_kraus(stack(v[:32], (2, 4, 4)), stack(v[32:], (1, 4))),
      KRAUS + CANONICAL_KRAUS + STATE, True),
     ("check_universality_constraints",
-     lambda *v: kraus.check_universality_constraints(stack(v, (16, 16))), IDENTITY_16, True),
+     lambda *v: kraus.check_universality_constraints(stack(v, (1, 16, 16))), IDENTITY_16, True),
+    ("pauli_expand", lambda *v: kraus.pauli_expand(stack(v, (1, 4, 4))), KRAUS, True),
+    ("pauli_relation_residuals",
+     lambda *v: kraus.pauli_relation_residuals(stack(v, (4, 4))), PAULI_COEFFS, True),
     *[closed_form(fn, state) for fn in (
         protocols.schmidt_conversion_bound,
         protocols.four_copy_bell_bound,
@@ -103,6 +109,8 @@ def as_floats(result):
     if hasattr(result, "__dataclass_fields__"):
         fields = [getattr(result, name) for name in result.__dataclass_fields__]
         return [x for f in fields if not isinstance(f, str) for x in as_floats(f)]
+    if isinstance(result, dict):
+        result = tuple(result.values())
     if isinstance(result, tuple):
         return [x for part in result for x in as_floats(part)]
     if result is None or isinstance(result, bool):

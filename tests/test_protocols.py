@@ -115,6 +115,18 @@ def test_stage2_rejects_wrong_basis():
         stage2(as_state([0.5, 0.5, 0.5, 0.5]))
 
 
+def test_stage2_is_stage1_at_symmetric_point():
+    """On inputs in the {|00>, |11>} basis stage2 is bitwise stage1 at a = b =
+    sqrt(2)/2, and never reports a product output."""
+    lams = np.linspace(0.0, 1.0, 41)
+    batch = np.array([schmidt_state(np.sqrt(lam), np.sqrt(1 - lam)) for lam in lams])
+    batch[7, 1] = 1e-11  # within the basis tolerance
+    second, first = stage2(batch), stage1(batch, CANONICAL_PARAMS)
+    assert np.array_equal(second.success_prob, first.success_prob)
+    assert np.array_equal(second.output, first.output)
+    assert not second.product_output.any() and not first.product_output.any()
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_stage2_saturates_pair_bound(seed):
