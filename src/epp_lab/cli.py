@@ -100,13 +100,13 @@ def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
     return DEFAULT_SEED
 
 
-def _write_lines(path: str | None, lines: list) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_lines(path: str | None, blocks) -> None:
+    """Write each text block as it is made, to path or stdout; one write per line costs more."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,15 +164,15 @@ def cmd_bounds(args) -> int:
     c = args.state
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
     if abs(c[1]) <= ATOL and abs(c[2]) <= ATOL:
-        lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])))
-    lines.append("schmidt_conversion_bound = " + _fmt(protocols.schmidt_conversion_bound(c)))
-    lines.append("four_copy_bell_bound = " + _fmt(protocols.four_copy_bell_bound(c)))
-    p1 = protocols.kalman_stage1_prob(c)
+        lines.append("schmidt_pair_bound = " + _fmt(protocols.schmidt_pair_bound(c[0], c[3])[0]))
+    lines.append("schmidt_conversion_bound = " + _fmt(protocols.schmidt_conversion_bound(c)[0]))
+    lines.append("four_copy_bell_bound = " + _fmt(protocols.four_copy_bell_bound(c)[0]))
+    p1 = protocols.kalman_stage1_prob(c)[0]
     lines.append("kalman_stage1_prob = " + _fmt(p1))
     if p1 == 0.0:
         lines.append("kalman_stage2_prob = undefined")
     else:
-        lines.append("kalman_stage2_prob = " + _fmt(protocols.kalman_stage2_prob(c)))
+        lines.append("kalman_stage2_prob = " + _fmt(protocols.kalman_stage2_prob(c)[0]))
     print("\n".join(lines))
     return 0
 
@@ -188,19 +188,20 @@ def cmd_simulate(args) -> int:
         f"a = {args.a!r}",
         f"b = {args.b!r}",
     ]
+    # every field is (1, 1); an undefined output is all zero, a normalized one never is
     first = protocols.stage1(c, params)
-    lines.append("stage1_prob = " + _fmt(first.success_prob))
-    if first.output is None:
+    lines.append("stage1_prob = " + _fmt(first.success_prob[0, 0]))
+    if not first.output[0, 0].any():
         lines.append("stage1_output = undefined")
     else:
-        lines.append("stage1_output = " + " ".join(repr(complex(z)) for z in first.output))
+        lines.append("stage1_output = " + " ".join(repr(complex(z)) for z in first.output[0, 0]))
     result = protocols.full_pipeline(c, params)
-    lines.append("stage_probs = " + " ".join(_fmt(p) for p in result.stage_probs))
-    lines.append("pipeline_prob = " + _fmt(result.success_prob))
-    if result.output is None:
+    lines.append("stage_probs = " + " ".join(_fmt(p[0, 0]) for p in result.stage_probs))
+    lines.append("pipeline_prob = " + _fmt(result.success_prob[0, 0]))
+    if not result.output[0, 0].any():
         lines.append("pipeline_output = undefined")
     else:
-        fidelity = fidelity_up_to_phase(result.output, bell_phi_plus())
+        fidelity = fidelity_up_to_phase(result.output[0, 0], bell_phi_plus())
         lines.append("bell_fidelity = " + _fmt(fidelity))
     print("\n".join(lines))
     return 0
@@ -215,20 +216,26 @@ def cmd_vidal_curve(args) -> int:
         p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), target)
         p_u = vidal.universal_two_copy_prob(lam)
         lines.append(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}")
-    _write_lines(args.out, lines)
+    _write_lines(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
-def cmd_f_grid(args) -> int:
-    lines = ["abs_a,abs_b,valid,f,physical"]
-    grid = np.linspace(0.0, 1.0, args.grid)
+def _f_grid_blocks(n: int):
+    """The f-grid CSV, one block of n lines per |a|, so memory does not grow with n^2."""
+    yield "abs_a,abs_b,valid,f,physical\n"
+    grid = np.linspace(0.0, 1.0, n)
     labels = [_fmt(x) for x in grid]
     for a, a_label in zip(grid, labels):
+        lines = []
         for b, b_label in zip(grid, labels):
             valid = params_valid(a, b)
             physical = int(valid and KrausParams(a, b).physical)
-            lines.append(f"{a_label},{b_label},{int(valid)},{_fmt(f_parameter(a, b))},{physical}")
-    _write_lines(args.out, lines)
+            lines.append(f"{a_label},{b_label},{int(valid)},{_fmt(f_parameter(a, b))},{physical}\n")
+        yield "".join(lines)
+
+
+def cmd_f_grid(args) -> int:
+    _write_lines(args.out, _f_grid_blocks(args.grid))
     return 0
 
 

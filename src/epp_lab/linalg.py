@@ -49,9 +49,9 @@ def _check_normalized(rows: np.ndarray) -> np.ndarray:
 
 def as_state(amps) -> np.ndarray:
     """Coerce four amplitudes to a complex (4,) array and check normalization."""
-    s = _as_array(amps).reshape(-1)
-    if s.size != 4:
-        raise ValueError(f"expected 4 amplitudes, got {s.size}")
+    s = _as_array(amps)
+    if s.shape != (4,):
+        raise ValueError(f"expected 4 amplitudes in a flat (4,) array, got shape {s.shape}")
     _check_normalized(s[None, :])
     return s
 
@@ -76,9 +76,10 @@ def bell_phi_plus() -> np.ndarray:
 
 
 def fidelity_up_to_phase(a, b) -> float:
-    """|<a|b>|^2, insensitive to global phase on either argument."""
-    a = _as_finite(a, "state").reshape(-1)
-    b = _as_finite(b, "state").reshape(-1)
+    """|<a|b>|^2 of two non-empty 1-D states, insensitive to global phase on either."""
+    a, b = _as_finite(a, "state"), _as_finite(b, "state")
+    if a.ndim != 1 or b.ndim != 1 or a.size == 0:
+        raise ValueError(f"expected two non-empty 1-D states, got shapes {a.shape}, {b.shape}")
     if a.size != b.size:
         raise ValueError("states must have equal dimension")
     return float(abs(np.vdot(a, b)) ** 2)

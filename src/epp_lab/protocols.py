@@ -6,25 +6,24 @@ point) maps two copies of such a state to the Bell state (|00>+|11>)/sqrt(2)
 exactly or fails.  All stage functions work at matrix level and cross-check
 themselves against the closed forms.
 
-The stage functions and the closed forms take one state of shape (4,) or
-a batch of shape (n, 4), and a single state is run as a batch of one.
-stage1 and full_pipeline also take one KrausParams or a sequence of P of
-them; a sequence puts a (P,) axis in front of every field, so success_prob
-is (P, n), and one KrausParams is run as a stack of one.  This is the one
-module that takes single states and pairs; the kraus functions take
-stacks only.  The stage kernel builds and lifts a (P, 16, 16) operator
+Inputs are promoted, results have one shape.  A state of shape (4,) is
+a batch of one, one KrausParams a sequence of one, and two scalars a
+Schmidt pair of one; this is the one module that takes single states and
+pairs, the kraus functions take stacks only.  For an (n, 4) batch and P
+pairs, stage1 and full_pipeline return (P, n) fields, stage2 (n,) fields
+and every closed form an (n,) array, and an undefined output is an
+all-zero row.  The stage kernel builds and lifts a (P, 16, 16) operator
 stack and applies it to the whole batch, walking the pairs in steps of at
 most _STEP_ROWS pair x state rows so that peak memory does not grow with
 P.  Stage 2 is that kernel at CANONICAL_PARAMS; in full_pipeline it runs
 on the P x n stage-1 outputs of the same step.  The leak, basis-support
-and closed-form checks run on every (pair, row).  A closed form returns a
-float for one state and an (n,) array for a batch.  Entry [p, k] of any
-result is bitwise the result of the single-pair, single-state call on
-pair p and row k, whatever the step size.
+and closed-form checks run on every (pair, row).  Entry [p, k] of any
+result is bitwise entry [0, 0] of the call on pair p and row k alone,
+whatever the step size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,48 +46,46 @@ _STEP_ROWS = 512
 
 @dataclass
 class ProtocolResult:
-    """Outcome of a conclusive stage or pipeline.
+    """Outcome of a conclusive stage or pipeline on a batch of n states.
 
-    output is the normalized post-selected state, or None when the success
-    probability vanishes and no output exists.  stage_probs multiply to
-    success_prob.  product_output marks a defined but unentangled output
-    (one Schmidt coefficient numerically zero), which makes any following
-    stage fail.
-
-    For an (n, 4) batch input the fields are arrays: success_prob (n,),
-    output (n, 4) with an all-zero row wherever a single state would give
-    None, stage_probs a list of (n,) arrays, and product_output (n,) bool.
-    A sequence of P parameter pairs puts a (P,) axis in front of each.
+    success_prob is (n,) from stage2 and (P, n) from stage1 and
+    full_pipeline, and every other field has the same leading shape.
+    output holds the normalized post-selected states, (..., 4), with an
+    all-zero row where the success probability vanishes and no output
+    exists; a normalized output is never all-zero.  stage_probs is a list
+    of arrays that multiply to success_prob.  product_output (bool) marks
+    a defined but unentangled output (one Schmidt coefficient numerically
+    zero), which makes any following stage fail.
     """
 
-    success_prob: float
-    output: np.ndarray | None
-    stage_probs: list = field(default_factory=list)
-    product_output: bool = False
+    success_prob: np.ndarray
+    output: np.ndarray
+    stage_probs: list
+    product_output: np.ndarray
 
 
-def _as_batch(state) -> tuple[np.ndarray, bool]:
-    """(n, 4) complex view of one state or a batch, and whether it was one state.
+def _as_batch(state) -> np.ndarray:
+    """(n, 4) complex view of one state or a batch; one state is a batch of one.
 
     Every row must be normalized within ATOL, as in as_state.
     """
     c = _as_array(state)
     if c.ndim not in (1, 2) or c.shape[-1] != 4:
         raise ValueError(f"expected a state (4,) or a batch (n, 4), got shape {c.shape}")
-    return _check_normalized(c.reshape(-1, 4)), c.ndim == 1
+    return _check_normalized(c.reshape(-1, 4))
 
 
-def _as_params(params) -> tuple[list, bool]:
-    """The pairs of one KrausParams or of a non-empty sequence of them, and whether it was one."""
+def _as_params(params) -> list:
+    """The pairs of one KrausParams or of a non-empty sequence of them."""
     if isinstance(params, KrausParams):
-        return [params], True
+        return [params]
     try:
         pairs = list(params)
     except TypeError:
         pairs = []
     if not pairs or not all(isinstance(p, KrausParams) for p in pairs):
         raise ValueError("expected a KrausParams or a non-empty sequence of KrausParams")
-    return pairs, False
+    return pairs
 
 
 def _walk(step, c: np.ndarray, pairs: list) -> list:
@@ -100,25 +97,6 @@ def _walk(step, c: np.ndarray, pairs: list) -> list:
     size = max(1, _STEP_ROWS // max(len(c), 1))
     parts = [step(c, pairs[i:i + size]) for i in range(0, len(pairs), size)]
     return [np.concatenate(field) for field in zip(*parts)]
-
-
-def _result(single, one_pair, success_prob, output, stage_probs, product_output, defined):
-    """Pack (P, n) fields: one KrausParams drops the pair axis, one state the state axis.
-
-    One state under one KrausParams gives plain scalars, and None for an
-    undefined output.
-    """
-    at = (0 if one_pair else slice(None), 0 if single else slice(None))
-    if not (single and one_pair):
-        return ProtocolResult(
-            success_prob[at], output[at], [p[at] for p in stage_probs], product_output[at]
-        )
-    return ProtocolResult(
-        success_prob=float(success_prob[at]),
-        output=output[at] if defined[at] else None,
-        stage_probs=[float(p[at]) for p in stage_probs],
-        product_output=bool(product_output[at]),
-    )
 
 
 def _stage_amplitudes(c: np.ndarray, pairs: list):
@@ -172,7 +150,7 @@ def _stage1_rows(c: np.ndarray, pairs: list) -> tuple:
     # squared moduli from real and imaginary parts round the same in any batch size
     weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
     product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
-    return prob, output, product, defined
+    return prob, output, product
 
 
 def stage1(state, params) -> ProtocolResult:
@@ -182,12 +160,10 @@ def stage1(state, params) -> ProtocolResult:
     success probability is |alpha'|^2 + |beta'|^2.  Degenerate parameters
     (a = 0 or b = 0) give a product output, reported via product_output.
     Takes one state (4,) or a batch (n, 4), and one KrausParams or a
-    sequence of P of them, which puts a (P,) axis in front of every field.
+    sequence of P of them; every field is (P, n).
     """
-    c, single = _as_batch(state)
-    pairs, one_pair = _as_params(params)
-    prob, output, product, defined = _walk(_stage1_rows, c, pairs)
-    return _result(single, one_pair, prob, output, [prob], product, defined)
+    prob, output, product = _walk(_stage1_rows, _as_batch(state), _as_params(params))
+    return ProtocolResult(prob, output, [prob], product)
 
 
 def stage2(state) -> ProtocolResult:
@@ -196,18 +172,18 @@ def stage2(state) -> ProtocolResult:
     Requires c2 = c3 = 0 within tolerance; raises ValueError otherwise.
     Runs the symmetric-parameter branch on two copies.  On success the
     output is exactly (|00>+|11>)/sqrt(2) with probability 2|alpha beta|^2.
-    Takes one state (4,) or a batch (n, 4).
+    Takes one state (4,) or a batch (n, 4); every field is (n,).
     """
-    c, single = _as_batch(state)
+    c = _as_batch(state)
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
     # two copies of such a state never make a product output
-    prob, output, product, defined = _stage1_rows(c, [CANONICAL_PARAMS])
-    return _result(single, True, prob, output, [prob], product, defined)
+    prob, output, product = (field[0] for field in _stage1_rows(c, [CANONICAL_PARAMS]))
+    return ProtocolResult(prob, output, [prob], product)
 
 
 def _pipeline_rows(c: np.ndarray, pairs: list) -> tuple:
-    p1, first_output, first_product, _ = _stage1_rows(c, pairs)
+    p1, first_output, first_product = _stage1_rows(c, pairs)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= _ZERO_PROB
     second = stage2(first_output[ran])
@@ -226,14 +202,12 @@ def full_pipeline(state, params) -> ProtocolResult:
     Both stage-1 runs see identical inputs, so their branch probabilities
     coincide and the total success probability is P1^2 * P2.  A failed or
     product stage-1 output makes the pipeline report zero success with an
-    undefined output instead of raising.  Takes one state (4,) or a batch
-    (n, 4), and one KrausParams or a sequence of P of them, which puts a
-    (P,) axis in front of every field.
+    undefined (all-zero) output instead of raising.  Takes one state (4,)
+    or a batch (n, 4), and one KrausParams or a sequence of P of them;
+    every field is (P, n).
     """
-    c, single = _as_batch(state)
-    pairs, one_pair = _as_params(params)
-    p1, p2, output, product = _walk(_pipeline_rows, c, pairs)
-    return _result(single, one_pair, p1 * p1 * p2, output, [p1, p1, p2], product, ~product)
+    p1, p2, output, product = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
+    return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2], product)
 
 
 # ------------------------------------------------------------ closed forms
@@ -257,10 +231,6 @@ def _cabs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _unbatch(value, single: bool):
-    return float(value[0]) if single else value
-
-
 def _cross_term(c):
     """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2] for every row of a validated (n, 4) batch."""
     term = _cmul(np.power(c[:, 0], 2), np.power(c[:, 3], 2))
@@ -270,25 +240,23 @@ def _cross_term(c):
 
 def phase_term(state):
     """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2], the phase-dependent part of the four-copy bound."""
-    c, single = _as_batch(state)
-    return _unbatch(_cross_term(c), single)
+    return _cross_term(_as_batch(state))
 
 
 def schmidt_pair_bound(alpha, beta):
     """Optimal conclusive probability for two copies of alpha|00> + beta|11>: 2|alpha beta|^2.
 
-    Takes two scalars, which give a float, or two (n,) arrays of normalized pairs.
+    Takes two scalars, a pair of one, or two (n,) arrays of normalized pairs.
     """
     a, b = _as_array(alpha), _as_array(beta)
     if a.shape != b.shape or a.ndim > 1:
         raise ValueError(f"expected two scalars or two (n,) arrays, got {a.shape}, {b.shape}")
-    single = a.ndim == 0
     a, b = a.reshape(-1), b.reshape(-1)
     err = np.abs(np.float_power(_cabs(a), 2) + np.float_power(_cabs(b), 2) - 1.0)
     bad = np.flatnonzero(~(err <= ATOL))
     if bad.size:
         raise ValueError(f"Schmidt pair not normalized: {err[bad[0]]:.3e} off in row {bad[0]}")
-    return _unbatch(2.0 * np.float_power(_cabs(_cmul(a, b)), 2), single)
+    return 2.0 * np.float_power(_cabs(_cmul(a, b)), 2)
 
 
 def schmidt_conversion_bound(state):
@@ -297,9 +265,9 @@ def schmidt_conversion_bound(state):
     No admissible parameter pair reaches it on states where both c1 c4 and
     c2 c3 are nonzero; the gap is at least 4(1 - f)|c1 c2 c3 c4|.
     """
-    c, single = _as_batch(state)
+    c = _as_batch(state)
     u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
-    return _unbatch(2.0 * np.float_power(_cabs(u) + _cabs(w), 2), single)
+    return 2.0 * np.float_power(_cabs(u) + _cabs(w), 2)
 
 
 def four_copy_bell_bound(state):
@@ -308,7 +276,7 @@ def four_copy_bell_bound(state):
     Equals 2|c2 c3|^4 + 2|c1 c4|^4 - 4 Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2],
     which is 2|(c1 c4)^2 - (c2 c3)^2|^2, manifestly non-negative.
     """
-    c, single = _as_batch(state)
+    c = _as_batch(state)
     u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
     value = (
         2.0 * np.float_power(_cabs(w), 4)
@@ -316,14 +284,14 @@ def four_copy_bell_bound(state):
         - 4.0 * _cross_term(c)
     )
     # clip float dust: the quantity is a squared modulus
-    return _unbatch(np.where(value < 0.0, 0.0, value), single)
+    return np.where(value < 0.0, 0.0, value)
 
 
 def kalman_stage1_prob(state):
     """First-round success 2(|c2 c3|^2 + |c1 c4|^2) of the symmetric-parameter branch."""
-    c, single = _as_batch(state)
+    c = _as_batch(state)
     u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
-    return _unbatch(2.0 * (np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2)), single)
+    return 2.0 * (np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2))
 
 
 def kalman_stage2_prob(state):
@@ -332,10 +300,10 @@ def kalman_stage2_prob(state):
     |(c1 c4)^2 - (c2 c3)^2|^2 / (2 (|c2 c3|^2 + |c1 c4|^2)^2), raising
     ValueError when the stage-1 probability of any row vanishes.
     """
-    c, single = _as_batch(state)
+    c = _as_batch(state)
     u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
     denom = 2.0 * np.float_power(np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2), 2)
     vanished = np.flatnonzero(denom == 0.0)
     if vanished.size:
         raise ValueError(f"undefined: stage-1 success probability vanishes in row {vanished[0]}")
-    return _unbatch(np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom, single)
+    return np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom

@@ -177,9 +177,10 @@ def known_basis_average_quadrature() -> float:
     polynomial integrand; the analytic value is 1/5.
     """
     nodes, weights = leggauss(3)
+    lams = 0.75 + 0.25 * nodes
+    bounds = schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
     return 0.25 * math.fsum(
-        w * (schmidt_pair_bound(math.sqrt(lam), math.sqrt(1.0 - lam)) * schmidt_lambda_pdf(lam))
-        for lam, w in zip(0.75 + 0.25 * nodes, weights)
+        w * (bound * schmidt_lambda_pdf(lam)) for lam, w, bound in zip(lams, weights, bounds)
     )
 
 

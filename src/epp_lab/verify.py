@@ -140,7 +140,7 @@ def criterion_02(seed: int) -> list:
     p1 = protocols.kalman_stage1_prob(states)
     # the conditional second round is undefined where p1 = 0; measure-zero event
     ok = p1 != 0.0
-    achieved = protocols.full_pipeline(states, params).success_prob[ok]
+    achieved = protocols.full_pipeline(states, params).success_prob[0, ok]
     closed = protocols.four_copy_bell_bound(states[ok])
     # float_power squares through pow, as p1**2 on one float does
     two_round = np.float_power(p1[ok], 2) * protocols.kalman_stage2_prob(states[ok])

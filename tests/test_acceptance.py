@@ -48,6 +48,26 @@ PINNED_SHA256 = {
         "d41c47f23ec78cda6456a8fce660eba2873043dce973d33d84dd840bf7d57f1a",
 }
 
+# sha256 of the stdout of one-state commands, which read row [0] or [0, 0] of
+# the protocols results; the first two simulate runs print "undefined" for an
+# all-zero output row, stage 1's and the pipeline's, and the known-basis
+# haar-average prints the quadrature's analytic value
+S = "0.3+0.2j 0.5-0.1j 0.4j 0.6708203932499369"
+PINNED_STDOUT_SHA256 = {
+    ("bounds", "--state", "1 0 0 0"):
+        "d794015bdd7b6cc14a78d7026a8d564f9b7417164fe4d180ecc8a6d740192e4d",
+    ("bounds", "--state", S):
+        "dd5527f56f29f0bba9fc767c29ebd83d989636994f441896d58f14c7f2d47adc",
+    ("simulate", "--state", "1 0 0 0"):
+        "fab1c58b901841383113828c06f5bb8e2b2494221e4633fb8b8c4fb984282bfa",
+    ("simulate", "--lambda", "0.5", "--a", "0.8", "--b", "0"):
+        "b3cd20fcd07566181be97b77a5f29cafa741fd693b3d1e153d8a339f4ba9e1b7",
+    ("simulate", "--state", S, "--a", "0.5", "--b", "0.7"):
+        "9071ad40f6e03189956ebc31ac8dc151237f4d41c9c2c6270fb672f71a6ac0e0",
+    ("haar-average", "--mode", "known-basis", "--samples", "1000", "--seed", "3"):
+        "5a265287076ba08224039b01f167b28fd75947bee24be565b8dfe5c2792113c7",
+}
+
 
 def _check(number: int, rows) -> None:
     ok = all(r.passed for r in rows)
@@ -153,6 +173,17 @@ def test_pinned_outputs(argv, tmp_path, capsys):
     cli.main([*argv, "--out", str(out)])
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv", PINNED_STDOUT_SHA256,
+    ids=["bounds-product", "bounds-complex", "simulate-undefined-stage1",
+         "simulate-undefined-pipeline", "simulate-complex", "haar-known-basis"],
+)
+def test_pinned_stdout(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
 
 
 def test_c11_deterministic_verify(tmp_path):

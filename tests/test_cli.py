@@ -167,6 +167,34 @@ def test_f_grid_csv(tmp_path, capsys):
     assert 0 < n_physical < sum(line.split(",")[2] == "1" for line in lines[1:])
 
 
+def test_f_grid_stdout_equals_out_file(tmp_path, capsys):
+    path = tmp_path / "fgrid.csv"
+    run_cli(capsys, "f-grid", "--grid", "9", "--out", str(path))
+    _, out, _ = run_cli(capsys, "f-grid", "--grid", "9")
+    assert out == path.read_text()
+
+
+def f_grid_peak_rss_mb(grid: int) -> float:
+    """Peak RSS of one `f-grid` child writing its CSV to stdout, from wait4."""
+    src = Path(epp_lab.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epp_lab", "f-grid", "--grid", str(grid)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
+def test_f_grid_memory_is_flat_in_grid():
+    """16 times the rows must not cost more than a few MB: the CSV is written
+    one |a| row at a time, never held whole (about 0.23 KB a line)."""
+    small, large = f_grid_peak_rss_mb(100), f_grid_peak_rss_mb(400)
+    assert large - small <= 5.0, (small, large)
+
+
 def test_csv_floats_round_trip(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     run_cli(capsys, "vidal-curve", "--grid", "5", "--out", str(path))

@@ -140,6 +140,12 @@ def test_fidelity_phase_invariance():
 def test_fidelity_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         fidelity_up_to_phase(basis_state(1, "0"), basis_state(2, "00"))
+    # two empty vectors are no states, and a 2-D array is no vector even
+    # when its size matches
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        fidelity_up_to_phase([], [])
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        fidelity_up_to_phase([[1, 0], [0, 0]], [1, 0, 0, 0])
 
 
 def test_state_validation():
@@ -147,6 +153,9 @@ def test_state_validation():
         as_state([1.0, 1.0, 0, 0])
     with pytest.raises(ValueError):
         as_state([1.0, 0.0, 0.0])
+    # four normalized amplitudes in a 2x2 nesting are not a flat state
+    with pytest.raises(ValueError, match="flat"):
+        as_state([[0.6, 0], [0, 0.8]])
     with pytest.raises(ValueError):
         n_qubits(3)
     s = schmidt_state(np.sqrt(0.25), np.sqrt(0.75))

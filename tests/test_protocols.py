@@ -57,15 +57,17 @@ STATE_CLOSED_FORMS = (
 
 def test_stage1_product_input_fails():
     result = stage1(as_state([1, 0, 0, 0]), CANONICAL_PARAMS)
-    assert result.success_prob == 0.0
-    assert result.output is None
+    assert result.success_prob[0, 0] == 0.0
+    assert not result.output[0, 0].any()
 
 
 def test_stage1_bell_input():
     result = stage1(bell_phi_plus(), CANONICAL_PARAMS)
-    assert result.success_prob == pytest.approx(0.5, abs=1e-12)
-    assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
-    assert not result.product_output
+    assert result.success_prob[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert fidelity_up_to_phase(result.output[0, 0], bell_phi_plus()) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    assert not result.product_output[0, 0]
 
 
 @given(seeds, seeds)
@@ -78,36 +80,40 @@ def test_stage1_closed_form(state_seed, param_seed):
     u = c[0] * c[3] + c[1] * c[2]
     w = c[0] * c[3] - c[1] * c[2]
     expected = 4 * abs(p.a) ** 4 * abs(u) ** 2 + 4 * abs(p.b) ** 4 * abs(w) ** 2
-    assert result.success_prob == pytest.approx(expected, abs=1e-12)
-    assert result.stage_probs == [result.success_prob]
-    if result.output is not None:
-        # output lives in the {|00>, |11>} plane
-        assert abs(result.output[1]) <= 1e-12
-        assert abs(result.output[2]) <= 1e-12
+    assert result.success_prob[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert len(result.stage_probs) == 1
+    assert np.array_equal(result.stage_probs[0], result.success_prob)
+    # output lives in the {|00>, |11>} plane; an undefined one is all zero
+    assert abs(result.output[0, 0, 1]) <= 1e-12
+    assert abs(result.output[0, 0, 2]) <= 1e-12
 
 
 def test_stage1_degenerate_params_product_output():
     result = stage1(bell_phi_plus(), KrausParams(0.6, 0))
-    assert result.success_prob > 0
-    assert result.product_output
+    assert result.success_prob[0, 0] > 0
+    assert result.product_output[0, 0]
 
 
 def test_stage2_balanced_pair():
     result = stage2(schmidt_state(np.sqrt(0.5), np.sqrt(0.5)))
-    assert result.success_prob == pytest.approx(0.5, abs=1e-12)
-    assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
+    assert result.success_prob[0] == pytest.approx(0.5, abs=1e-12)
+    assert fidelity_up_to_phase(result.output[0], bell_phi_plus()) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_stage2_unbalanced_pair():
     result = stage2(schmidt_state(np.sqrt(0.8), np.sqrt(0.2)))
-    assert result.success_prob == pytest.approx(0.32, abs=1e-12)
-    assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
+    assert result.success_prob[0] == pytest.approx(0.32, abs=1e-12)
+    assert fidelity_up_to_phase(result.output[0], bell_phi_plus()) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_stage2_product_input_fails_cleanly():
     result = stage2(as_state([1, 0, 0, 0]))
-    assert result.success_prob == 0.0
-    assert result.output is None
+    assert result.success_prob[0] == 0.0
+    assert not result.output[0].any()
 
 
 def test_stage2_rejects_wrong_basis():
@@ -122,8 +128,8 @@ def test_stage2_is_stage1_at_symmetric_point():
     batch = np.array([schmidt_state(np.sqrt(lam), np.sqrt(1 - lam)) for lam in lams])
     batch[7, 1] = 1e-11  # within the basis tolerance
     second, first = stage2(batch), stage1(batch, CANONICAL_PARAMS)
-    assert np.array_equal(second.success_prob, first.success_prob)
-    assert np.array_equal(second.output, first.output)
+    assert np.array_equal(second.success_prob, first.success_prob[0])
+    assert np.array_equal(second.output, first.output[0])
     assert not second.product_output.any() and not first.product_output.any()
 
 
@@ -134,28 +140,32 @@ def test_stage2_saturates_pair_bound(seed):
     lam = rng.uniform(0.01, 0.99)
     alpha, beta = np.sqrt(lam), np.sqrt(1 - lam)
     result = stage2(schmidt_state(alpha, beta))
-    assert result.success_prob == pytest.approx(schmidt_pair_bound(alpha, beta), abs=1e-10)
-    assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(1.0, abs=1e-10)
+    assert result.success_prob[0] == pytest.approx(schmidt_pair_bound(alpha, beta)[0], abs=1e-10)
+    assert fidelity_up_to_phase(result.output[0], bell_phi_plus()) == pytest.approx(
+        1.0, abs=1e-10
+    )
 
 
 def test_full_pipeline_bell_input():
     result = full_pipeline(bell_phi_plus(), CANONICAL_PARAMS)
-    assert result.success_prob == pytest.approx(0.125, abs=1e-12)
-    assert result.stage_probs == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
-    assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
+    assert result.success_prob[0, 0] == pytest.approx(0.125, abs=1e-12)
+    assert [p[0, 0] for p in result.stage_probs] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+    assert fidelity_up_to_phase(result.output[0, 0], bell_phi_plus()) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_full_pipeline_product_input():
     result = full_pipeline(as_state([0, 1, 0, 0]), CANONICAL_PARAMS)
-    assert result.success_prob == 0.0
-    assert result.output is None
-    assert result.product_output
+    assert result.success_prob[0, 0] == 0.0
+    assert not result.output[0, 0].any()
+    assert result.product_output[0, 0]
 
 
 def test_full_pipeline_degenerate_params():
     result = full_pipeline(bell_phi_plus(), KrausParams(0.6, 0))
-    assert result.success_prob == 0.0
-    assert result.output is None
+    assert result.success_prob[0, 0] == 0.0
+    assert not result.output[0, 0].any()
 
 
 @given(seeds)
@@ -163,12 +173,13 @@ def test_full_pipeline_degenerate_params():
 def test_full_pipeline_matches_closed_form(seed):
     c = random_state(seed)
     result = full_pipeline(c, CANONICAL_PARAMS)
-    assert result.success_prob == pytest.approx(four_copy_bell_bound(c), abs=1e-10)
-    p1, p1b, p2 = result.stage_probs
+    success = result.success_prob[0, 0]
+    assert success == pytest.approx(four_copy_bell_bound(c)[0], abs=1e-10)
+    p1, p1b, p2 = (p[0, 0] for p in result.stage_probs)
     assert p1 == p1b
-    assert result.success_prob == pytest.approx(p1 * p1b * p2, abs=1e-12)
-    if result.output is not None:
-        assert fidelity_up_to_phase(result.output, bell_phi_plus()) == pytest.approx(
+    assert success == pytest.approx(p1 * p1b * p2, abs=1e-12)
+    if result.output[0, 0].any():
+        assert fidelity_up_to_phase(result.output[0, 0], bell_phi_plus()) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -179,7 +190,7 @@ def test_full_pipeline_never_beats_four_copy_bound(state_seed, param_seed):
     c = random_state(state_seed)
     p = random_params(param_seed)
     result = full_pipeline(c, p)
-    assert result.success_prob <= four_copy_bell_bound(c) + 1e-9
+    assert result.success_prob[0, 0] <= four_copy_bell_bound(c)[0] + 1e-9
 
 
 def test_schmidt_pair_bound_values():
@@ -302,22 +313,44 @@ def mixed_batch(seed):
     return batch[rng.permutation(len(batch))]
 
 
+def assert_one_shape(result, shape):
+    """Every field is an array with the given leading shape, never a float or None;
+    an output row is all zero where the success probability vanishes, else normalized."""
+    for f in (result.success_prob, result.product_output, *result.stage_probs):
+        assert isinstance(f, np.ndarray) and f.shape == shape
+    assert isinstance(result.output, np.ndarray) and result.output.shape == shape + (4,)
+    assert result.product_output.dtype == bool
+    norms = np.linalg.norm(result.output, axis=-1)
+    assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-12))
+    assert not result.output[result.success_prob == 0.0].any()
+
+
 def assert_batch_equals_rows(run, batch):
+    """Row k of a batch is bitwise the batch of one that holds row k alone.
+
+    The leading shape is (1,) for stage1 and full_pipeline under one
+    KrausParams and () for stage2, so a (4,) state gives (1, 1) or (1,) fields.
+    """
     result = run(batch)
     rows = [run(c) for c in batch]
-    assert np.array_equal(result.success_prob, [r.success_prob for r in rows])
-    assert np.array_equal(np.transpose(result.stage_probs), [r.stage_probs for r in rows])
-    assert np.array_equal(result.product_output, [r.product_output for r in rows])
-    undefined = np.zeros(4, dtype=complex)
-    assert np.array_equal(
-        result.output, [undefined if r.output is None else r.output for r in rows]
-    )
+    lead = result.success_prob.shape[:-1]
+    assert_one_shape(result, lead + (len(batch),))
+    for r in rows:
+        assert_one_shape(r, lead + (1,))
+    # join the batches of one along the state axis
+    axis = len(lead)
+    for name in ("success_prob", "product_output", "output"):
+        joined = np.concatenate([getattr(r, name) for r in rows], axis)
+        assert np.array_equal(getattr(result, name), joined)
+    joined = np.concatenate([r.stage_probs for r in rows], axis + 1)
+    assert np.array_equal(result.stage_probs, joined)
 
 
 @given(seeds, st.sampled_from(["random", "canonical", "a_only", "b_only"]))
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_row_by_row(seed, kind):
-    """An (n, 4) batch gives bitwise the single-state results, row by row."""
+    """An (n, 4) batch gives bitwise the batches of one, row by row, and every
+    result has one shape whatever the input's."""
     params = {
         "random": random_params(seed),
         "canonical": CANONICAL_PARAMS,
@@ -328,36 +361,39 @@ def test_batch_equals_row_by_row(seed, kind):
     assert_batch_equals_rows(lambda c: stage1(c, params), batch)
     assert_batch_equals_rows(lambda c: full_pipeline(c, params), batch)
     # stage-2 inputs: the defined stage-1 outputs plus failing |00>-only rows
-    first = stage1(batch, params)
-    defined = first.output[np.any(first.output != 0, axis=1)]
+    first = stage1(batch, params).output[0]
+    defined = first[np.any(first != 0, axis=1)]
     basis = np.vstack([defined, [[1, 0, 0, 0]], [[0, 0, 0, 1]]])
     assert_batch_equals_rows(stage2, basis)
-    # closed forms: an (n,) array whose row k is bitwise the float for row k
-    defined_p1 = batch[np.array([kalman_stage1_prob(c) for c in batch]) != 0.0]
+    # closed forms: an (n,) array whose row k is bitwise the (1,) array for row k
+    defined_p1 = batch[kalman_stage1_prob(batch) != 0.0]
     for closed_form in STATE_CLOSED_FORMS:
         rows = defined_p1 if closed_form is kalman_stage2_prob else batch
-        assert np.array_equal(closed_form(rows), [closed_form(c) for c in rows])
+        singles = [closed_form(c) for c in rows]
+        assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in singles)
+        assert np.array_equal(closed_form(rows), np.concatenate(singles))
+    # two scalars are a Schmidt pair of one
     alpha, beta = basis[:, 0], basis[:, 3]
-    assert np.array_equal(
-        schmidt_pair_bound(alpha, beta), [schmidt_pair_bound(a, b) for a, b in zip(alpha, beta)]
-    )
+    singles = [schmidt_pair_bound(a, b) for a, b in zip(alpha, beta)]
+    assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in singles)
+    assert np.array_equal(schmidt_pair_bound(alpha, beta), np.concatenate(singles))
 
 
 def assert_stack_equals_single_calls(run, batch, pairs):
     """Entry [p, k] of a stacked run is bitwise the single-pair, single-state run."""
     result = run(batch, pairs)
     single_state = run(batch[0], pairs)
+    assert single_state.success_prob.shape == (len(pairs), 1)
     for p, params in enumerate(pairs):
         for k, c in enumerate(batch):
             one = run(c, params)
-            assert result.success_prob[p, k] == one.success_prob
-            assert [q[p, k] for q in result.stage_probs] == one.stage_probs
-            assert result.product_output[p, k] == one.product_output
-            expected = np.zeros(4, dtype=complex) if one.output is None else one.output
-            assert np.array_equal(result.output[p, k], expected)
+            assert result.success_prob[p, k] == one.success_prob[0, 0]
+            assert [q[p, k] for q in result.stage_probs] == [q[0, 0] for q in one.stage_probs]
+            assert result.product_output[p, k] == one.product_output[0, 0]
+            assert np.array_equal(result.output[p, k], one.output[0, 0])
             if k == 0:
-                assert single_state.success_prob[p] == one.success_prob
-                assert np.array_equal(single_state.output[p], expected)
+                assert single_state.success_prob[p, 0] == one.success_prob[0, 0]
+                assert np.array_equal(single_state.output[p, 0], one.output[0, 0])
 
 
 @given(seeds)
