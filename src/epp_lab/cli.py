@@ -207,16 +207,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_vidal_curve(args) -> int:
-    lines = ["lambda,p_vidal,p_universal"]
+def _vidal_curve_blocks(n: int):
+    """The vidal-curve CSV in blocks of 1024 lines, so memory does not grow with n."""
+    block = 1024
+    yield "lambda,p_vidal,p_universal\n"
     target = vidal.embedded_bell_coeffs()
-    n = args.grid
-    for k in range(1, n + 1):
-        lam = 0.5 + 0.5 * k / (n + 1)
-        p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), target)
-        p_u = vidal.universal_two_copy_prob(lam)
-        lines.append(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}")
-    _write_lines(args.out, ["\n".join(lines) + "\n"])
+    for first in range(1, n + 1, block):
+        lines = []
+        for k in range(first, min(first + block, n + 1)):
+            lam = 0.5 + 0.5 * k / (n + 1)
+            p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), target)
+            p_u = vidal.universal_two_copy_prob(lam)
+            lines.append(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}\n")
+        yield "".join(lines)
+
+
+def cmd_vidal_curve(args) -> int:
+    _write_lines(args.out, _vidal_curve_blocks(args.grid))
     return 0
 
 

@@ -174,11 +174,11 @@ def test_f_grid_stdout_equals_out_file(tmp_path, capsys):
     assert out == path.read_text()
 
 
-def f_grid_peak_rss_mb(grid: int) -> float:
-    """Peak RSS of one `f-grid` child writing its CSV to stdout, from wait4."""
+def grid_peak_rss_mb(command: str, grid: int) -> float:
+    """Peak RSS of one `vidal-curve` or `f-grid` child writing its CSV to stdout, from wait4."""
     src = Path(epp_lab.__file__).resolve().parent.parent
     proc = subprocess.Popen(
-        [sys.executable, "-m", "epp_lab", "f-grid", "--grid", str(grid)],
+        [sys.executable, "-m", "epp_lab", command, "--grid", str(grid)],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.DEVNULL,
     )
@@ -191,7 +191,15 @@ def f_grid_peak_rss_mb(grid: int) -> float:
 def test_f_grid_memory_is_flat_in_grid():
     """16 times the rows must not cost more than a few MB: the CSV is written
     one |a| row at a time, never held whole (about 0.23 KB a line)."""
-    small, large = f_grid_peak_rss_mb(100), f_grid_peak_rss_mb(400)
+    small, large = grid_peak_rss_mb("f-grid", 100), grid_peak_rss_mb("f-grid", 400)
+    assert large - small <= 5.0, (small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
+def test_vidal_curve_memory_is_flat_in_grid():
+    """100 times the rows must not cost more than a few MB: the CSV is written
+    1024 lines at a time, never held whole (about 0.2 KB a line)."""
+    small, large = grid_peak_rss_mb("vidal-curve", 400), grid_peak_rss_mb("vidal-curve", 40_000)
     assert large - small <= 5.0, (small, large)
 
 
@@ -357,10 +365,12 @@ def test_corrupt_kraus_hook_fails_kill_vectors():
 
 def test_cold_import_skips_scipy_integrate():
     """The CLI's cold start loads no scipy module at all: scipy.special alone
-    costs ~0.4 s and ~24 MB, and only Gaussian draws need it.  Neither the
-    import nor a bounds run, each in a fresh child, may load scipy*."""
+    costs ~0.4 s and ~24 MB, and only Gaussian draws need it.  Nor does it
+    load concurrent.futures (6-8 ms); the Monte Carlo helper thread uses
+    threading, which numpy already loads.  Neither the import nor a bounds
+    run, each in a fresh child, may load scipy* or concurrent*."""
     src = str(Path(epp_lab.__file__).resolve().parent.parent)
-    report = "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    report = "print([m for m in sys.modules if m.partition('.')[0] in ('scipy', 'concurrent')])"
     for run in ("", "epp_lab.cli.main(['bounds', '--lambda', '0.3'])"):
         code = f"import sys, epp_lab.cli\n{run}\n{report}"
         out = subprocess.run(

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from scipy.stats import kstest
 import epp_lab
 from epp_lab import sampling
 from epp_lab.kraus import CANONICAL_PARAMS
-from epp_lab.protocols import four_copy_bell_bound, full_pipeline, phase_term
+from epp_lab.protocols import four_copy_bell_bound, full_pipeline, phase_term, schmidt_pair_bound
 from epp_lab.sampling import (
     KNOWN_BASIS_RNG_ALGORITHM,
     RNG_ALGORITHM,
@@ -340,12 +342,98 @@ def per_sample_values(monkeypatch, estimator, n, seed):
     return seen[0]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4096, 5001])
+@pytest.mark.parametrize("chunk", [1, 3, 2499, 4096, 5001])
 def test_estimates_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    """The default chunk runs serially; chunks 1, 3 and 2499 (n = 2 * 2499 + 2)
+    take the threaded path, where two threads share the chunks."""
     n = 5000
     expected = [estimator(n, 8) for estimator in ESTIMATORS]
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
     assert [estimator(n, 8) for estimator in ESTIMATORS] == expected
+
+
+def one_block_values(estimator, n, seed):
+    """An estimator's per-sample values from one unchunked block of the stream."""
+    if estimator is known_basis_average_mc:
+        lams = _lambda_from_uniform(uniform_block(seed, n, 1)[:, 0])
+        return schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
+    closed_form = four_copy_bell_bound if estimator is unknown_basis_average_mc else phase_term
+    return closed_form(haar_state_block(seed, n))
+
+
+CHUNK = sampling._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 5],
+                         ids=["serial", "threaded", "threaded-ragged"])
+@pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
+def test_threaded_values_are_one_block_bitwise(monkeypatch, estimator, n):
+    """Which thread ran which chunk moves no bit of any value or estimate."""
+    values = per_sample_values(monkeypatch, estimator, n, 9)
+    expected = one_block_values(estimator, n, 9)
+    assert np.array_equal(values, expected)
+    est = estimator(n, 9)
+    assert est == _estimate(expected, 9, est.algorithm)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
+def test_no_thread_starts_for_two_chunks(monkeypatch, estimator):
+    def no_thread(*args, **kwargs):
+        raise RuntimeError("a thread was started")
+
+    monkeypatch.setattr(sampling.threading, "Thread", no_thread)
+    assert estimator(2 * CHUNK, 3).n_samples == 2 * CHUNK
+    with pytest.raises(RuntimeError, match="a thread was started"):
+        estimator(2 * CHUNK + 1, 3)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+def test_chunk_error_stops_both_threads(monkeypatch, error, on_caller):
+    """The first exception in either thread reaches the caller unchanged, the
+    helper is joined, and at most two chunks start after the failing one."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 4)
+    started, failed = [], []
+
+    def chunk_values(start, k):
+        started.append(start)
+        here = threading.current_thread() is threading.main_thread()
+        if not failed and start >= 20 and here == on_caller:
+            failed.append(start)
+            raise error(f"chunk {start}")
+        time.sleep(0.001)  # lets the other thread take chunks
+        return np.full(k, float(start))
+
+    before = threading.active_count()
+    with pytest.raises(error, match=r"^chunk \d+$") as info:
+        sampling._per_sample(800, chunk_values)
+    assert str(info.value) == f"chunk {failed[0]}"
+    assert threading.active_count() == before
+    assert len(started) - started.index(failed[0]) - 1 <= 2
+    # the chunks before the failure ran on both threads
+    assert len(started) >= 6
+
+
+def test_threads_take_each_chunk_once(monkeypatch):
+    """Under a very short switch interval each chunk start is still handed
+    out exactly once and each slice written by the thread that took it."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 3)
+    taken, threads = [], set()
+
+    def chunk_values(start, k):
+        taken.append(start)
+        threads.add(threading.get_ident())
+        return np.arange(start, start + k, dtype=float)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values = sampling._per_sample(30_001, chunk_values)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(values, np.arange(30_001.0))
+    assert sorted(taken) == list(range(0, 30_001, 3))
+    assert len(threads) == 2
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, sampling._CHUNK_ROWS])
