@@ -13,6 +13,10 @@ import argparse
 import os
 import sys
 
+# OpenBLAS starts a spinning thread pool at import that never gets work here:
+# the largest product is a stacked 16 x 16 matrix-vector product
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import protocols, sampling, vidal
@@ -22,7 +26,7 @@ from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
-# haar-average keeps 8 bytes per sample, so this caps its values at 800 MB
+# bounds time (10**8 unknown-basis samples: about 100 s); memory is flat in it
 MAX_SAMPLES = 10**8
 
 # CLI inputs tolerate slightly stale normalization; anything past this is an error

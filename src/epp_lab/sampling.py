@@ -10,15 +10,15 @@ CDF applied to those uniforms (fixed draw count per sample, unlike
 rejection-based generators).  The Gaussian scale is irrelevant after
 normalization, so unit variance is used.
 
-The estimators draw and evaluate _CHUNK_ROWS rows at a time into one (n,)
-array of per-sample values, and `_estimate` reduces it with `math.fsum`,
-which rounds the exact sum once.  Estimates are therefore bitwise the same
-for every chunk size.  Above 2 * _CHUNK_ROWS samples two threads fill the
-array, each taking the next chunk start from one shared iterator and
-writing its own slice; since row i depends on (seed, i) alone, a result
-does not depend on which thread ran which chunk.  Runs of at most
-2 * _CHUNK_ROWS samples start no thread.  Memory is 8 bytes per sample
-plus the workspace of two 8 192-row chunks.
+The estimators draw and evaluate _CHUNK_ROWS rows at a time and add each
+chunk into an exact integer accumulator, rounded once as `math.fsum`
+rounds, so estimates are bitwise the same for every chunk size.  Above
+2 * _CHUNK_ROWS samples two threads take chunks from one shared iterator;
+since row i depends on (seed, i) alone, no result depends on which thread
+ran which chunk.  A second pass sums the squared deviations from the
+mean, over the values held by the first pass up to 2**22 samples (32 MB),
+and above that over chunks drawn again, at about one more fill's cost.
+Memory is thus flat in the sample count.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,6 +41,9 @@ _STREAM_DRAWS = 2**258
 # rows drawn and evaluated per step of a Monte Carlo estimator; two chunks
 # are in flight at once on the threaded path
 _CHUNK_ROWS = 8_192
+# runs of up to this many samples keep their values (32 MB) for the second
+# pass; longer runs draw them again
+_HOLD_MAX = 2**22
 
 
 def _check_int(value, name: str) -> int:
@@ -143,32 +145,57 @@ class MonteCarloEstimate:
         return abs(self.mean - target) <= k * self.std_error
 
 
-def _per_sample(n_samples, chunk_values) -> np.ndarray:
-    """(n,) per-sample values; chunk_values(start, k) gives rows [start, start + k).
+def _exact_total(x) -> int:
+    """The exact sum of a float64 array times 2**1075, as a Python int.
+
+    A finite double is m * 2**(e - 1075) for its signed 53-bit significand
+    m and exponent field e (subnormals: e = 1, no implicit bit).  Per
+    exponent, bincount sums m >> 26 and m & (2**26 - 1); over at most 2**24
+    rows a bucket stays below 2**53, so its float weights add exactly.
+    """
+    bits = np.ravel(np.asarray(x, dtype=np.float64)).view(np.int64)
+    total = 0
+    for i in range(0, bits.size, 2**24):
+        b = bits[i:i + 2**24]
+        e = (b >> 52) & 0x7FF
+        if (e == 0x7FF).any():
+            raise ValueError("per-sample values must be finite")
+        m = (b & (2**52 - 1)) | ((e != 0).astype(np.int64) << 52)
+        sign = b >> 63
+        m = (m ^ sign) - sign
+        e = np.maximum(e, 1)
+        high = np.bincount(e, weights=m >> 26, minlength=2048)
+        low = np.bincount(e, weights=m & (2**26 - 1), minlength=2048)
+        for j in np.flatnonzero(high.astype(bool) | low.astype(bool)).tolist():
+            total += ((int(high[j]) << 26) + int(low[j])) << j
+    return total
+
+
+def _sum_chunks(n: int, chunk_values) -> int:
+    """_exact_total of chunk_values(start, k), rows [start, start + k), over rows [0, n).
 
     Above 2 * _CHUNK_ROWS rows the calling thread and one helper thread take
-    chunk starts from one shared iterator, so the draws and closed forms,
-    which run in native code, use both cores.  The first exception in
-    either thread, KeyboardInterrupt included, stops both from starting
-    another chunk; the helper is joined and the exception re-raised here.
+    chunk starts from one shared iterator and each sums into its own exact
+    integer.  The first exception in either thread, KeyboardInterrupt
+    included, stops both from starting another chunk; the helper is joined
+    and the exception re-raised here.
     """
-    n = _check_count(n_samples, "n_samples")
-    values = np.empty(n)
     starts = iter(range(0, n, _CHUNK_ROWS))
     lock = threading.Lock()
-    errors = []
+    errors, totals = [], []
 
     def fill():
+        total = 0
         try:
             while not errors:
                 with lock:
                     start = next(starts, None)
                 if start is None:
-                    return
-                k = min(_CHUNK_ROWS, n - start)
-                values[start:start + k] = chunk_values(start, k)
+                    break
+                total += _exact_total(chunk_values(start, min(_CHUNK_ROWS, n - start)))
         except BaseException as exc:  # re-raised by the calling thread below
             errors.append(exc)
+        totals.append(total)
 
     helper = None
     if n > 2 * _CHUNK_ROWS:
@@ -181,26 +208,35 @@ def _per_sample(n_samples, chunk_values) -> np.ndarray:
             helper.join()
     if errors:
         raise errors[0]
-    return values
+    return sum(totals)
 
 
-def _estimate(values, seed: int, algorithm: str = RNG_ALGORITHM) -> MonteCarloEstimate:
-    """Mean and standard error of a 1-D array of per-sample values."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
+def _mc_estimate(n_samples, seed, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarloEstimate:
+    """Mean and standard error of the values chunk_values(start, k) gives for
+    rows [start, start + k), over rows [0, n_samples)."""
+    n = _check_count(n_samples, "n_samples")
     if n == 0:
         raise ValueError("need at least one sample")
-    starts = range(0, n, _CHUNK_ROWS)
-    # fsum: exactly rounded, so the reduction is order- and chunk-independent
-    mean = math.fsum(chain.from_iterable(values[i:i + _CHUNK_ROWS].tolist() for i in starts)) / n
-    if n == 1:
-        return MonteCarloEstimate(
-            mean=mean, std_error=float("nan"), n_samples=1, seed=seed, algorithm=algorithm
-        )
-    # float_power squares through libm pow, as float ** 2 does
-    var = math.fsum(chain.from_iterable(
-        np.float_power(values[i:i + _CHUNK_ROWS] - mean, 2).tolist() for i in starts
-    )) / (n - 1)
+    # rows past the end of the Philox stream raise here, before any chunk runs
+    chunk_values(n - 1, 1)
+    held = np.empty(n) if n <= _HOLD_MAX else None
+
+    def values(start, k):
+        v = chunk_values(start, k)
+        if held is not None:
+            held[start:start + k] = v
+        return v
+
+    # int / int rounds correctly, so this is bitwise math.fsum(values) / n
+    mean = _sum_chunks(n, values) / 2**1075 / n
+
+    def squared_deviations(start, k):
+        v = chunk_values(start, k) if held is None else held[start:start + k]
+        # float_power squares through libm pow, as float ** 2 does
+        return np.float_power(v - mean, 2)
+
+    # one sample has no standard error: NaN
+    var = math.nan if n == 1 else _sum_chunks(n, squared_deviations) / 2**1075 / (n - 1)
     return MonteCarloEstimate(
         mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed, algorithm=algorithm
     )
@@ -226,7 +262,7 @@ def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     def chunk(start, k):
         lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
         return schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
-    return _estimate(_per_sample(n_samples, chunk), seed, KNOWN_BASIS_RNG_ALGORITHM)
+    return _mc_estimate(n_samples, seed, chunk, KNOWN_BASIS_RNG_ALGORITHM)
 
 
 def unknown_basis_average_exact() -> float:
@@ -243,10 +279,9 @@ def unknown_basis_average_exact() -> float:
 
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
-    values = _per_sample(
-        n_samples, lambda start, k: four_copy_bell_bound(haar_state_block(seed, k, start))
+    return _mc_estimate(
+        n_samples, seed, lambda start, k: four_copy_bell_bound(haar_state_block(seed, k, start))
     )
-    return _estimate(values, seed)
 
 
 def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
@@ -255,7 +290,6 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     The term equals x1 x2 x3 x4 cos(eta) with eta = 2(th1 + th4 - th2 - th3),
     and eta is uniform given the magnitudes.
     """
-    values = _per_sample(
-        n_samples, lambda start, k: phase_term(haar_state_block(seed, k, start))
+    return _mc_estimate(
+        n_samples, seed, lambda start, k: phase_term(haar_state_block(seed, k, start))
     )
-    return _estimate(values, seed)

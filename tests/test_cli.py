@@ -379,3 +379,28 @@ def test_cold_import_skips_scipy_integrate():
         ).stdout
         assert out.strip().splitlines()[-1] == "[]"
         assert ("four_copy_bell_bound = " in out) == bool(run)
+
+
+def test_package_import_loads_no_numpy():
+    """`python -m epp_lab` runs epp_lab/__init__ before the CLI, so it must
+    not load numpy before cli.py has set OPENBLAS_NUM_THREADS."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, epp_lab; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_defaults_to_one_blas_thread(preset, expected):
+    """The CLI asks OpenBLAS for one thread unless the user chose a number."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, epp_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == expected

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import kstest
@@ -22,7 +23,6 @@ from epp_lab.sampling import (
     KNOWN_BASIS_RNG_ALGORITHM,
     RNG_ALGORITHM,
     MonteCarloEstimate,
-    _estimate,
     _lambda_from_uniform,
     dirichlet_moment_exact,
     haar_state_block,
@@ -267,7 +267,7 @@ def test_pipeline_route_matches_closed_form_route():
     closed = four_copy_bell_bound(states)
     assert np.max(np.abs(pipeline - closed)) < 1e-10
     # the estimator is the closed form on the seeded block
-    assert unknown_basis_average_mc(300, seed=9) == _estimate(closed, 9)
+    assert unknown_basis_average_mc(300, seed=9) == estimate_of(closed, 9)
 
 
 def test_phase_term_averages_to_zero():
@@ -289,15 +289,23 @@ def test_mc_determinism():
 
 # ------------------------------------------------------------ estimator core
 
+def estimate_of(values, seed, algorithm=RNG_ALGORITHM):
+    """The estimator body run on given per-sample values, sliced per chunk."""
+    values = np.asarray(values, dtype=float)
+    return sampling._mc_estimate(
+        values.size, seed, lambda start, k: values[start:start + k], algorithm
+    )
+
+
 def test_estimate_basic():
-    est = _estimate([1.0, 2.0, 3.0, 4.0], seed=0)
+    est = estimate_of([1.0, 2.0, 3.0, 4.0], seed=0)
     assert est.mean == pytest.approx(2.5)
     assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
     assert est.n_samples == 4
 
 
 def test_estimate_single_sample():
-    est = _estimate([0.7], seed=0)
+    est = estimate_of([0.7], seed=0)
     assert math.isnan(est.std_error)
     assert est.within_sigmas(0.7)
     assert not est.within_sigmas(0.8)
@@ -305,7 +313,35 @@ def test_estimate_single_sample():
 
 def test_estimate_empty():
     with pytest.raises(ValueError):
-        _estimate([], seed=0)
+        estimate_of([], seed=0)
+
+
+@st.composite
+def float_sums(draw):
+    """Finite doubles from subnormals to exponents near +-1000, signed zeros,
+    and a cancelling tail that negates some of them, nudged by an ulp or not."""
+    finite = st.floats(min_value=-2.0**1000, max_value=2.0**1000,
+                       allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    xs = draw(st.lists(finite | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), max_size=40))
+    for x in draw(st.lists(st.sampled_from(xs), max_size=len(xs))) if xs else []:
+        xs.append(-np.nextafter(x, draw(st.sampled_from([0.0, x, math.inf, -math.inf]))))
+    order = draw(st.permutations(range(len(xs))))
+    return np.array([xs[i] for i in order], dtype=float)
+
+
+@given(float_sums())
+@settings(max_examples=200, deadline=None)
+def test_exact_total_rounds_as_fsum(x):
+    """The bucket sum is exact, so rounding it once gives fsum's bits."""
+    assert sampling._exact_total(x) / 2**1075 == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_total_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sampling._exact_total(np.array([0.5, bad, 0.25]))
+    with pytest.raises(ValueError, match="finite"):
+        estimate_of([0.5, bad, 0.25], seed=0)
 
 
 def test_within_sigmas_width():
@@ -328,27 +364,54 @@ def reference_estimate(xs, square=lambda d: d ** 2):
 
 
 def per_sample_values(monkeypatch, estimator, n, seed):
-    """The (n,) array an estimator hands to _estimate."""
-    seen = []
-    reduce = sampling._estimate
+    """The (n,) per-sample values an estimator's first pass sums, by row."""
+    values = np.full(n, np.nan)
+    drive = sampling._sum_chunks
+    passes = []
 
-    def capture(values, *args):
-        seen.append(values.copy())
-        return reduce(values, *args)
+    def capture(n_rows, chunk_values):
+        passes.append(n_rows)
+        if len(passes) > 1:
+            return drive(n_rows, chunk_values)
 
-    monkeypatch.setattr(sampling, "_estimate", capture)
+        def record(start, k):
+            v = chunk_values(start, k)
+            values[start:start + k] = v
+            return v
+        return drive(n_rows, record)
+
+    monkeypatch.setattr(sampling, "_sum_chunks", capture)
     estimator(n, seed)
-    monkeypatch.setattr(sampling, "_estimate", reduce)
-    return seen[0]
+    monkeypatch.setattr(sampling, "_sum_chunks", drive)
+    return values
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 2499, 4096, 5001])
-def test_estimates_do_not_depend_on_chunk_size(monkeypatch, chunk):
+N_CHUNKED = 5000
+
+
+CHUNK_AND_HOLD = [
+    (1, None), (3, None), (2499, None), (4096, None), (5001, None),
+    (None, 1), (None, 3), (None, N_CHUNKED - 1), (None, N_CHUNKED),
+    (2499, 1), (2499, 3), (2499, N_CHUNKED - 1), (2499, N_CHUNKED),
+    (4096, N_CHUNKED - 1),
+]
+
+
+@pytest.mark.parametrize(
+    "chunk, hold", CHUNK_AND_HOLD,
+    ids=[f"{c}" if h is None else f"{c or 'default'}-hold{h}" for c, h in CHUNK_AND_HOLD],
+)
+def test_estimates_do_not_depend_on_chunk_size(monkeypatch, chunk, hold):
     """The default chunk runs serially; chunks 1, 3 and 2499 (n = 2 * 2499 + 2)
-    take the threaded path, where two threads share the chunks."""
-    n = 5000
+    take the threaded path, where two threads share the chunks.  With the
+    hold cap below n the second pass draws every chunk again instead of
+    reading held values, and must give the same bits."""
+    n = N_CHUNKED
     expected = [estimator(n, 8) for estimator in ESTIMATORS]
-    monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
+    if chunk is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
+    if hold is not None:
+        monkeypatch.setattr(sampling, "_HOLD_MAX", hold)
     assert [estimator(n, 8) for estimator in ESTIMATORS] == expected
 
 
@@ -373,7 +436,7 @@ def test_threaded_values_are_one_block_bitwise(monkeypatch, estimator, n):
     expected = one_block_values(estimator, n, 9)
     assert np.array_equal(values, expected)
     est = estimator(n, 9)
-    assert est == _estimate(expected, 9, est.algorithm)
+    assert est == estimate_of(expected, 9, est.algorithm)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
@@ -406,7 +469,7 @@ def test_chunk_error_stops_both_threads(monkeypatch, error, on_caller):
 
     before = threading.active_count()
     with pytest.raises(error, match=r"^chunk \d+$") as info:
-        sampling._per_sample(800, chunk_values)
+        sampling._sum_chunks(800, chunk_values)
     assert str(info.value) == f"chunk {failed[0]}"
     assert threading.active_count() == before
     assert len(started) - started.index(failed[0]) - 1 <= 2
@@ -416,7 +479,8 @@ def test_chunk_error_stops_both_threads(monkeypatch, error, on_caller):
 
 def test_threads_take_each_chunk_once(monkeypatch):
     """Under a very short switch interval each chunk start is still handed
-    out exactly once and each slice written by the thread that took it."""
+    out exactly once, each thread's total reaches the sum, and each held
+    slice is written by the thread that took it."""
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", 3)
     taken, threads = [], set()
 
@@ -428,20 +492,24 @@ def test_threads_take_each_chunk_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        values = sampling._per_sample(30_001, chunk_values)
+        total = sampling._sum_chunks(30_001, chunk_values)
+        taken_once, threads_once = sorted(taken), len(threads)
+        est = sampling._mc_estimate(30_001, 0, chunk_values)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(values, np.arange(30_001.0))
-    assert sorted(taken) == list(range(0, 30_001, 3))
-    assert len(threads) == 2
+    assert total == sum(range(30_001)) << 1075
+    # the standard error reads the held values, so it fails if a slice is wrong
+    assert (est.mean, est.std_error) == reference_estimate(list(range(30_001)))
+    assert taken_once == list(range(0, 30_001, 3))
+    assert threads_once == 2
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, sampling._CHUNK_ROWS])
 def test_estimate_is_the_scalar_reference_bitwise(monkeypatch, chunk):
-    """_estimate rounds the exact sums once, so any chunking gives the plain scalar result."""
+    """The estimator rounds the exact sums once, so any chunking gives the plain scalar result."""
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
     values = four_copy_bell_bound(haar_state_block(42, 10_000))
-    est = _estimate(values, seed=42)
+    est = estimate_of(values, seed=42)
     assert (est.mean, est.std_error) == reference_estimate(values.tolist())
 
 
@@ -450,13 +518,13 @@ def test_estimate_squares_through_pow(closed_form):
     """Deviations are squared through libm pow, as float ** 2 is.  A product
     d * d rounds differently for about one deviation in a thousand, which a
     long sum hides; in the three-sample windows where it shows in the
-    standard error, _estimate must still match the reference."""
+    standard error, the estimator must still match the reference."""
     xs = closed_form(haar_state_block(42, 10_000)).tolist()
     windows = [xs[i:i + 3] for i in range(len(xs) - 2)]
     telling = [w for w in windows if reference_estimate(w) != reference_estimate(w, lambda d: d * d)]
     assert telling
     for w in telling:
-        est = _estimate(w, seed=42)
+        est = estimate_of(w, seed=42)
         assert (est.mean, est.std_error) == reference_estimate(w)
 
 
@@ -479,12 +547,16 @@ def test_per_sample_values_are_pinned(monkeypatch, estimator, digest):
     assert hashlib.sha256(np.asarray(values, "<f8").tobytes()).hexdigest() == digest
 
 
-def peak_rss_mb(samples: int) -> float:
-    """Peak RSS of one `haar-average --mode unknown-basis` child, from wait4."""
+def peak_rss_mb(samples: int, hold_max: int | None = None) -> float:
+    """Peak RSS of one `haar-average --mode unknown-basis` child, from wait4;
+    hold_max, if given, replaces sampling._HOLD_MAX in the child."""
     src = Path(epp_lab.__file__).resolve().parent.parent
+    argv = ["haar-average", "--mode", "unknown-basis", "--samples", str(samples), "--seed", "5"]
+    code = (f"import sys\nfrom epp_lab import cli, sampling\nsampling._HOLD_MAX = {hold_max}\n"
+            f"sys.exit(cli.main({argv!r}))")
+    cmd = ["-m", "epp_lab", *argv] if hold_max is None else ["-c", code]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "epp_lab", "haar-average", "--mode", "unknown-basis",
-         "--samples", str(samples), "--seed", "5"],
+        [sys.executable, *cmd],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.DEVNULL,
     )
@@ -496,7 +568,16 @@ def peak_rss_mb(samples: int) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
 def test_memory_is_bounded_in_samples():
-    """Four times the samples must not cost more than a few MB: only the
-    8 B-per-sample value array grows, the chunk workspace does not."""
+    """Four times the samples must not cost more than a few MB: below the
+    hold cap only the 8 B-per-sample held values grow, the chunk workspace
+    does not."""
     small, large = peak_rss_mb(200_000), peak_rss_mb(800_000)
     assert large - small <= 20.0, (small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
+def test_memory_is_flat_above_the_hold_cap():
+    """Above the hold cap nothing is kept per sample: the second pass draws
+    each chunk again, so eight times the samples peak within a few MB."""
+    small, large = peak_rss_mb(200_000, 2**14), peak_rss_mb(1_600_000, 2**14)
+    assert abs(large - small) <= 5.0, (small, large)
