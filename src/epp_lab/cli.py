@@ -4,8 +4,8 @@ Commands: bounds, simulate, vidal-curve, f-grid, haar-average, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Seeded
 commands take --seed, fall back to the EPP_LAB_SEED environment variable,
 then to DEFAULT_SEED; the seed in effect is echoed in the output.
-haar-average takes at most MAX_SAMPLES samples.  CSV floats are written
-with repr, which round-trips exactly.
+haar-average takes at most sampling.MAX_SAMPLES samples.  CSV floats
+are written with repr, which round-trips exactly.
 """
 from __future__ import annotations
 
@@ -21,13 +21,11 @@ import numpy as np
 
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
-from .kraus import KrausParams, f_parameter, params_valid
+from .kraus import KrausParams, f_parameter, params_physical, params_valid
 from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
-# bounds time (10**8 unknown-basis samples: about 100 s); memory is flat in it
-MAX_SAMPLES = 10**8
 
 # CLI inputs tolerate slightly stale normalization; anything past this is an error
 _NORM_ERROR = 1e-8
@@ -184,7 +182,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     c = args.state
     params = args.params
-    if not params.physical:
+    if not params_physical(args.a, args.b):
         print("note: max(|a|, |b|) exceeds sqrt(2)/2, so the success branch is not a "
               "contraction and does not describe a physical operation", file=sys.stderr)
     lines = [
@@ -237,12 +235,10 @@ def _f_grid_blocks(n: int):
     grid = np.linspace(0.0, 1.0, n)
     labels = [_fmt(x) for x in grid]
     for a, a_label in zip(grid, labels):
-        lines = []
-        for b, b_label in zip(grid, labels):
-            valid = params_valid(a, b)
-            physical = int(valid and KrausParams(a, b).physical)
-            lines.append(f"{a_label},{b_label},{int(valid)},{_fmt(f_parameter(a, b))},{physical}\n")
-        yield "".join(lines)
+        columns = zip(labels, params_valid(a, grid).tolist(), f_parameter(a, grid).tolist(),
+                      params_physical(a, grid).tolist())
+        yield "".join(f"{a_label},{b_label},{int(valid)},{_fmt(f)},{int(physical)}\n"
+                      for b_label, valid, f, physical in columns)
 
 
 def cmd_f_grid(args) -> int:
@@ -300,8 +296,8 @@ def main(argv=None) -> int:
         parser.error("--grid must be at least 2")
     if args.command == "haar-average" and args.samples < 1:
         parser.error("--samples must be at least 1")
-    if args.command == "haar-average" and args.samples > MAX_SAMPLES:
-        parser.error(f"--samples must be at most {MAX_SAMPLES}")
+    if args.command == "haar-average" and args.samples > sampling.MAX_SAMPLES:
+        parser.error(f"--samples must be at most {sampling.MAX_SAMPLES}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
     return args.func(args)

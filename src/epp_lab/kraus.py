@@ -8,16 +8,17 @@ reorders registers so the lifted operator acts on states stored in
 
 Every function that takes operators takes a (P, ...) stack of them, and
 one operator is a stack of one; entry [p] of a result is bitwise the
-result on the stack of one K[p:p + 1].
+result on the stack of one K[p:p + 1].  A KrausParams holds P pairs, one
+pair is a stack of one.  The region tests (constraint_value, params_valid,
+f_parameter, params_physical) broadcast over arrays of pairs, bitwise per pair.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_finite, basis_state
+from .linalg import _as_array, _as_finite, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,31 +50,35 @@ def _as_stack(values, shape: tuple, what: str) -> np.ndarray:
     return stack
 
 
-def _fourth_powers(a, b) -> tuple[float, float]:
-    """|a|^4 and |b|^4, raising ValueError unless both are finite floats."""
-    try:
-        a4, b4 = abs(complex(a)) ** 4, abs(complex(b)) ** 4
-    except OverflowError:
-        raise ValueError("|a|^4 and |b|^4 must lie within the float range") from None
-    if not (math.isfinite(a4) and math.isfinite(b4)):
-        raise ValueError(f"a and b must be finite, got {a!r} and {b!r}")
+def _fourth_powers(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """|a|^4 and |b|^4 of broadcast arrays, raising ValueError unless all are finite.
+
+    hypot and libm pow round as abs() and ** do on one Python complex.
+    """
+    a, b = _as_array(a), _as_array(b)
+    with np.errstate(over="ignore"):
+        a4 = np.float_power(np.hypot(a.real, a.imag), 4)
+        b4 = np.float_power(np.hypot(b.real, b.imag), 4)
+    bad = np.flatnonzero(~(np.isfinite(a4) & np.isfinite(b4)))
+    if bad.size:
+        raise ValueError(f"|a|^4 and |b|^4 must be finite floats, not so in pair {bad[0]}")
     return a4, b4
 
 
-def constraint_value(a, b) -> float:
-    """2(|a|^4 + |b|^4); valid parameter pairs keep this at most 1."""
+def constraint_value(a, b) -> np.ndarray:
+    """2(|a|^4 + |b|^4) per pair of broadcast arrays; valid pairs keep it at most 1."""
     a4, b4 = _fourth_powers(a, b)
     return 2.0 * (a4 + b4)
 
 
-def params_valid(a, b) -> bool:
-    if a == 0 and b == 0:
-        return False
-    return constraint_value(a, b) <= 1.0 + CONSTRAINT_SLACK
+def params_valid(a, b) -> np.ndarray:
+    """Per pair: not both zero and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK."""
+    a, b = _as_array(a), _as_array(b)
+    return ~((a == 0) & (b == 0)) & (constraint_value(a, b) <= 1.0 + CONSTRAINT_SLACK)
 
 
-def f_parameter(a, b) -> float:
-    """Asymmetry f = 2 | |a|^4 - |b|^4 |, ranging over [0, 1] for valid pairs.
+def f_parameter(a, b) -> np.ndarray:
+    """Asymmetry f = 2 | |a|^4 - |b|^4 | per pair, ranging over [0, 1] for valid pairs.
 
     f = 1 only at the degenerate corners (|a| = 2**-0.25, b = 0) and the
     mirror image, where the branch output is always a product state.
@@ -82,47 +87,50 @@ def f_parameter(a, b) -> float:
     return 2.0 * abs(a4 - b4)
 
 
-@dataclass
-class KrausParams:
-    """Complex pair (a, b) steering the success branch.
+def params_physical(a, b) -> np.ndarray:
+    """Per pair: valid, and its success branch is a contraction, as a physical branch must be.
 
-    Invariants enforced on construction: both finite numbers, not both
-    zero, and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK.  A vanishing a
-    or b is allowed, but that branch can only make product output (stage1
-    reports it as product_output), so the purification stage it feeds is
-    useless.
+    K^dag K has eigenvalues 2|a|^2 and 2|b|^2 (and two zeros), so a valid
+    pair is physical exactly when max(|a|, |b|) <= sqrt(2)/2, within
+    CONSTRAINT_SLACK.  Pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25
+    meet the constraint without being physical.
+    """
+    a, b = _as_array(a), _as_array(b)
+    largest = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+    return params_valid(a, b) & (largest <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
+
+
+@dataclass(eq=False)
+class KrausParams:
+    """A stack of P >= 1 complex pairs (a, b) steering the success branch.
+
+    a and b are complex (P,) arrays; one pair is a stack of one, and
+    params[i] and params[i:j] are stacks too.  Every pair must pass
+    params_valid, or a ValueError names the first that fails.  A vanishing
+    a or b is allowed, but that branch can only make product output (stage1
+    reports it as product_output), so the stage it feeds is useless.
     """
 
-    a: complex
-    b: complex
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.a = complex(self.a)
-            self.b = complex(self.b)
-        except OverflowError:
-            raise ValueError("a and b must lie within the float range") from None
-        if self.a == 0 and self.b == 0:
-            raise ValueError("a and b must not both vanish")
-        value = constraint_value(self.a, self.b)
-        if not (value <= 1.0 + CONSTRAINT_SLACK):
-            raise ValueError(f"2(|a|^4 + |b|^4) = {value:.6f} exceeds 1")
+        # copies: an array the caller keeps must not change a validated pair
+        self.a, self.b = (np.array(np.atleast_1d(_as_array(x))) for x in (self.a, self.b))
+        if self.a.ndim != 1 or self.a.shape != self.b.shape or not self.a.size:
+            raise ValueError(f"a and b must be two (P,) arrays with P >= 1, "
+                             f"got shapes {self.a.shape} and {self.b.shape}")
+        bad = np.flatnonzero(~params_valid(self.a, self.b))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"pair {i} ({complex(self.a[i])}, {complex(self.b[i])}) is not valid: "
+                             "need 2(|a|^4 + |b|^4) <= 1, not both zero")
 
-    @property
-    def f(self) -> float:
-        return f_parameter(self.a, self.b)
+    def __len__(self) -> int:
+        return len(self.a)
 
-    @property
-    def physical(self) -> bool:
-        """Whether the success branch is a contraction, as a physical branch must be.
-
-        K^dag K has eigenvalues 2|a|^2 and 2|b|^2 (and two zeros), so this
-        holds exactly when max(|a|, |b|) <= sqrt(2)/2, within
-        CONSTRAINT_SLACK.  Every physical pair meets the constraint, but
-        pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25 meet it without
-        being physical.
-        """
-        return max(abs(self.a), abs(self.b)) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK
+    def __getitem__(self, index) -> KrausParams:
+        return KrausParams(self.a[index], self.b[index])
 
 
 # stage-2 parameters: the symmetric point saturating the constraint
@@ -130,13 +138,12 @@ CANONICAL_PARAMS = KrausParams(np.sqrt(2) / 2, np.sqrt(2) / 2)
 
 
 def build_kraus(params: KrausParams) -> np.ndarray:
-    """Local success-branch operator a(|00><01| + |00><10|) + b(|10><01| - |10><10|)."""
-    a, b = params.a, params.b
-    K = np.zeros((4, 4), dtype=complex)
-    K[0, 1] = a
-    K[0, 2] = a
-    K[2, 1] = b
-    K[2, 2] = -b
+    """Success-branch operators a(|00><01| + |00><10|) + b(|10><01| - |10><10|), (P, 4, 4)."""
+    K = np.zeros((len(params), 4, 4), dtype=complex)
+    K[:, 0, 1] = params.a
+    K[:, 0, 2] = params.a
+    K[:, 2, 1] = params.b
+    K[:, 2, 2] = -params.b
     return K
 
 

@@ -7,19 +7,20 @@ exactly or fails.  All stage functions work at matrix level and cross-check
 themselves against the closed forms.
 
 Inputs are promoted, results have one shape.  A state of shape (4,) is
-a batch of one, one KrausParams a sequence of one, and two scalars a
-Schmidt pair of one; this is the one module that takes single states and
-pairs, the kraus functions take stacks only.  For an (n, 4) batch and P
-pairs, stage1 and full_pipeline return (P, n) fields, stage2 (n,) fields
-and every closed form an (n,) array, and an undefined output is an
-all-zero row.  The stage kernel builds and lifts a (P, 16, 16) operator
-stack and applies it to the whole batch, walking the pairs in steps of at
-most _STEP_ROWS pair x state rows so that peak memory does not grow with
-P.  Stage 2 is that kernel at CANONICAL_PARAMS; in full_pipeline it runs
-on the P x n stage-1 outputs of the same step.  The leak, basis-support
-and closed-form checks run on every (pair, row).  Entry [p, k] of any
-result is bitwise entry [0, 0] of the call on pair p and row k alone,
-whatever the step size.
+a batch of one and two scalars a Schmidt pair of one; this is the one
+module that takes single states, the kraus functions take stacks only.
+The pairs come as one KrausParams, which holds P pairs (one pair is a
+stack of one).  For an (n, 4) batch and P pairs, stage1 and full_pipeline
+return (P, n) fields, stage2 (n,) fields and every closed form an (n,)
+array, and an undefined output is an all-zero row.  The stage kernel
+builds and lifts a (P, 16, 16) operator stack and applies it to the whole
+batch, walking slices of the KrausParams stack of at most _STEP_ROWS
+pair x state rows so that peak memory does not grow with P.  Stage 2 is
+that kernel at CANONICAL_PARAMS; in full_pipeline it runs on the P x n
+stage-1 outputs of the same step.  The leak, basis-support and
+closed-form checks run on every (pair, row).  Entry [p, k] of any result
+is bitwise entry [0, 0] of the call on pair p and row k alone, whatever
+the step size.
 """
 from __future__ import annotations
 
@@ -75,21 +76,14 @@ def _as_batch(state) -> np.ndarray:
     return _check_normalized(c.reshape(-1, 4))
 
 
-def _as_params(params) -> list:
-    """The pairs of one KrausParams or of a non-empty sequence of them."""
-    if isinstance(params, KrausParams):
-        return [params]
-    try:
-        pairs = list(params)
-    except TypeError:
-        pairs = []
-    if not pairs or not all(isinstance(p, KrausParams) for p in pairs):
-        raise ValueError("expected a KrausParams or a non-empty sequence of KrausParams")
-    return pairs
+def _as_params(params) -> KrausParams:
+    if not isinstance(params, KrausParams):
+        raise ValueError(f"expected a KrausParams, got {type(params).__name__}")
+    return params
 
 
-def _walk(step, c: np.ndarray, pairs: list) -> list:
-    """step(c, chunk) over the pairs, at most _STEP_ROWS pair x state rows a chunk.
+def _walk(step, c: np.ndarray, pairs: KrausParams) -> list:
+    """step(c, chunk) over slices of the pairs, at most _STEP_ROWS pair x state rows a slice.
 
     step returns a tuple of arrays with a leading pair axis; the chunks are
     joined along it.  A batch longer than _STEP_ROWS runs one pair at a time.
@@ -99,12 +93,12 @@ def _walk(step, c: np.ndarray, pairs: list) -> list:
     return [np.concatenate(field) for field in zip(*parts)]
 
 
-def _stage_amplitudes(c: np.ndarray, pairs: list):
+def _stage_amplitudes(c: np.ndarray, pairs: KrausParams):
     """Matrix-level run of one two-copy branch per pair on an (n, 4) batch.
 
     Returns (alpha', beta', prob), each of shape (P, n).
     """
-    M = lift_local_kraus(np.stack([build_kraus(p) for p in pairs]))
+    M = lift_local_kraus(build_kraus(pairs))
     # row k is np.kron(c[k], c[k])
     doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
@@ -123,8 +117,9 @@ def _stage_amplitudes(c: np.ndarray, pairs: list):
     # closed form for the same amplitudes
     u = c[:, 0] * c[:, 3] + c[:, 1] * c[:, 2]
     w = c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2]
-    expected_alpha = np.array([2.0 * p.a**2 for p in pairs])[:, None] * u
-    expected_beta = np.array([2.0 * p.b**2 for p in pairs])[:, None] * w
+    # np.power(z, 2) rounds as z**2 on one complex does
+    expected_alpha = (2.0 * np.power(pairs.a, 2))[:, None] * u
+    expected_beta = (2.0 * np.power(pairs.b, 2))[:, None] * w
     if not (
         np.all(np.abs(alpha - expected_alpha) <= ATOL)
         and np.all(np.abs(beta - expected_beta) <= ATOL)
@@ -144,7 +139,7 @@ def _branch_output(alpha, beta, prob) -> tuple[np.ndarray, np.ndarray]:
     return output, defined
 
 
-def _stage1_rows(c: np.ndarray, pairs: list) -> tuple:
+def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     alpha, beta, prob = _stage_amplitudes(c, pairs)
     output, defined = _branch_output(alpha, beta, prob)
     # squared moduli from real and imaginary parts round the same in any batch size
@@ -159,8 +154,8 @@ def stage1(state, params) -> ProtocolResult:
     alpha' = 2 a^2 (c1 c4 + c2 c3) and beta' = 2 b^2 (c1 c4 - c2 c3); the
     success probability is |alpha'|^2 + |beta'|^2.  Degenerate parameters
     (a = 0 or b = 0) give a product output, reported via product_output.
-    Takes one state (4,) or a batch (n, 4), and one KrausParams or a
-    sequence of P of them; every field is (P, n).
+    Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
+    every field is (P, n).
     """
     prob, output, product = _walk(_stage1_rows, _as_batch(state), _as_params(params))
     return ProtocolResult(prob, output, [prob], product)
@@ -178,11 +173,11 @@ def stage2(state) -> ProtocolResult:
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
     # two copies of such a state never make a product output
-    prob, output, product = (field[0] for field in _stage1_rows(c, [CANONICAL_PARAMS]))
+    prob, output, product = (field[0] for field in _stage1_rows(c, CANONICAL_PARAMS))
     return ProtocolResult(prob, output, [prob], product)
 
 
-def _pipeline_rows(c: np.ndarray, pairs: list) -> tuple:
+def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     p1, first_output, first_product = _stage1_rows(c, pairs)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= _ZERO_PROB
@@ -203,8 +198,7 @@ def full_pipeline(state, params) -> ProtocolResult:
     coincide and the total success probability is P1^2 * P2.  A failed or
     product stage-1 output makes the pipeline report zero success with an
     undefined (all-zero) output instead of raising.  Takes one state (4,)
-    or a batch (n, 4), and one KrausParams or a sequence of P of them;
-    every field is (P, n).
+    or a batch (n, 4), and a KrausParams of P pairs; every field is (P, n).
     """
     p1, p2, output, product = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
     return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2], product)

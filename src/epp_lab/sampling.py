@@ -35,6 +35,8 @@ from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
+# bounds time (10**8 unknown-basis samples: about 100 s); memory is flat in it
+MAX_SAMPLES = 10**8
 _MAX_SEED = 2**64
 # one key's Philox stream: 2**256 counters of four draws each
 _STREAM_DRAWS = 2**258
@@ -213,11 +215,13 @@ def _sum_chunks(n: int, chunk_values) -> int:
 
 def _mc_estimate(n_samples, seed, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarloEstimate:
     """Mean and standard error of the values chunk_values(start, k) gives for
-    rows [start, start + k), over rows [0, n_samples)."""
+    rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES."""
     n = _check_count(n_samples, "n_samples")
     if n == 0:
         raise ValueError("need at least one sample")
-    # rows past the end of the Philox stream raise here, before any chunk runs
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {n}")
+    # a bad seed raises here, before any chunk runs or thread starts
     chunk_values(n - 1, 1)
     held = np.empty(n) if n <= _HOLD_MAX else None
 

@@ -81,24 +81,22 @@ def _runtime_row(name: str, elapsed: float, budget: float) -> CriterionRow:
     )
 
 
-def _random_valid_params(seed: int, n: int) -> list:
-    """n parameter pairs with random phases, both moduli at least 0.05, constraint met."""
-    out = []
+def _random_valid_params(seed: int, n: int) -> kraus.KrausParams:
+    """n parameter pairs with random phases, both moduli at least 0.05, constraint met.
+
+    Rows of uniform blocks seeded seed, seed + 1, ... are kept in order
+    while they meet the constraint, until n are kept.
+    """
+    a, b = np.empty(0, dtype=complex), np.empty(0, dtype=complex)
     block_index = 0
     min_mag, max_mag = 0.05, 2.0**-0.25
-    while len(out) < n:
+    while len(a) < n:
         u = sampling.uniform_block(seed + block_index, 4 * n, 4)
         block_index += 1
-        r = min_mag + u[:, :2] * (max_mag - min_mag)
-        phase = np.exp(2j * np.pi * u[:, 2:])
-        for k in range(u.shape[0]):
-            a = r[k, 0] * phase[k, 0]
-            b = r[k, 1] * phase[k, 1]
-            if kraus.constraint_value(a, b) <= 1.0:
-                out.append(kraus.KrausParams(a, b))
-                if len(out) == n:
-                    break
-    return out
+        pairs = (min_mag + u[:, :2] * (max_mag - min_mag)) * np.exp(2j * np.pi * u[:, 2:])
+        keep = kraus.constraint_value(pairs[:, 0], pairs[:, 1]) <= 1.0
+        a, b = np.append(a, pairs[keep, 0]), np.append(b, pairs[keep, 1])
+    return kraus.KrausParams(a[:n], b[:n])
 
 
 def _haar_states(seed: int, n: int, min_amp: float = 0.0) -> np.ndarray:
@@ -155,7 +153,7 @@ def criterion_02(seed: int) -> list:
 
 def criterion_03(seed: int, corrupt_kraus: bool = False) -> list:
     """Kill vectors annihilated for random valid parameters; identity must fail."""
-    K = np.stack([kraus.build_kraus(p) for p in _random_valid_params(_sub_seed(seed, 3), 100)])
+    K = kraus.build_kraus(_random_valid_params(_sub_seed(seed, 3), 100))
     if corrupt_kraus:
         K[:, 0, 0] += 0.05  # test hook: breaks the |0000> kill constraint
     worst = kraus.check_universality_constraints(kraus.lift_local_kraus(K)).max()
@@ -175,8 +173,8 @@ def criterion_03(seed: int, corrupt_kraus: bool = False) -> list:
 def criterion_04(seed: int) -> list:
     """Pauli-expansion relations with r[0,3] = a/4 and r[2,3] = b/4."""
     params = _random_valid_params(_sub_seed(seed, 4), 100)
-    r = kraus.pauli_expand(np.stack([kraus.build_kraus(p) for p in params]))
-    free = r[:, [0, 2], 3] - np.array([(p.a, p.b) for p in params]) / 4.0
+    r = kraus.pauli_expand(kraus.build_kraus(params))
+    free = r[:, [0, 2], 3] - np.stack([params.a, params.b], axis=1) / 4.0
     deviations = [*kraus.pauli_relation_residuals(r).values(), protocols._cabs(free)]
     worst = max(d.max() for d in deviations)
     return [CriterionRow("c04-pauli-relations", 0.0, worst, 1e-12, worst <= 1e-12)]
@@ -190,7 +188,7 @@ def criterion_05(seed: int) -> list:
     # |c1 c2 c3 c4|, multiplied left to right and rounded as on a single state
     corner = protocols._cabs(functools.reduce(protocols._cmul, states.T))
     margin = bound - protocols.stage1(states, params).success_prob
-    gap_floor = np.array([4.0 * (1.0 - p.f) for p in params])[:, None] * corner
+    gap_floor = (4.0 * (1.0 - kraus.f_parameter(params.a, params.b)))[:, None] * corner
     min_margin = margin.min()
     min_gap_slack = (margin - gap_floor).min()
     return [
@@ -265,14 +263,13 @@ def criterion_10(seed: int) -> list:
     grid = np.linspace(0.0, 1.0, 50)
     cell = grid[1] - grid[0]
     states = sampling.haar_state_block(_sub_seed(seed, 10), 8)
-    points = [
-        (a, b) for a in grid for b in grid
-        if a != 0.0 and b != 0.0 and kraus.params_valid(a, b)
-    ]
-    result = protocols.full_pipeline(states, [kraus.KrausParams(a, b) for a, b in points])
+    A, B = np.meshgrid(grid, grid, indexing="ij")
+    keep = (A != 0.0) & (B != 0.0) & kraus.params_valid(A, B)
+    a, b = A[keep], B[keep]
+    result = protocols.full_pipeline(states, kraus.KrausParams(a, b))
     # argmax takes the first maximum in a-major order, as a strict > scan would
-    best = points[int(np.argmax(np.mean(result.success_prob, axis=1)))]
-    best_point = (float(best[0]), float(best[1]))
+    best = int(np.argmax(np.mean(result.success_prob, axis=1)))
+    best_point = (float(a[best]), float(b[best]))
     off = max(abs(best_point[0] - SQRT_HALF), abs(best_point[1] - SQRT_HALF))
     return [
         CriterionRow(

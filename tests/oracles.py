@@ -5,8 +5,12 @@ The package never calls these, so they live with the tests:
 * kalman_kraus: the Kalman purification circuit, built from its gates;
 * permute_qubits and schmidt_coefficients: qubit reordering and Schmidt
   spectra of dense state vectors of any power-of-two dimension;
-* pauli_reconstruct: the operator back from its Pauli-expansion coefficients.
+* pauli_reconstruct: the operator back from its Pauli-expansion coefficients;
+* scalar_region_tests: the constraint value, validity, asymmetry f and
+  physicality of one parameter pair, in Python's scalar arithmetic.
 """
+import math
+
 import numpy as np
 
 from epp_lab.kraus import IDENTITY_2, PAULI_BASIS, SIGMA_X
@@ -69,3 +73,22 @@ def pauli_reconstruct(r) -> np.ndarray:
         for l in range(4):
             out += r[k, l] * np.kron(PAULI_BASIS[k], PAULI_BASIS[l])
     return out
+
+
+def scalar_region_tests(a, b) -> tuple:
+    """(constraint value, valid, f, physical) of one pair (a, b), as Python scalars.
+
+    The pair is valid when not both zero and 2(|a|^4 + |b|^4) <= 1 + 1e-12,
+    and physical when also max(|a|, |b|) <= sqrt(2)/2 + 1e-12.  Both
+    fourth powers must be finite; ValueError otherwise.
+    """
+    try:
+        a4, b4 = abs(complex(a)) ** 4, abs(complex(b)) ** 4
+    except OverflowError:
+        raise ValueError("|a|^4 and |b|^4 must lie within the float range") from None
+    if not (math.isfinite(a4) and math.isfinite(b4)):
+        raise ValueError(f"a and b must be finite, got {a!r} and {b!r}")
+    value = 2.0 * (a4 + b4)
+    valid = not (a == 0 and b == 0) and value <= 1.0 + 1e-12
+    physical = valid and max(abs(a), abs(b)) <= np.sqrt(2) / 2 + 1e-12
+    return value, valid, 2.0 * abs(a4 - b4), physical

@@ -38,7 +38,7 @@ SEED = 42
 VERIFY_SHA256 = "e0c28977e3ad43727bf5a7c55f8037e7d2a4a3fb9e6b28659d7c54d0be07abf0"
 # sha256 of --out files no criterion checks: the seed-42 --corrupt-kraus
 # verify.json, the one run where c03's observed residual is nonzero, so its
-# bits are pinned, and two CSVs
+# bits are pinned, and three CSVs
 PINNED_SHA256 = {
     ("verify", "--seed", "42", "--corrupt-kraus"):
         "d338646da800aeb0ffa278a170009c94f09bb6bab018eb008b09444d4b5b3c32",
@@ -46,6 +46,8 @@ PINNED_SHA256 = {
         "92060711ece29b51eb7f1c6a47050028ac260523da995d936e7b5626d960934a",
     ("f-grid", "--grid", "201"):
         "d41c47f23ec78cda6456a8fce660eba2873043dce973d33d84dd840bf7d57f1a",
+    ("f-grid", "--grid", "400"):
+        "5942eeaa631fd095211109deaaa73876a189b59764d217a709383e9ffcfab0e7",
 }
 
 # sha256 of the stdout of one-state commands, which read row [0] or [0, 0] of
@@ -98,8 +100,8 @@ def test_c03_stacked_check_matches_per_pair_loop(corrupt):
     """One stacked lift and check give, bit for bit, the residuals that one
     lift per pair and one norm per kill vector give, and c03 reports their
     maximum."""
-    K = np.stack([kraus.build_kraus(p)
-                  for p in verify._random_valid_params(verify._sub_seed(SEED, 3), 100)])
+    params = verify._random_valid_params(verify._sub_seed(SEED, 3), 100)
+    K = np.concatenate([kraus.build_kraus(params[i]) for i in range(len(params))])
     K[:, 0, 0] += 0.05 if corrupt else 0.0
     expected = [[np.linalg.norm(M @ v) for v in kraus.KILL_VECTORS.T]
                 for M in (kraus.lift_local_kraus(one[None])[0] for one in K)]
@@ -117,12 +119,14 @@ def test_c04_stacked_expansion_matches_per_pair_loop():
     """One stacked expansion gives the worst deviation that a trace per Pauli
     product and pair gives."""
     worst = 0.0
-    for p in verify._random_valid_params(verify._sub_seed(SEED, 4), 100):
-        K = kraus.build_kraus(p)
+    params = verify._random_valid_params(verify._sub_seed(SEED, 4), 100)
+    for i in range(len(params)):
+        K = kraus.build_kraus(params[i])[0]
+        a, b = params.a[i], params.b[i]
         r = np.array([[np.trace(np.kron(sk, sl).conj().T @ K) / 4.0
                        for sl in kraus.PAULI_BASIS] for sk in kraus.PAULI_BASIS])
         residuals = kraus.pauli_relation_residuals(r)
-        worst = max([worst, *residuals.values(), abs(r[0, 3] - p.a / 4), abs(r[2, 3] - p.b / 4)])
+        worst = max([worst, *residuals.values(), abs(r[0, 3] - a / 4), abs(r[2, 3] - b / 4)])
     assert verify.criterion_04(SEED)[0].observed == worst
 
 
@@ -167,7 +171,9 @@ def test_c10_stacked_grid_matches_per_pair_scan():
     assert observed == f"argmax ({best_point[0]:.6f}, {best_point[1]:.6f})"
 
 
-@pytest.mark.parametrize("argv", PINNED_SHA256, ids=["corrupt-verify", "vidal-curve", "f-grid"])
+@pytest.mark.parametrize(
+    "argv", PINNED_SHA256, ids=["corrupt-verify", "vidal-curve", "f-grid", "f-grid-400"]
+)
 def test_pinned_outputs(argv, tmp_path, capsys):
     out = tmp_path / "out"
     cli.main([*argv, "--out", str(out)])

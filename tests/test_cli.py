@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epp_lab
-from epp_lab import verify
-from epp_lab.cli import DEFAULT_SEED, MAX_SAMPLES, SEED_ENV_VAR, build_parser, main
+from epp_lab import sampling, verify
+from epp_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -287,7 +287,7 @@ def test_bad_env_seed_is_usage_error(monkeypatch):
         ["bounds", "--state", "nan 0 0 1"],          # NaN norm passes |norm-1| > tol
         ["simulate", "--lambda", "0.7", "--a", "nan", "--b", "0.5"],
         # rejected before any sample is drawn
-        ["haar-average", "--samples", str(MAX_SAMPLES + 1)],
+        ["haar-average", "--samples", str(sampling.MAX_SAMPLES + 1)],
         ["haar-average", "--samples", "100000000000000000000"],
     ],
 )

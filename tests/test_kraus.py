@@ -13,13 +13,23 @@ from epp_lab.kraus import (
     constraint_value,
     f_parameter,
     lift_local_kraus,
+    params_physical,
     params_valid,
     pauli_expand,
     pauli_relation_residuals,
 )
 from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
 from epp_lab.protocols import stage1
-from oracles import kalman_kraus, pauli_reconstruct, permute_qubits
+from oracles import kalman_kraus, pauli_reconstruct, permute_qubits, scalar_region_tests
+
+SQRT_HALF = np.sqrt(2) / 2
+# pairs on the edges of the two regions: both zero, the constraint corners,
+# and sqrt(2)/2 and one ulp to either side of it
+EDGE_PAIRS = [
+    (0j, 0j), (2**-0.25, 0), (0, 2**-0.25), (SQRT_HALF, SQRT_HALF),
+    (np.nextafter(SQRT_HALF, 0), SQRT_HALF), (np.nextafter(SQRT_HALF, 1), 0.5),
+    (np.nextafter(SQRT_HALF, 1), np.nextafter(SQRT_HALF, 1)), (0, np.nextafter(SQRT_HALF, 0)),
+]
 
 
 def magnitude_pairs():
@@ -46,7 +56,7 @@ def test_build_kraus_entries():
     expected[0, 2] = a
     expected[2, 1] = b
     expected[2, 2] = -b
-    assert np.array_equal(K, expected)
+    assert np.array_equal(K, expected[None])
 
 
 def test_kalman_circuit_matches_family():
@@ -69,7 +79,70 @@ def test_params_validation():
     # boundary point survives rounding
     p = CANONICAL_PARAMS
     assert constraint_value(p.a, p.b) == pytest.approx(1.0, abs=1e-12)
-    assert p.physical
+    assert params_physical(p.a, p.b)
+
+
+def pair_values():
+    modulus = st.one_of(st.sampled_from([0.0, 2**-0.25, SQRT_HALF, np.nextafter(SQRT_HALF, 0),
+                                         np.nextafter(SQRT_HALF, 1)]),
+                        st.floats(min_value=0.0, max_value=1.2))
+    phase = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+    return st.builds(lambda r, t: complex(r * np.exp(2j * np.pi * t)), modulus, phase)
+
+
+@given(st.lists(st.tuples(pair_values(), pair_values()), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_region_tests_on_arrays_match_scalar_reference(drawn):
+    """Entry [i] of constraint_value, params_valid, f_parameter and
+    params_physical on (P,) arrays equals the scalar reference on pair i;
+    the floats are finite and non-negative, so equal means bitwise equal.
+    A scalar a broadcasts against an array b."""
+    pairs = EDGE_PAIRS + drawn
+    a, b = (np.array(column, dtype=complex) for column in zip(*pairs))
+    expected = [scalar_region_tests(x, y) for x, y in pairs]
+    broadcast = [scalar_region_tests(a[3], y) for y in b]
+    for k, test in enumerate((constraint_value, params_valid, f_parameter, params_physical)):
+        got = test(a, b)
+        assert got.shape == (len(pairs),)
+        assert got.tolist() == [ref[k] for ref in expected], test.__name__
+        assert test(a[3], b).tolist() == [ref[k] for ref in broadcast], test.__name__
+
+
+def test_build_kraus_stack_equals_stacks_of_one():
+    """Entry i of build_kraus on a stack is bitwise build_kraus on pair i alone."""
+    params = KrausParams([0.31 + 0.2j, SQRT_HALF, 0.6, 0, -0.2j],
+                         [0.57 - 0.1j, SQRT_HALF, 0, 0.5, 0.4])
+    K = build_kraus(params)
+    assert K.shape == (5, 4, 4) and len(params) == 5
+    for i in range(len(params)):
+        assert np.array_equal(K[i], build_kraus(params[i])[0])
+        assert np.array_equal(K[i:i + 2], build_kraus(params[i:i + 2]))
+
+
+@pytest.mark.parametrize(
+    "bad", [(np.nan, 0.5), (0.5, complex(0.1, np.inf)), (0, 0), (1.0, 1.0), (0.5, 0.85)],
+    ids=["nan", "inf", "both-zero", "over", "over-b"],
+)
+def test_stack_with_one_bad_pair_names_its_index(bad):
+    a, b = [0.5, 0.3, 0.6, 0.1], [0.4, 0.3, 0, 0.2]
+    a[2], b[2] = bad
+    with pytest.raises(ValueError, match="pair 2"):
+        KrausParams(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b", [([0.5, 0.3], [0.4]), ([], []), ([[0.5]], [[0.4]])], ids=["unequal", "empty", "2d"]
+)
+def test_params_reject_bad_shape(a, b):
+    with pytest.raises(ValueError, match="P >= 1"):
+        KrausParams(a, b)
+
+
+def test_params_hold_copies_of_their_input():
+    a = np.array([0.5 + 0j, 0.3])
+    params = KrausParams(a, [0.4, 0.3])
+    a[0] = 5.0
+    assert params.a[0] == 0.5 and params_valid(params.a, params.b).all()
 
 
 def test_overflowing_fourth_power_raises_value_error():
@@ -85,17 +158,17 @@ def test_overflowing_fourth_power_raises_value_error():
 def test_degenerate_params_flagged_not_fatal():
     corner = KrausParams(2**-0.25, 0)
     assert stage1(bell_phi_plus(), corner).product_output
-    assert corner.f == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.matrix_rank(build_kraus(corner)) == 1
+    assert f_parameter(corner.a, corner.b) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.matrix_rank(build_kraus(corner)[0]) == 1
     assert not stage1(bell_phi_plus(), CANONICAL_PARAMS).product_output
-    assert CANONICAL_PARAMS.f == pytest.approx(0.0, abs=1e-12)
+    assert f_parameter(CANONICAL_PARAMS.a, CANONICAL_PARAMS.b) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(magnitude_pairs())
 @settings(max_examples=50)
 def test_f_parameter_range(raw):
     p = params_from(raw)
-    assert 0.0 <= p.f <= 1.0 + 1e-12
+    assert 0.0 <= f_parameter(p.a, p.b)[0] <= 1.0 + 1e-12
     # symmetric moduli zero it out
     assert f_parameter(p.a, abs(p.a)) == pytest.approx(0.0, abs=1e-12)
 
@@ -179,7 +252,7 @@ def test_lift_rejects_wrong_shape():
 
 def test_lifted_branch_on_bell_pair():
     """Two copies of the Bell state succeed with probability 1/2 and stay Bell."""
-    M = lift_local_kraus(build_kraus(CANONICAL_PARAMS)[None])
+    M = lift_local_kraus(build_kraus(CANONICAL_PARAMS))
     doubled = np.kron(bell_phi_plus(), bell_phi_plus())
     out, prob = apply_kraus(M, doubled[None])
     assert out.shape == (1, 1, 16) and prob.shape == (1, 1)
@@ -206,7 +279,7 @@ def test_apply_kraus_batch_matches_rows():
     """Each row of an (n, 16) batch is bitwise the batch-of-one result, which
     is bitwise the plain product and vdot."""
     rng = np.random.default_rng(7)
-    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j))[None])
+    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
     batch = rng.standard_normal((50, 16)) + 1j * rng.standard_normal((50, 16))
     out, prob = apply_kraus(M, batch)
     assert out.shape == (1, 50, 16) and prob.shape == (1, 50)
@@ -221,7 +294,7 @@ def test_apply_kraus_batch_matches_rows():
 def test_apply_kraus_stack_matches_single_operators():
     """Entry [p, k] of a (P, 16, 16) stack on an (n, 16) batch is bitwise op[p] on row k."""
     rng = np.random.default_rng(8)
-    ops = lift_local_kraus(np.stack([
+    ops = lift_local_kraus(np.concatenate([
         build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)),
         build_kraus(CANONICAL_PARAMS),
         build_kraus(KrausParams(0, 0.5)),
@@ -253,7 +326,7 @@ def test_apply_kraus_rejects_bad_operator(shape):
 
 
 def test_kill_vectors_exactly_annihilated():
-    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j))[None])
+    M = lift_local_kraus(build_kraus(KrausParams(0.31 + 0.2j, 0.57 - 0.1j)))
     residuals = check_universality_constraints(M)
     assert residuals.shape == (1, len(KILL_VECTOR_LABELS)) == (1, 8)
     assert residuals.max() <= 1e-14
@@ -263,7 +336,7 @@ def test_kill_vectors_exactly_annihilated():
 def test_other_cross_pair_also_annihilated():
     # |0111>+|1101> (the c2*c4 component of the doubled state) dies too,
     # because the local operator kills |11>; kept alongside the listed set
-    M = lift_local_kraus(build_kraus(KrausParams(0.5, 0.4))[None])
+    M = lift_local_kraus(build_kraus(KrausParams(0.5, 0.4)))
     v = basis_state(4, "0111") + basis_state(4, "1101")
     assert np.linalg.norm(M[0] @ (v / np.sqrt(2))) <= 1e-14
 
@@ -272,7 +345,7 @@ def test_other_cross_pair_also_annihilated():
 @settings(max_examples=50, deadline=None)
 def test_universality_sweep(raw):
     p = params_from(raw)
-    residuals = check_universality_constraints(lift_local_kraus(build_kraus(p)[None]))
+    residuals = check_universality_constraints(lift_local_kraus(build_kraus(p)))
     assert np.all(residuals <= ATOL)
 
 
@@ -299,11 +372,11 @@ def test_pauli_expand_roundtrip_random():
 @settings(max_examples=50, deadline=None)
 def test_pauli_relations_on_family(raw):
     p = params_from(raw)
-    r = pauli_expand(build_kraus(p)[None])[0]
+    r = pauli_expand(build_kraus(p))[0]
     residuals = pauli_relation_residuals(r)
     assert max(residuals.values()) <= 1e-12
-    assert abs(r[0, 3] - p.a / 4) <= 1e-12
-    assert abs(r[2, 3] - p.b / 4) <= 1e-12
+    assert abs(r[0, 3] - p.a[0] / 4) <= 1e-12
+    assert abs(r[2, 3] - p.b[0] / 4) <= 1e-12
 
 
 @given(
@@ -315,9 +388,9 @@ def test_trace_nonincreasing_inside_operator_region(ra, rb):
     """The single branch is a physical map when both moduli stay at or below
     sqrt(2)/2, where the largest eigenvalue of M^dag M is (2 max(|a|,|b|)^2)^2."""
     p = KrausParams(ra, rb)
-    M = lift_local_kraus(build_kraus(p)[None])[0]
+    M = lift_local_kraus(build_kraus(p))[0]
     assert np.linalg.eigvalsh(M.conj().T @ M).max() <= 1.0 + ATOL
-    assert p.physical
+    assert params_physical(p.a, p.b)
 
 
 def test_trace_condition_fails_at_constraint_corner():
@@ -325,8 +398,8 @@ def test_trace_condition_fails_at_constraint_corner():
     # the lone branch is no longer completable to a physical instrument:
     # the parameter constraint is necessary, not sufficient.
     corner = KrausParams(2**-0.25, 0)
-    assert not corner.physical
-    M = lift_local_kraus(build_kraus(corner)[None])[0]
+    assert not params_physical(corner.a, corner.b)
+    M = lift_local_kraus(build_kraus(corner))[0]
     largest = np.linalg.eigvalsh(M.conj().T @ M).max()
     assert largest > 1.0 + ATOL
     # smallest eigenvalue of 1 - M^dag M
@@ -339,10 +412,10 @@ def test_physical_matches_branch_eigenvalues(raw):
     """physical holds exactly when the largest eigenvalue of K^dag K,
     2 max(|a|, |b|)^2, is at most 1."""
     p = params_from(raw)
-    K = build_kraus(p)
+    K = build_kraus(p)[0]
     largest = np.linalg.eigvalsh(K.conj().T @ K).max()
     assume(abs(largest - 1.0) > 1e-9)
-    assert p.physical == (largest <= 1.0)
+    assert params_physical(p.a, p.b)[0] == (largest <= 1.0)
 
 
 def test_params_valid_helper():

@@ -58,7 +58,7 @@ ENTRY_POINTS = [
      lambda *v: protocols.full_pipeline(state_or_batch(v[:-2]), KrausParams(*v[-2:])),
      STATE + PARAMS, True),
     ("stage1[pairs]",
-     lambda *v: protocols.stage1(v[:4], [KrausParams(*v[4:6]), KrausParams(*v[6:])]),
+     lambda *v: protocols.stage1(v[:4], KrausParams(v[4::2], v[5::2])),
      STATE + PARAMS + PARAMS, True),
     ("constraint_value", kraus.constraint_value, PARAMS, True),
     ("f_parameter", kraus.f_parameter, PARAMS, True),

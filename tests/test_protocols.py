@@ -42,6 +42,11 @@ def random_params(seed):
             )
 
 
+def stack_params(*params):
+    """One KrausParams holding the pairs of each given one, in order."""
+    return KrausParams(np.concatenate([p.a for p in params]), np.concatenate([p.b for p in params]))
+
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # the closed forms that take one state (4,) or a batch (n, 4); kalman_stage2_prob
@@ -384,7 +389,8 @@ def assert_stack_equals_single_calls(run, batch, pairs):
     result = run(batch, pairs)
     single_state = run(batch[0], pairs)
     assert single_state.success_prob.shape == (len(pairs), 1)
-    for p, params in enumerate(pairs):
+    for p in range(len(pairs)):
+        params = pairs[p]
         for k, c in enumerate(batch):
             one = run(c, params)
             assert result.success_prob[p, k] == one.success_prob[0, 0]
@@ -399,13 +405,13 @@ def assert_stack_equals_single_calls(run, batch, pairs):
 @given(seeds)
 @settings(max_examples=15, deadline=None)
 def test_parameter_axis_equals_single_calls(seed):
-    """A sequence of P pairs gives bitwise the single-pair calls, pair by pair and row by row.
+    """A stack of P pairs gives bitwise the single-pair calls, pair by pair and row by row.
 
     The batch mixes Haar, product, Schmidt, |00> and Bell rows; the pairs mix
     random, canonical and degenerate ones.
     """
-    pairs = [random_params(seed), CANONICAL_PARAMS, KrausParams(0.6, 0),
-             random_params(seed + 1), KrausParams(0, 0.5)]
+    pairs = stack_params(random_params(seed), CANONICAL_PARAMS, KrausParams(0.6, 0),
+                         random_params(seed + 1), KrausParams(0, 0.5))
     batch = mixed_batch(seed)
     assert_stack_equals_single_calls(stage1, batch, pairs)
     assert_stack_equals_single_calls(full_pipeline, batch, pairs)
@@ -414,7 +420,8 @@ def test_parameter_axis_equals_single_calls(seed):
 @pytest.mark.parametrize("step_rows", [1, 3, 8, 10**6])
 def test_step_rows_do_not_change_results(monkeypatch, step_rows):
     """However the parameter axis is cut into steps, every field is bitwise the same."""
-    pairs = [random_params(s) for s in range(6)] + [CANONICAL_PARAMS, KrausParams(0, 0.5)]
+    pairs = stack_params(*[random_params(s) for s in range(6)], CANONICAL_PARAMS,
+                         KrausParams(0, 0.5))
     batch = mixed_batch(11)
     expected = [stage1(batch, pairs), full_pipeline(batch, pairs)]
     monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
@@ -426,8 +433,11 @@ def test_step_rows_do_not_change_results(monkeypatch, step_rows):
 
 
 @pytest.mark.parametrize(
-    "params", [[], (), [CANONICAL_PARAMS, (0.5, 0.3)], (0.5, 0.3), None, 0.5],
-    ids=["empty-list", "empty-tuple", "raw-pair-item", "raw-pair", "none", "number"],
+    "params",
+    [[], (), [CANONICAL_PARAMS, (0.5, 0.3)], (0.5, 0.3), None, 0.5,
+     [CANONICAL_PARAMS, KrausParams(0.5, 0.3)]],
+    ids=["empty-list", "empty-tuple", "raw-pair-item", "raw-pair", "none", "number",
+         "list-of-params"],
 )
 def test_stage_functions_reject_bad_params(params):
     for run in (stage1, full_pipeline):
@@ -468,13 +478,13 @@ def test_batch_matches_scalar_operators():
 
 def _leaking_kraus(params):
     K = build_kraus(params)
-    K[3, 3] = 0.05  # maps |11> to itself: leaks out of the |00> ancilla slot
+    K[:, 3, 3] = 0.05  # maps |11> to itself: leaks out of the |00> ancilla slot
     return K
 
 
 def _flipped_kraus(params):
     K = build_kraus(params)
-    K[2, 2] = -K[2, 2]  # b(|10><01| + |10><10|): support on |01> and |10>
+    K[:, 2, 2] = -K[:, 2, 2]  # b(|10><01| + |10><10|): support on |01> and |10>
     return K
 
 
@@ -508,10 +518,15 @@ def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
         with pytest.raises(RuntimeError, match=message):
             run(batch)
     # only the last pair is corrupted, so the stack's first pairs run clean
-    stack = [KrausParams(0.5, 0.4), CANONICAL_PARAMS, params]
-    monkeypatch.setattr(
-        protocols, "build_kraus", lambda p: corrupt(p) if p is params else build_kraus(p)
-    )
+    stack = stack_params(KrausParams(0.5, 0.4), CANONICAL_PARAMS, params)
+
+    def corrupt_last(p):
+        K = build_kraus(p)
+        last = (p.a == params.a) & (p.b == params.b)
+        K[last] = corrupt(params)
+        return K
+
+    monkeypatch.setattr(protocols, "build_kraus", corrupt_last)
     stage1(batch, stack[:2])
     for step_rows in (protocols._STEP_ROWS, 1):
         monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)

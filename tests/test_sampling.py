@@ -316,6 +316,19 @@ def test_estimate_empty():
         estimate_of([], seed=0)
 
 
+def test_sample_count_above_the_cap_raises_before_any_draw(monkeypatch):
+    """The library caps the count, not only the CLI: 10**30 samples would
+    start a run that cannot finish."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("uniform_block was called")
+
+    monkeypatch.setattr(sampling, "uniform_block", no_draw)
+    for estimator, n in ((known_basis_average_mc, 10**30),
+                         (unknown_basis_average_mc, sampling.MAX_SAMPLES + 1)):
+        with pytest.raises(ValueError, match="at most"):
+            estimator(n, 1)
+
+
 @st.composite
 def float_sums(draw):
     """Finite doubles from subnormals to exponents near +-1000, signed zeros,
