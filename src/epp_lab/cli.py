@@ -10,6 +10,7 @@ are written with repr, which round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import protocols, sampling, vidal
 from . import verify as verify_mod
-from .kraus import KrausParams, f_parameter, params_physical, params_valid
+from .kraus import CANONICAL_PARAMS, KrausParams, f_parameter, params_physical, params_valid
 from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
@@ -30,9 +31,6 @@ SEED_ENV_VAR = "EPP_LAB_SEED"
 # CLI inputs tolerate slightly stale normalization; anything past this is an error
 _NORM_ERROR = 1e-8
 _NORM_WARN = 1e-10
-
-# default simulate parameters: the symmetric point a = b = sqrt(2)/2
-_ROOT_HALF = complex(np.sqrt(2) / 2)
 
 
 def _fmt(x) -> str:
@@ -85,7 +83,7 @@ def _parse_seed(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed: {text!r}")
     try:
-        return sampling._check_seed(seed)
+        return sampling.check_seed(seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -132,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run both purification stages at matrix level")
     p_sim.set_defaults(func=cmd_simulate)
     add_state_args(p_sim)
-    p_sim.add_argument("--a", type=_parse_complex, default=_ROOT_HALF, metavar="re,im")
-    p_sim.add_argument("--b", type=_parse_complex, default=_ROOT_HALF, metavar="re,im")
+    # the defaults are the symmetric point a = b = sqrt(2)/2
+    for name, default in (("--a", CANONICAL_PARAMS.a[0]), ("--b", CANONICAL_PARAMS.b[0])):
+        p_sim.add_argument(name, type=_parse_complex, default=complex(default), metavar="re,im")
 
     p_vidal = sub.add_parser("vidal-curve", help="CSV of conversion probabilities over lambda")
     p_vidal.set_defaults(func=cmd_vidal_curve)
@@ -211,17 +210,10 @@ def cmd_simulate(args) -> int:
 
 def _vidal_curve_blocks(n: int):
     """The vidal-curve CSV in blocks of 1024 lines, so memory does not grow with n."""
-    block = 1024
     yield "lambda,p_vidal,p_universal\n"
-    target = vidal.embedded_bell_coeffs()
-    for first in range(1, n + 1, block):
-        lines = []
-        for k in range(first, min(first + block, n + 1)):
-            lam = 0.5 + 0.5 * k / (n + 1)
-            p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), target)
-            p_u = vidal.universal_two_copy_prob(lam)
-            lines.append(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}\n")
-        yield "".join(lines)
+    points = vidal.conversion_curve(n)
+    while block := list(itertools.islice(points, 1024)):
+        yield "".join(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}\n" for lam, p_v, p_u in block)
 
 
 def cmd_vidal_curve(args) -> int:
@@ -275,8 +267,7 @@ def cmd_verify(args) -> int:
               f"observed {row.observed}, tolerance {row.tolerance}")
     n_bad = sum(1 for r in rows if not r.passed)
     if args.out is not None:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(verify_mod.rows_to_json(rows, args.seed))
+        _write_lines(args.out, [verify_mod.rows_to_json(rows, args.seed)])
     if n_bad:
         print(f"FAILED: {n_bad} of {len(rows)} checks")
         return 1
@@ -292,6 +283,10 @@ def main(argv=None) -> int:
             args.params = KrausParams(args.a, args.b)
         except ValueError:
             parser.error("invalid Kraus parameters: need 2(|a|^4+|b|^4) <= 1, not both zero")
+    out = getattr(args, "out", None)
+    if out is not None and (os.path.isdir(out or ".")
+                            or not os.path.isdir(os.path.dirname(out) or ".")):
+        parser.error(f"--out must name a file in an existing directory, got {out!r}")
     if args.command in ("vidal-curve", "f-grid") and args.grid < 2:
         parser.error("--grid must be at least 2")
     if args.command == "haar-average" and args.samples < 1:

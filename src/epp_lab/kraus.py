@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_array, _as_finite, basis_state
+from .linalg import _as_array, _as_finite, _cabs, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -53,12 +53,12 @@ def _as_stack(values, shape: tuple, what: str) -> np.ndarray:
 def _fourth_powers(a, b) -> tuple[np.ndarray, np.ndarray]:
     """|a|^4 and |b|^4 of broadcast arrays, raising ValueError unless all are finite.
 
-    hypot and libm pow round as abs() and ** do on one Python complex.
+    _cabs and libm pow round as abs() and ** do on one Python complex.
     """
     a, b = _as_array(a), _as_array(b)
     with np.errstate(over="ignore"):
-        a4 = np.float_power(np.hypot(a.real, a.imag), 4)
-        b4 = np.float_power(np.hypot(b.real, b.imag), 4)
+        a4 = np.float_power(_cabs(a), 4)
+        b4 = np.float_power(_cabs(b), 4)
     bad = np.flatnonzero(~(np.isfinite(a4) & np.isfinite(b4)))
     if bad.size:
         raise ValueError(f"|a|^4 and |b|^4 must be finite floats, not so in pair {bad[0]}")
@@ -96,7 +96,7 @@ def params_physical(a, b) -> np.ndarray:
     meet the constraint without being physical.
     """
     a, b = _as_array(a), _as_array(b)
-    largest = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+    largest = np.maximum(_cabs(a), _cabs(b))
     return params_valid(a, b) & (largest <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
 
 
@@ -261,5 +261,5 @@ def pauli_relation_residuals(r: np.ndarray) -> dict:
         "r32-i*r14": r[2, 1] - i * r[0, 3],
         "r33-r34": r[2, 2] - r[2, 3],
     }
-    # hypot, as abs() of one complex number computes it
-    return {name: np.hypot(val.real, val.imag) for name, val in checks.items()}
+    # _cabs, as abs() of one complex number computes it
+    return {name: _cabs(val) for name, val in checks.items()}

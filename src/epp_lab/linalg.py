@@ -34,6 +34,25 @@ def _as_finite(values, what: str) -> np.ndarray:
     return array
 
 
+# Row k of a batch must be bitwise the value numpy's scalar operators give on
+# row k alone, but some array loops round differently: complex x * y and z**2
+# may use fused multiply-add, np.abs of complex arrays and real x**k other
+# algorithms.  So products are written out in real arithmetic (_cmul), moduli
+# go through hypot (_cabs), and powers through np.power(z, 2) and
+# np.float_power(x, k), which call the scalar routines element by element.
+
+
+def _cmul(x, y):
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cabs(z):
+    return np.hypot(z.real, z.imag)
+
+
 def _check_normalized(rows: np.ndarray) -> np.ndarray:
     """rows, after checking that every row of a 2-D array has norm 1 within ATOL.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kraus import CANONICAL_PARAMS, KrausParams, apply_kraus, build_kraus, lift_local_kraus
-from .linalg import ATOL, _as_array, _check_normalized
+from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
 _AB_SLOTS = np.array([0, 4, 8, 12])
@@ -187,7 +187,9 @@ def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     product = first_product | (p2 < _ZERO_PROB)
     output = np.zeros_like(first_output)
     output[ran] = second.output
+    # no output, no success: the pipeline succeeds exactly where its output is defined
     output[product] = 0.0
+    p2[product] = 0.0
     return p1, p2, output, product
 
 
@@ -196,33 +198,18 @@ def full_pipeline(state, params) -> ProtocolResult:
 
     Both stage-1 runs see identical inputs, so their branch probabilities
     coincide and the total success probability is P1^2 * P2.  A failed or
-    product stage-1 output makes the pipeline report zero success with an
-    undefined (all-zero) output instead of raising.  Takes one state (4,)
-    or a batch (n, 4), and a KrausParams of P pairs; every field is (P, n).
+    product stage-1 output, or a stage-2 branch weight below _ZERO_PROB,
+    makes the pipeline report an undefined (all-zero) output instead of
+    raising, and then P2 and the success probability are exactly zero.
+    Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
+    every field is (P, n).
     """
     p1, p2, output, product = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
     return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2], product)
 
 
 # ------------------------------------------------------------ closed forms
-#
-# Row k of a batch must be bitwise the value numpy's scalar operators give on
-# row k alone, but some array loops round differently: complex x * y and z**2
-# may use fused multiply-add, np.abs of complex arrays and real x**k other
-# algorithms.  So products are written out in real arithmetic (_cmul), moduli
-# go through hypot (_cabs), and powers through np.power(z, 2) and
-# np.float_power(x, k), which call the scalar routines element by element.
-
-
-def _cmul(x, y):
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _cabs(z):
-    return np.hypot(z.real, z.imag)
+# each row rounds as on its own, by the rule above linalg._cmul
 
 
 def _cross_term(c):

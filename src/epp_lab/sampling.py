@@ -55,7 +55,8 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_seed(seed) -> int:
+def check_seed(seed) -> int:
+    """seed as an int in [0, 2**64), the keys Philox takes; anything else raises ValueError."""
     seed = _check_int(seed, "seed")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -82,7 +83,7 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
     if (start + n) * width > _STREAM_DRAWS:
         raise ValueError("rows run past the end of the Philox stream")
     skip, discard = divmod(start * width, 4)
-    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)).advance(skip))
+    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)).advance(skip))
     rng.random(discard)
     return rng.random((n, width))
 

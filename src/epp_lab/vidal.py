@@ -95,3 +95,13 @@ def universal_two_copy_prob(lam: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     return 2.0 * lam * (1.0 - lam)
+
+
+def conversion_curve(n: int):
+    """Yield (lam, p_vidal, p_universal) at lam = 1/2 + k/(2(n+1)), k = 1, ..., n: the
+    monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call each."""
+    target = embedded_bell_coeffs()
+    for k in range(1, n + 1):
+        lam = 0.5 + 0.5 * k / (n + 1)
+        p_vidal = vidal_probability(doubled_schmidt_coeffs(lam), target)
+        yield lam, p_vidal, universal_two_copy_prob(lam)

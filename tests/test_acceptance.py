@@ -31,19 +31,23 @@ import numpy as np
 import pytest
 
 import epp_lab
-from epp_lab import cli, kraus, protocols, sampling, verify
+from epp_lab import cli, kraus, protocols, sampling, verify, vidal
+from epp_lab.linalg import bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 SEED = 42
 # sha256 of the seed-42 verify.json; a change to any observed value moves it
 VERIFY_SHA256 = "e0c28977e3ad43727bf5a7c55f8037e7d2a4a3fb9e6b28659d7c54d0be07abf0"
 # sha256 of --out files no criterion checks: the seed-42 --corrupt-kraus
 # verify.json, the one run where c03's observed residual is nonzero, so its
-# bits are pinned, and three CSVs
+# bits are pinned, and four CSVs; the --grid 3000 curve crosses the
+# 1024-line block boundary of its writer
 PINNED_SHA256 = {
     ("verify", "--seed", "42", "--corrupt-kraus"):
         "d338646da800aeb0ffa278a170009c94f09bb6bab018eb008b09444d4b5b3c32",
     ("vidal-curve", "--grid", "400"):
         "92060711ece29b51eb7f1c6a47050028ac260523da995d936e7b5626d960934a",
+    ("vidal-curve", "--grid", "3000"):
+        "dbcf359de33c87870e6ce559557b1f68daf4f91feec0bbb0eac3970d9fb47316",
     ("f-grid", "--grid", "201"):
         "d41c47f23ec78cda6456a8fce660eba2873043dce973d33d84dd840bf7d57f1a",
     ("f-grid", "--grid", "400"):
@@ -85,6 +89,20 @@ def _check(number: int, rows) -> None:
 
 def test_c01_stage2_saturation():
     _check(1, verify.criterion_01(SEED))
+
+
+def test_c01_batched_deviations_match_per_state_loop():
+    """Building the Schmidt states as one array and taking the deviations as
+    arrays gives, bit for bit, the worst deviation of a loop over states."""
+    lams = np.linspace(0.0, 1.0, 102)[1:-1]
+    states = np.array([schmidt_state(np.sqrt(lam), np.sqrt(1.0 - lam)) for lam in lams])
+    result = protocols.stage2(states)
+    worst = 0.0
+    for lam, prob, output in zip(lams, result.success_prob, result.output):
+        dev = abs(prob - 2.0 * lam * (1.0 - lam))
+        fid_dev = abs(fidelity_up_to_phase(output, bell_phi_plus()) - 1.0)
+        worst = max(worst, dev, fid_dev)
+    assert verify.criterion_01(SEED)[0].observed == worst
 
 
 def test_c02_four_copy_agreement():
@@ -138,6 +156,13 @@ def test_c06_vidal_curve():
     _check(6, verify.criterion_06(SEED))
 
 
+def test_conversion_curve_is_the_c06_grid():
+    """conversion_curve(1000) walks, bit for bit, the grid 0.5 + 0.5 k / 1001.0
+    that c06 once built itself."""
+    lams = [lam for lam, _, _ in vidal.conversion_curve(1000)]
+    assert [x.hex() for x in lams] == [(0.5 + 0.5 * k / 1001.0).hex() for k in range(1, 1001)]
+
+
 def test_c07_known_basis_average():
     _check(7, verify.criterion_07(SEED))
 
@@ -148,6 +173,28 @@ def test_c08_unknown_basis_average():
 
 def test_c09_phase_cancellation():
     _check(9, verify.criterion_09(SEED))
+
+
+# criterion, the estimator it calls, its target, index of its Monte Carlo row
+MC_CRITERIA = [
+    (verify.criterion_07, "known_basis_average_mc", 0.2, 1),
+    (verify.criterion_08, "unknown_basis_average_mc", 2.0 / 105.0, 2),
+    (verify.criterion_09, "phase_term_mc", 0.0, 0),
+]
+
+
+@pytest.mark.parametrize("criterion, estimator, target, row", MC_CRITERIA,
+                         ids=["c07", "c08", "c09"])
+def test_mc_rows_pass_as_within_sigmas_decides(criterion, estimator, target, row, monkeypatch):
+    """A Monte Carlo row passes exactly when est.within_sigmas(target) holds: on
+    the seeded estimate, and on planted ones just inside and outside 4 sigma."""
+    real, seen = getattr(sampling, estimator), []
+    monkeypatch.setattr(sampling, estimator, lambda n, seed: seen.append(real(n, seed)) or seen[-1])
+    assert criterion(SEED)[row].passed == seen[0].within_sigmas(target)
+    for offset in (-4.01, -3.99, 3.99, 4.01):
+        planted = sampling.MonteCarloEstimate(target + offset * 1e-3, 1e-3, 10, SEED)
+        monkeypatch.setattr(sampling, estimator, lambda n, seed: planted)
+        assert criterion(SEED)[row].passed == planted.within_sigmas(target) == (abs(offset) < 4)
 
 
 def test_c10_kraus_maximizer():
@@ -172,7 +219,8 @@ def test_c10_stacked_grid_matches_per_pair_scan():
 
 
 @pytest.mark.parametrize(
-    "argv", PINNED_SHA256, ids=["corrupt-verify", "vidal-curve", "f-grid", "f-grid-400"]
+    "argv", PINNED_SHA256,
+    ids=["corrupt-verify", "vidal-curve", "vidal-curve-3000", "f-grid", "f-grid-400"],
 )
 def test_pinned_outputs(argv, tmp_path, capsys):
     out = tmp_path / "out"

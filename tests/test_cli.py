@@ -97,6 +97,18 @@ def test_simulate_product_input_undefined(capsys):
     assert "bell_fidelity" not in report
 
 
+def test_simulate_product_stage1_output_reports_zero_success(capsys):
+    """A near-degenerate pair flags the stage-1 output as product; the pipeline
+    output is undefined and its success probability is zero, not float dust."""
+    code, out, _ = run_cli(capsys, "simulate", "--lambda", "0.7", "--a", "1e-4", "--b", "0.7")
+    report = parse_report(out)
+    assert code == 0
+    assert report["pipeline_output"] == "undefined"
+    assert report["pipeline_prob"] == "0.0"
+    assert report["stage_probs"].split()[2] == "0.0"
+    assert float(report["stage1_prob"]) > 0.0
+
+
 def test_simulate_notes_nonphysical_params(capsys):
     """A valid pair beyond max(|a|, |b|) = sqrt(2)/2 gets a stderr note; stdout
     and the exit code stay as they are."""
@@ -295,6 +307,28 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "empty"])
+@pytest.mark.parametrize("command", ["verify", "vidal-curve", "f-grid"])
+def test_out_into_missing_directory_is_usage_error(command, where, tmp_path, capsys):
+    """An --out that names no file in an existing directory is rejected before
+    any work: exit 2 with a usage message, nothing on stdout."""
+    target = {"missing-directory": str(tmp_path / "missing" / "out"),
+              "a-directory": str(tmp_path), "empty": ""}[where]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", target])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "existing directory" in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_name_alone_writes_to_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["vidal-curve", "--grid", "2", "--out", "curve.csv"]) == 0
+    assert (tmp_path / "curve.csv").read_text().startswith("lambda,p_vidal,p_universal\n")
 
 
 NON_FINITE = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"]

@@ -173,6 +173,24 @@ def test_full_pipeline_degenerate_params():
     assert not result.output[0, 0].any()
 
 
+def test_full_pipeline_succeeds_exactly_where_its_output_is_defined():
+    """Near-degenerate pairs flag the stage-1 output as product while stage 2
+    still has a tiny weight; the pipeline then reports P2 = 0, so its success
+    probability is exactly zero on the all-zero output rows and nowhere else."""
+    small, large = [0.0, 1e-8, 1e-6, 1e-4j, 1e-3, 1e-2], [0.5, 0.7, 0.8]
+    pairs = [(s, l) for s in small for l in large]
+    params = KrausParams(*np.array(pairs + [p[::-1] for p in pairs]).T)
+    states = np.vstack([haar_state_block(5, 8), schmidt_state(0.9**0.5, 0.1**0.5),
+                        schmidt_state(0.7**0.5, 0.3**0.5), bell_phi_plus(), [0, 1, 0, 0]])
+    result = full_pipeline(states, params)
+    undefined = ~result.output.any(axis=-1)
+    assert np.array_equal(result.success_prob == 0.0, undefined)
+    assert np.all(result.stage_probs[2][undefined] == 0.0)
+    # rows where stage 1 succeeded with a product output are among them
+    assert np.any(undefined & (result.stage_probs[0] > 0.0) & result.product_output)
+    assert not undefined.all()
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_full_pipeline_matches_closed_form(seed):

@@ -5,6 +5,9 @@ referenced somewhere in the package or in scripts/ other than its own
 definition and the re-exports in __init__.py; a reference from a name that
 fails this test does not count either.  A name that only tests reach
 belongs in tests/ (reference implementations go to tests/oracles.py).
+
+The front ends, verify.py and cli.py, reach the library modules through
+their public names only; linalg's shared helpers are the one exception.
 """
 import ast
 from pathlib import Path
@@ -74,6 +77,46 @@ def unreferenced_names(package: Path, scripts: Path) -> list:
         if not newly:
             return sorted(key for key, (_, node) in definitions.items() if id(node) in dead)
         dead.update(id(node) for node in newly)
+
+
+LIBRARY_MODULES = ("kraus", "protocols", "vidal", "sampling")
+FRONT_ENDS = ("verify.py", "cli.py")
+
+
+def private_reads(source: str) -> list:
+    """Sorted "module._name" for each underscore name of a LIBRARY_MODULES
+    module that source imports or reads as an attribute of the module."""
+    tree = ast.parse(source)
+    bound, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in LIBRARY_MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                elif node.module in LIBRARY_MODULES and alias.name.startswith("_"):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")):
+            found.add(f"{bound[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_front_ends_read_no_private_library_name():
+    for name in FRONT_ENDS:
+        assert private_reads((PACKAGE / name).read_text()) == [], name
+
+
+def test_guard_sees_a_private_library_read():
+    """Attribute reads through a module alias and from-imports are reported;
+    linalg's helpers and public names are not."""
+    source = (
+        "from . import protocols as p, linalg, sampling\n"
+        "from .kraus import KrausParams, _as_stack\n"
+        "from .linalg import _cabs\n"
+        "x = p._cabs(linalg._cmul(1, 2)) + sampling.check_seed(3) + _cabs(1)\n"
+    )
+    assert private_reads(source) == ["kraus._as_stack", "protocols._cabs"]
 
 
 def test_every_public_name_is_used_outside_tests():
