@@ -20,8 +20,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import protocols, sampling, vidal
-from . import verify as verify_mod
+# every command is a cold start, so protocols, sampling, vidal and verify are
+# imported inside the commands that run them; parsing needs only kraus and linalg
 from .kraus import CANONICAL_PARAMS, KrausParams, f_parameter, params_physical, params_valid
 from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
@@ -78,6 +78,7 @@ def _parse_lambda(text: str) -> np.ndarray:
 
 
 def _parse_seed(text: str) -> int:
+    from . import sampling
     try:
         seed = int(text)
     except ValueError:
@@ -100,13 +101,10 @@ def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
     return DEFAULT_SEED
 
 
-def _write_lines(path: str | None, blocks) -> None:
-    """Write each text block as it is made, to path or stdout; one write per line costs more."""
-    if path is None:
-        sys.stdout.writelines(blocks)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(blocks)
+def _write_lines(fh, blocks) -> None:
+    """Write each text block as it is made, to the open file fh or to stdout when fh is
+    None; one write per line costs more."""
+    (sys.stdout if fh is None else fh).writelines(blocks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bounds(args) -> int:
+    from . import protocols
     c = args.state
     lines = ["state = " + " ".join(repr(complex(z)) for z in c)]
     if abs(c[1]) <= ATOL and abs(c[2]) <= ATOL:
@@ -179,6 +178,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import protocols
     c = args.state
     params = args.params
     if not params_physical(args.a, args.b):
@@ -210,6 +210,7 @@ def cmd_simulate(args) -> int:
 
 def _vidal_curve_blocks(n: int):
     """The vidal-curve CSV in blocks of 1024 lines, so memory does not grow with n."""
+    from . import vidal
     yield "lambda,p_vidal,p_universal\n"
     points = vidal.conversion_curve(n)
     while block := list(itertools.islice(points, 1024)):
@@ -239,6 +240,7 @@ def cmd_f_grid(args) -> int:
 
 
 def cmd_haar_average(args) -> int:
+    from . import sampling
     lines = [f"mode = {args.mode}", f"seed = {args.seed}", f"samples = {args.samples}"]
     if args.mode == "known-basis":
         analytic = sampling.known_basis_average_quadrature()
@@ -259,7 +261,8 @@ def cmd_haar_average(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = verify_mod.run_all(args.seed, corrupt_kraus=args.corrupt_kraus)
+    from . import verify
+    rows = verify.run_all(args.seed, corrupt_kraus=args.corrupt_kraus)
     print(f"seed = {args.seed}")
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
@@ -267,7 +270,7 @@ def cmd_verify(args) -> int:
               f"observed {row.observed}, tolerance {row.tolerance}")
     n_bad = sum(1 for r in rows if not r.passed)
     if args.out is not None:
-        _write_lines(args.out, [verify_mod.rows_to_json(rows, args.seed)])
+        _write_lines(args.out, [verify.rows_to_json(rows, args.seed)])
     if n_bad:
         print(f"FAILED: {n_bad} of {len(rows)} checks")
         return 1
@@ -289,13 +292,23 @@ def main(argv=None) -> int:
         parser.error(f"--out must name a file in an existing directory, got {out!r}")
     if args.command in ("vidal-curve", "f-grid") and args.grid < 2:
         parser.error("--grid must be at least 2")
-    if args.command == "haar-average" and args.samples < 1:
-        parser.error("--samples must be at least 1")
-    if args.command == "haar-average" and args.samples > sampling.MAX_SAMPLES:
-        parser.error(f"--samples must be at most {sampling.MAX_SAMPLES}")
+    if args.command == "haar-average":
+        from . import sampling
+        if args.samples < 1:
+            parser.error("--samples must be at least 1")
+        if args.samples > sampling.MAX_SAMPLES:
+            parser.error(f"--samples must be at most {sampling.MAX_SAMPLES}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
-    return args.func(args)
+    if out is None:
+        return args.func(args)
+    # opened before any work, so a file that cannot be written costs nothing
+    try:
+        args.out = open(out, "w", newline="\n")
+    except OSError as exc:
+        parser.error(f"cannot open --out {out!r}: {exc.strerror or exc}")
+    with args.out:
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,13 @@ def _as_array(values, dtype=complex) -> np.ndarray:
         raise ValueError("number beyond the float range") from None
 
 
+def _check_int(value, name: str) -> int:
+    """value as an int; integral floats such as 3.0 are accepted, anything else raises."""
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_finite(values, what: str) -> np.ndarray:
     """_as_array(values), raising ValueError if any entry is nan or infinite."""
     array = _as_array(values)

@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .linalg import _check_int
 from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
@@ -46,13 +47,6 @@ _CHUNK_ROWS = 8_192
 # runs of up to this many samples keep their values (32 MB) for the second
 # pass; longer runs draw them again
 _HOLD_MAX = 2**22
-
-
-def _check_int(value, name: str) -> int:
-    """value as an int; integral floats such as 3.0 are accepted, anything else raises."""
-    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def check_seed(seed) -> int:

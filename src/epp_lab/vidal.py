@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import _as_array
+from .linalg import _as_array, _check_int
 
 # squared Schmidt coefficients may carry tiny negative float dust
 _NEG_TOL = 1e-12
@@ -98,8 +98,19 @@ def universal_two_copy_prob(lam: float) -> float:
 
 
 def conversion_curve(n: int):
-    """Yield (lam, p_vidal, p_universal) at lam = 1/2 + k/(2(n+1)), k = 1, ..., n: the
-    monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call each."""
+    """Iterator over (lam, p_vidal, p_universal) at lam = 1/2 + k/(2(n+1)), k = 1, ..., n: the
+    monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call each.
+
+    n is checked when this is called, not at the first point: it must be an
+    integer in [1, 2**53), past which the grid points stop being distinct floats.
+    """
+    n = _check_int(n, "n")
+    if not 1 <= n < 2**53:
+        raise ValueError(f"n must lie in [1, 2**53), got {n}")
+    return _curve_points(n)
+
+
+def _curve_points(n: int):
     target = embedded_bell_coeffs()
     for k in range(1, n + 1):
         lam = 0.5 + 0.5 * k / (n + 1)

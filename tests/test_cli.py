@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epp_lab
-from epp_lab import sampling, verify
+from epp_lab import cli, sampling, verify
 from epp_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser, main
 
 
@@ -325,6 +326,30 @@ def test_out_into_missing_directory_is_usage_error(command, where, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["verify", "vidal-curve", "f-grid"])
+def test_out_that_cannot_be_opened_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    """--out is opened before any work: a file the system will not open is exit 2
+    with one error line, no traceback, and no criterion line from verify."""
+    target = str(tmp_path / "out")
+    real_open = open
+
+    def refusing_open(path, *args, **kwargs):
+        if path == target:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", target])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"epp-lab: error: cannot open --out {target!r}: Permission denied"]
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_file_name_alone_writes_to_working_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["vidal-curve", "--grid", "2", "--out", "curve.csv"]) == 0
@@ -438,3 +463,53 @@ def test_cli_defaults_to_one_blas_thread(preset, expected):
         env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == expected
+
+
+# epp_lab modules each cold command loads beyond those of `import epp_lab.cli`
+COLD_IMPORTS = {
+    (): set(),
+    ("bounds", "--lambda", "0.3"): {"protocols"},
+    ("simulate", "--lambda", "0.7"): {"protocols"},
+    ("vidal-curve", "--grid", "3"): {"vidal"},
+    ("f-grid", "--grid", "2"): set(),
+    ("haar-average", "--mode", "known-basis", "--samples", "10"): {"protocols", "sampling"},
+}
+
+
+@pytest.mark.parametrize("argv", COLD_IMPORTS, ids=lambda argv: argv[0] if argv else "import")
+def test_each_command_imports_only_what_it_runs(argv):
+    """A cold command loads the library modules it runs and no other: the CLI
+    itself needs kraus and linalg to parse, and no command here loads scipy."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    report = ("print(sorted(m for m in sys.modules if m.partition('.')[0] == 'epp_lab'), "
+              "any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+    run = f"epp_lab.cli.main({list(argv)!r})" if argv else ""
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, epp_lab.cli\n{run}\n{report}"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    modules = {"epp_lab", "epp_lab.cli", "epp_lab.kraus", "epp_lab.linalg"}
+    modules |= {f"epp_lab.{name}" for name in COLD_IMPORTS[argv]}
+    assert out.strip().splitlines()[-1] == f"{sorted(modules)} False"
+
+
+# sha256 of each --help text at 80 columns; loading modules later must not change it
+HELP_SHA256 = {
+    (): "ab406c7dfb2d07fce7d10edd7431f8b9a8e0b7402b57230b5732f8269363fe90",
+    ("bounds",): "842934261359b0f21a14345be5c36e3ca5e89ccb450b23b70c0879aeeec45d06",
+    ("simulate",): "cd54aad04350afeaf6a5ca8575cd80b1c9a3ea8ca336599766dcf5a5ea22bd00",
+    ("vidal-curve",): "48cfd89bccaaa7286ec44962b3b2ddf9a9dfb38c93b40aac3bc3bbd75d3531a6",
+    ("f-grid",): "a4762782724c904d360ef9fce1a2f298d9f0d9a89083307cd32b53de881d5df4",
+    ("haar-average",): "195d9c8b5f16ec385197deefb3fd86800ee00619d7bc37b8a52d58ea99614c18",
+    ("verify",): "4ac7a441c20c295fb88a534e91891c6a54856eb55b83fe98fe112bc89cf652eb",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: c[0] if c else "epp-lab")
+def test_help_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]

@@ -94,6 +94,7 @@ ENTRY_POINTS = [
     ("monotones", lambda *v: vidal.monotones(v), [0.7, 0.3], False),
     ("optimal_two_copy_prob", vidal.optimal_two_copy_prob, [0.8], False),
     ("universal_two_copy_prob", vidal.universal_two_copy_prob, [0.8], False),
+    ("conversion_curve", lambda n: list(vidal.conversion_curve(n)), [3], False),
     ("schmidt_lambda_pdf", sampling.schmidt_lambda_pdf, [0.8], False),
     ("uniform_block", sampling.uniform_block, [3, 5, 8, 7], False),
     ("haar_state_block", sampling.haar_state_block, [3, 5, 7], False),

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from epp_lab.linalg import basis_state, bell_phi_plus, schmidt_state
 from epp_lab.vidal import (
+    conversion_curve,
     doubled_schmidt_coeffs,
     embedded_bell_coeffs,
     monotones,
@@ -129,3 +130,19 @@ def test_curve_monotone_after_breakpoint():
 def test_doubled_coeffs_domain():
     with pytest.raises(ValueError):
         doubled_schmidt_coeffs(1.2)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), 2.5, "x", 0, -3, 0.0, 2**53, 10**400],
+    ids=["nan", "inf", "2.5", "str", "0", "-3", "0.0", "2**53", "10**400"])
+def test_conversion_curve_checks_n_when_called(bad):
+    """A bad n raises ValueError from the call itself, before any point is asked for."""
+    with pytest.raises(ValueError):
+        conversion_curve(bad)
+
+
+def test_conversion_curve_accepts_integral_n():
+    points = list(conversion_curve(3))
+    assert len(points) == 3
+    assert list(conversion_curve(3.0)) == points
+    assert list(conversion_curve(np.int64(3))) == points
