@@ -27,6 +27,8 @@ from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
+# largest f-grid axis: at about 3 us per row and n**2 rows, 5000 takes about 70 s
+MAX_F_GRID = 5000
 
 # CLI inputs tolerate slightly stale normalization; anything past this is an error
 _NORM_ERROR = 1e-8
@@ -250,7 +252,7 @@ def cmd_haar_average(args) -> int:
         analytic = sampling.unknown_basis_average_exact()
         est = sampling.unknown_basis_average_mc(args.samples, args.seed)
         target = 2.0 / 105.0
-    ok = est.within_sigmas(target, 4.0)
+    ok = est.within_sigmas(target)
     lines.append("analytic = " + _fmt(analytic))
     lines.append("mc_mean = " + _fmt(est.mean))
     lines.append("mc_std_error = " + ("undefined" if est.n_samples == 1 else _fmt(est.std_error)))
@@ -290,8 +292,15 @@ def main(argv=None) -> int:
     if out is not None and (os.path.isdir(out or ".")
                             or not os.path.isdir(os.path.dirname(out) or ".")):
         parser.error(f"--out must name a file in an existing directory, got {out!r}")
-    if args.command in ("vidal-curve", "f-grid") and args.grid < 2:
-        parser.error("--grid must be at least 2")
+    if args.command in ("vidal-curve", "f-grid"):
+        if args.command == "vidal-curve":
+            from .vidal import MAX_GRID as max_grid
+        else:
+            max_grid = MAX_F_GRID
+        if args.grid < 2:
+            parser.error("--grid must be at least 2")
+        if args.grid > max_grid:
+            parser.error(f"--grid must be at most {max_grid}")
     if args.command == "haar-average":
         from . import sampling
         if args.samples < 1:

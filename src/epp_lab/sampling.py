@@ -38,6 +38,8 @@ KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
 # bounds time (10**8 unknown-basis samples: about 100 s); memory is flat in it
 MAX_SAMPLES = 10**8
+# a Monte Carlo mean agrees with its target within this many standard errors
+AGREEMENT_SIGMAS = 4.0
 _MAX_SEED = 2**64
 # one key's Philox stream: 2**256 counters of four draws each
 _STREAM_DRAWS = 2**258
@@ -136,10 +138,10 @@ class MonteCarloEstimate:
     seed: int
     algorithm: str = RNG_ALGORITHM
 
-    def within_sigmas(self, target: float, k: float = 4.0) -> bool:
+    def within_sigmas(self, target: float) -> bool:
         if math.isnan(self.std_error):
             return self.mean == target
-        return abs(self.mean - target) <= k * self.std_error
+        return abs(self.mean - target) <= AGREEMENT_SIGMAS * self.std_error
 
 
 def _exact_total(x) -> int:

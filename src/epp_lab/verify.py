@@ -82,8 +82,9 @@ def _runtime_row(name: str, elapsed: float, budget: float) -> CriterionRow:
 
 
 def _mc_row(name: str, target: float, est) -> CriterionRow:
-    """est.mean against target within 4 sigma, the rule haar-average applies too."""
-    return CriterionRow(name, target, est.mean, 4.0 * est.std_error, est.within_sigmas(target))
+    """est.mean against target within AGREEMENT_SIGMAS standard errors, as in haar-average."""
+    tolerance = sampling.AGREEMENT_SIGMAS * est.std_error
+    return CriterionRow(name, target, est.mean, tolerance, est.within_sigmas(target))
 
 
 def _kept_rows(draw, keep, n: int) -> np.ndarray:

@@ -15,15 +15,17 @@ from .linalg import _as_array, _check_int
 
 # squared Schmidt coefficients may carry tiny negative float dust
 _NEG_TOL = 1e-12
+# largest conversion_curve grid: at about 45 us per point, 10**6 points take about 45 s
+MAX_GRID = 10**6
 
 
 def _clean_coeffs(coeffs) -> np.ndarray:
-    x = _as_array(coeffs, float).reshape(-1)
-    if x.size == 0:
-        raise ValueError("need at least one coefficient")
+    x = _as_array(coeffs, float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"need a 1-D list of at least one coefficient, got shape {x.shape}")
     if x.min() < -_NEG_TOL:
         raise ValueError(f"negative squared coefficient {x.min():.3e}")
-    x = np.clip(x, 0.0, None)
+    x = np.maximum(x, 0.0)
     total = x.sum()
     if not (abs(total - 1.0) <= 1e-10):
         raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
@@ -32,10 +34,8 @@ def _clean_coeffs(coeffs) -> np.ndarray:
 
 def monotones(schmidt_coeffs) -> np.ndarray:
     """Tail sums E_l of the sorted squared Schmidt coefficients; E_1 = 1."""
-    x = _clean_coeffs(schmidt_coeffs)
-    x = np.sort(x)[::-1]
-    # suffix sums: E[l] = x[l] + x[l+1] + ...
-    return np.cumsum(x[::-1])[::-1].copy()
+    # E[l] = x[l] + x[l+1] + ... in non-increasing order: the ascending running sum, reversed
+    return np.cumsum(np.sort(_clean_coeffs(schmidt_coeffs)))[::-1].copy()
 
 
 def embedded_bell_coeffs() -> list:
@@ -57,17 +57,15 @@ def doubled_schmidt_coeffs(lam: float) -> list:
 def vidal_probability(source_coeffs, target_coeffs) -> float:
     """Optimal conclusive conversion probability between two pure states.
 
-    Arguments are squared Schmidt coefficient lists; the shorter one is
+    Arguments are 1-D squared Schmidt coefficient lists; the shorter one is
     zero-padded.  Constraints with E_l(target) = 0 are skipped: the ratio
     is +infinity there (including the 0/0 case) and never binds.  The
     result is clamped to [0, 1].
     """
-    ns, nt = len(source_coeffs), len(target_coeffs)
-    n = max(ns, nt)
-    src = list(source_coeffs) + [0.0] * (n - ns)
-    tgt = list(target_coeffs) + [0.0] * (n - nt)
-    Es = monotones(src)
-    Et = monotones(tgt)
+    Es, Et = monotones(source_coeffs), monotones(target_coeffs)
+    # zero padding appends zero tail sums, so padding the monotones pads the spectra
+    n = max(Es.size, Et.size)
+    Es, Et = (np.concatenate((E, np.zeros(n - E.size))) for E in (Es, Et))
     best = 1.0
     for l in range(n):
         if Et[l] <= 0.0:
@@ -102,11 +100,11 @@ def conversion_curve(n: int):
     monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call each.
 
     n is checked when this is called, not at the first point: it must be an
-    integer in [1, 2**53), past which the grid points stop being distinct floats.
+    integer in [1, MAX_GRID], which bounds the run time.
     """
     n = _check_int(n, "n")
-    if not 1 <= n < 2**53:
-        raise ValueError(f"n must lie in [1, 2**53), got {n}")
+    if not 1 <= n <= MAX_GRID:
+        raise ValueError(f"n must lie in [1, {MAX_GRID}], got {n}")
     return _curve_points(n)
 
 

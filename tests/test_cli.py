@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epp_lab
-from epp_lab import cli, sampling, verify
-from epp_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser, main
+from epp_lab import cli, sampling, verify, vidal
+from epp_lab.cli import DEFAULT_SEED, MAX_F_GRID, SEED_ENV_VAR, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -302,6 +302,8 @@ def test_bad_env_seed_is_usage_error(monkeypatch):
         # rejected before any sample is drawn
         ["haar-average", "--samples", str(sampling.MAX_SAMPLES + 1)],
         ["haar-average", "--samples", "100000000000000000000"],
+        ["vidal-curve", "--grid", str(vidal.MAX_GRID + 1)],
+        ["f-grid", "--grid", str(MAX_F_GRID + 1)],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -367,8 +369,8 @@ FUZZ_SLOTS = [
     (["simulate", "--lambda={v}"], None, ["0", "1"]),
     (["simulate", "--lambda=0.7", "--a={v}"], None, ["0.9", "0,0.95"]),
     (["simulate", "--lambda=0.7", "--b={v},0.1"], None, ["2"]),
-    (["vidal-curve", "--grid={v}"], None, ["1", "0", "-4"]),
-    (["f-grid", "--grid={v}"], None, ["1", "-1"]),
+    (["vidal-curve", "--grid={v}"], None, ["1", "0", "-4", str(vidal.MAX_GRID + 1)]),
+    (["f-grid", "--grid={v}"], None, ["1", "-1", str(MAX_F_GRID + 1)]),
     (["haar-average", "--samples={v}"], None, ["0", "-5"]),
     (["haar-average", "--samples=10", "--seed={v}"], None, ["-1", "1.5", str(2**64)]),
     (["verify", "--seed={v}"], None, ["-1", str(2**64)]),

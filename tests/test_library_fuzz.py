@@ -152,3 +152,17 @@ def test_huge_integer_in_every_slot_raises_value_error():
                 args[slot] = bad
                 with pytest.raises(ValueError):
                     call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (vidal.vidal_probability, (1.0, [1.0])),
+    (vidal.vidal_probability, ([[0.5, 0.5], [0.0, 0.0]], [1.0, 0.0])),
+    (vidal.monotones, (1.0,)),
+    (vidal.monotones, ([[0.5], [0.5]],)),
+], ids=["vidal_probability[scalar]", "vidal_probability[2-D]", "monotones[scalar]",
+        "monotones[2-D]"])
+def test_spectrum_that_is_not_1d_raises_value_error(call, args):
+    """A squared Schmidt spectrum is a 1-D list: a scalar or a 2-D array is not
+    flattened into one, even when its entries sum to 1."""
+    with pytest.raises(ValueError, match="1-D"):
+        call(*args)

@@ -249,7 +249,7 @@ def test_unknown_basis_exact():
 
 def test_known_basis_mc_agrees_with_quadrature():
     est = known_basis_average_mc(20000, seed=42)
-    assert est.within_sigmas(0.2, 4.0)
+    assert est.within_sigmas(0.2)
     assert est.n_samples == 20000
     # one width-1 draw per sample through the inverse CDF of 6(2 lam - 1)^2, no ndtri
     assert est.algorithm == KNOWN_BASIS_RNG_ALGORITHM
@@ -257,7 +257,7 @@ def test_known_basis_mc_agrees_with_quadrature():
 
 def test_unknown_basis_mc_agrees_with_exact():
     est = unknown_basis_average_mc(20000, seed=42)
-    assert est.within_sigmas(2.0 / 105.0, 4.0)
+    assert est.within_sigmas(2.0 / 105.0)
     assert est.algorithm == RNG_ALGORITHM
 
 
@@ -272,7 +272,7 @@ def test_pipeline_route_matches_closed_form_route():
 
 def test_phase_term_averages_to_zero():
     est = phase_term_mc(20000, seed=42)
-    assert est.within_sigmas(0.0, 4.0)
+    assert est.within_sigmas(0.0)
 
 
 def test_mc_determinism():
@@ -359,9 +359,8 @@ def test_exact_total_rejects_non_finite(bad):
 
 def test_within_sigmas_width():
     est = MonteCarloEstimate(mean=1.0, std_error=0.1, n_samples=100, seed=0)
-    assert est.within_sigmas(1.35, 4.0)
-    assert not est.within_sigmas(1.45, 4.0)
-    assert est.within_sigmas(1.15, 2.0)
+    assert est.within_sigmas(1.35)
+    assert not est.within_sigmas(1.45)
 
 
 # ------------------------------------------------------------------ chunking

@@ -1,9 +1,9 @@
-"""The package exposes only what its own commands and scripts use.
+"""The package exposes only what its own commands use.
 
 Every public top-level function, class and constant of src/epp_lab must be
-referenced somewhere in the package or in scripts/ other than its own
-definition and the re-exports in __init__.py; a reference from a name that
-fails this test does not count either.  A name that only tests reach
+referenced somewhere in the package other than its own definition and the
+re-exports in __init__.py; a reference from a name that fails this test does
+not count either.  A name that only tests reach
 belongs in tests/ (reference implementations go to tests/oracles.py).
 
 The front ends, verify.py and cli.py, reach the library modules through
@@ -15,7 +15,6 @@ from pathlib import Path
 import epp_lab
 
 PACKAGE = Path(epp_lab.__file__).resolve().parent
-SCRIPTS = PACKAGE.parent.parent / "scripts"
 
 
 def public_definitions(tree: ast.Module) -> dict:
@@ -53,13 +52,12 @@ def statement_reads(tree: ast.Module) -> list:
     return out
 
 
-def unreferenced_names(package: Path, scripts: Path) -> list:
+def unreferenced_names(package: Path) -> list:
     """Public names of package that nothing but their own definition, __init__
     and other such names reads, as sorted "module.name" strings."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))
                if p.name != "__init__.py"}
-    trees = [*modules.values(), *(ast.parse(p.read_text()) for p in sorted(scripts.glob("*.py")))]
-    statements = [pair for tree in trees for pair in statement_reads(tree)]
+    statements = [pair for tree in modules.values() for pair in statement_reads(tree)]
     definitions = {
         f"{stem}.{name}": (name, node)
         for stem, tree in modules.items() for name, node in public_definitions(tree).items()
@@ -120,21 +118,20 @@ def test_guard_sees_a_private_library_read():
 
 
 def test_every_public_name_is_used_outside_tests():
-    assert unreferenced_names(PACKAGE, SCRIPTS) == []
+    assert unreferenced_names(PACKAGE) == []
 
 
 def test_guard_sees_a_test_only_name(tmp_path):
     """A public helper that nothing in the package calls is reported, even
     when __init__ re-exports it and it calls itself, and so is a constant
     that only the helper reads."""
-    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package = tmp_path / "pkg"
     package.mkdir()
-    scripts.mkdir()
     (package / "__init__.py").write_text("from .core import helper, used\n")
     (package / "core.py").write_text(
         "LIMIT = 3\nSTEP = 1\n\n"
         "def used(n):\n    return min(n, LIMIT)\n\n"
         "def helper(n):\n    return helper(n - STEP) if n else 0\n"
     )
-    (scripts / "run.py").write_text("from pkg.core import used as run_used\nrun_used(5)\n")
-    assert unreferenced_names(package, scripts) == ["core.STEP", "core.helper"]
+    (package / "run.py").write_text("from .core import used as run_used\nrun_used(5)\n")
+    assert unreferenced_names(package) == ["core.STEP", "core.helper"]

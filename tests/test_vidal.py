@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from epp_lab.linalg import basis_state, bell_phi_plus, schmidt_state
 from epp_lab.vidal import (
+    MAX_GRID,
     conversion_curve,
     doubled_schmidt_coeffs,
     embedded_bell_coeffs,
@@ -133,8 +134,8 @@ def test_doubled_coeffs_domain():
 
 
 @pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), 2.5, "x", 0, -3, 0.0, 2**53, 10**400],
-    ids=["nan", "inf", "2.5", "str", "0", "-3", "0.0", "2**53", "10**400"])
+    "bad", [float("nan"), float("inf"), 2.5, "x", 0, -3, 0.0, MAX_GRID + 1, 10**400],
+    ids=["nan", "inf", "2.5", "str", "0", "-3", "0.0", "MAX_GRID+1", "10**400"])
 def test_conversion_curve_checks_n_when_called(bad):
     """A bad n raises ValueError from the call itself, before any point is asked for."""
     with pytest.raises(ValueError):
@@ -146,3 +147,4 @@ def test_conversion_curve_accepts_integral_n():
     assert len(points) == 3
     assert list(conversion_curve(3.0)) == points
     assert list(conversion_curve(np.int64(3))) == points
+    conversion_curve(MAX_GRID)  # the ceiling itself is accepted; no point is computed
