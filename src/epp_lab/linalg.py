@@ -14,21 +14,32 @@ ATOL = 1e-10
 
 
 def _as_array(values, dtype=complex) -> np.ndarray:
-    """np.asarray(values, dtype), raising ValueError for integers beyond the float range.
+    """np.asarray(values, dtype), raising ValueError for integers beyond the float range
+    and for complex values when dtype is real.
 
-    numpy raises OverflowError for those.  The states, Schmidt pairs and
-    Schmidt coefficients that library entry points take are converted here,
-    so out-of-range input is a ValueError like any other bad input.
+    numpy raises OverflowError and TypeError for those.  The states, Schmidt
+    pairs and Schmidt coefficients that library entry points take are
+    converted here, so such input is a ValueError like any other bad input.
     """
     try:
         return np.asarray(values, dtype=dtype)
     except OverflowError:
         raise ValueError("number beyond the float range") from None
+    except TypeError as exc:
+        raise ValueError(f"cannot convert to {np.dtype(dtype)}: {exc}") from None
+
+
+def _as_real(value, name: str) -> float:
+    """value as a float; a complex value or an integer beyond the float range raises ValueError."""
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _check_int(value, name: str) -> int:
     """value as an int; integral floats such as 3.0 are accepted, anything else raises."""
-    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+    if not isinstance(value, (int, np.integer)) and not _as_real(value, name).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg import _check_int
+from .linalg import _as_real, _check_int
 from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
@@ -98,6 +98,7 @@ def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 def schmidt_lambda_pdf(lam: float) -> float:
     """Density 6(2 lam - 1)^2 of the larger squared Schmidt coefficient on [1/2, 1]."""
+    lam = _as_real(lam, "lambda")
     if not 0.5 <= lam <= 1.0:
         raise ValueError("lambda must lie in [1/2, 1]")
     return 6.0 * (2.0 * lam - 1.0) ** 2
@@ -114,7 +115,7 @@ def dirichlet_moment_exact(alpha, beta) -> Fraction:
     Entries must be integral (2.0 is accepted, 1.7 raises ValueError).
     """
     alpha, beta = list(alpha), list(beta)
-    if not all(float(v).is_integer() for v in alpha + beta):
+    if not all(_as_real(v, "each alpha and beta entry").is_integer() for v in alpha + beta):
         raise ValueError(f"alpha and beta entries must be integers, got {alpha} and {beta}")
     alpha = [int(a) for a in alpha]
     beta = [int(b) for b in beta]

@@ -7,11 +7,12 @@ two pure states is the minimum over l of E_l(source) / E_l(target).
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .linalg import _as_array, _check_int
+from .linalg import _as_array, _as_real, _check_int
 
 # squared Schmidt coefficients may carry tiny negative float dust
 _NEG_TOL = 1e-12
@@ -49,6 +50,7 @@ def embedded_bell_coeffs() -> list:
 
 def doubled_schmidt_coeffs(lam: float) -> list:
     """Squared Schmidt spectrum of psi_lam x psi_lam across the doubled cut."""
+    lam = _as_real(lam, "lambda")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     return [lam**2, lam * (1 - lam), lam * (1 - lam), (1 - lam) ** 2]
@@ -62,15 +64,12 @@ def vidal_probability(source_coeffs, target_coeffs) -> float:
     is +infinity there (including the 0/0 case) and never binds.  The
     result is clamped to [0, 1].
     """
-    Es, Et = monotones(source_coeffs), monotones(target_coeffs)
-    # zero padding appends zero tail sums, so padding the monotones pads the spectra
-    n = max(Es.size, Et.size)
-    Es, Et = (np.concatenate((E, np.zeros(n - E.size))) for E in (Es, Et))
+    Es, Et = monotones(source_coeffs).tolist(), monotones(target_coeffs).tolist()
     best = 1.0
-    for l in range(n):
-        if Et[l] <= 0.0:
-            continue
-        best = min(best, Es[l] / Et[l])
+    # zero padding appends zero tail sums, so padding the monotones pads the spectra
+    for e_s, e_t in itertools.zip_longest(Es, Et, fillvalue=0.0):
+        if e_t > 0.0:
+            best = min(best, e_s / e_t)
     return max(best, 0.0)
 
 
@@ -81,6 +80,7 @@ def optimal_two_copy_prob(lam: float) -> float:
     input: certainty below lam = 1/sqrt(2), then 2(1 - lam^2).  Only the
     open interval (1/2, 1) is meaningful (entangled, non-Bell input).
     """
+    lam = _as_real(lam, "lambda")
     if not 0.5 < lam < 1.0:
         raise ValueError("lambda must lie in the open interval (1/2, 1)")
     if lam < 1.0 / math.sqrt(2.0):
@@ -90,6 +90,7 @@ def optimal_two_copy_prob(lam: float) -> float:
 
 def universal_two_copy_prob(lam: float) -> float:
     """Success 2 lam (1 - lam) of the basis-blind two-copy protocol at the same input."""
+    lam = _as_real(lam, "lambda")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     return 2.0 * lam * (1.0 - lam)

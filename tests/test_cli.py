@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_acceptance import PINNED_SHA256
 
 import epp_lab
 from epp_lab import cli, sampling, verify, vidal
@@ -465,6 +466,54 @@ def test_cli_defaults_to_one_blas_thread(preset, expected):
         env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == expected
+
+
+def run_cold(*argv) -> subprocess.CompletedProcess:
+    """`python -m epp_lab argv` in a fresh child, as a user runs it; output as bytes."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "epp_lab", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+
+
+def test_cli_freezes_the_collector_at_exit():
+    """Importing the CLI registers gc.freeze as an exit handler, so the final
+    collections of interpreter shutdown skip the objects numpy and scipy
+    leave.  atexit runs handlers last in, first out: a probe registered
+    before the import runs after the freeze."""
+    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "import epp_lab.cli")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "True"
+
+
+def test_frozen_exit_keeps_files_and_stdout(tmp_path, capsys):
+    """A cold child exits frozen and still writes the pinned --out file and
+    stdout bytes; haar-average in unknown-basis mode also loads scipy."""
+    curve, path = ("vidal-curve", "--grid", "3000"), tmp_path / "curve.csv"
+    assert run_cold(*curve, "--out", str(path)).returncode == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[curve]
+    grid = ("f-grid", "--grid", "400")
+    proc = run_cold(*grid)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_SHA256[grid]
+    haar = ("haar-average", "--mode", "unknown-basis", "--samples", "1000", "--seed", "3")
+    proc = run_cold(*haar)
+    assert main(list(haar)) == 0
+    assert proc.returncode == 0 and proc.stdout.decode() == capsys.readouterr().out
+
+
+def test_frozen_exit_keeps_exit_codes(tmp_path):
+    """Verification failure is still exit 1 and a usage error exit 2."""
+    corrupt, path = ("verify", "--seed", "42", "--corrupt-kraus"), tmp_path / "verify.json"
+    assert run_cold(*corrupt, "--out", str(path)).returncode == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[corrupt]
+    proc = run_cold("bounds", "--lambda", "1.5")
+    assert proc.returncode == 2 and b"lambda must lie strictly between" in proc.stderr
 
 
 # epp_lab modules each cold command loads beyond those of `import epp_lab.cli`

@@ -4,7 +4,9 @@ Each entry point is called with valid arguments in which one scalar slot is
 replaced by nan, +inf, -inf, 1e400 (which parses to inf) or the integers
 +-10**400, which no float can hold; in a complex slot a bad float goes into
 the real or the imaginary part.  The call must raise ValueError: returning
-anything, a nan above all, or raising OverflowError fails the test.
+anything, a nan above all, or raising OverflowError fails the test.  A
+complex value in a slot of a real-valued entry point must raise ValueError
+too, not TypeError.
 """
 import math
 
@@ -94,8 +96,11 @@ ENTRY_POINTS = [
     ("monotones", lambda *v: vidal.monotones(v), [0.7, 0.3], False),
     ("optimal_two_copy_prob", vidal.optimal_two_copy_prob, [0.8], False),
     ("universal_two_copy_prob", vidal.universal_two_copy_prob, [0.8], False),
+    ("doubled_schmidt_coeffs", vidal.doubled_schmidt_coeffs, [0.8], False),
     ("conversion_curve", lambda n: list(vidal.conversion_curve(n)), [3], False),
     ("schmidt_lambda_pdf", sampling.schmidt_lambda_pdf, [0.8], False),
+    ("dirichlet_moment_exact", lambda *v: sampling.dirichlet_moment_exact(v[:2], v[2:]),
+     [1, 2, 0, 1], False),
     ("uniform_block", sampling.uniform_block, [3, 5, 8, 7], False),
     ("haar_state_block", sampling.haar_state_block, [3, 5, 7], False),
     ("known_basis_average_mc", sampling.known_basis_average_mc, [10, 3], False),
@@ -139,6 +144,21 @@ def test_non_finite_slot_raises_value_error(data):
     args[slot] = bad
     with pytest.raises(ValueError):
         call(*args)
+
+
+REAL_ENTRY_POINTS = [entry for entry in ENTRY_POINTS if not entry[3]]
+
+
+@pytest.mark.parametrize("name, call, valid, _", REAL_ENTRY_POINTS,
+                         ids=[entry[0] for entry in REAL_ENTRY_POINTS])
+def test_complex_in_a_real_slot_raises_value_error(name, call, valid, _):
+    """A real-valued entry point rejects a complex argument in every slot with
+    ValueError, not the TypeError of float() or of a < comparison."""
+    for slot in range(len(valid)):
+        args = list(valid)
+        args[slot] = complex(valid[slot], 1.0)
+        with pytest.raises(ValueError):
+            call(*args)
 
 
 def test_huge_integer_in_every_slot_raises_value_error():
