@@ -7,6 +7,8 @@ of it are np.kron(psi, psi), stored in (A, B, A', B') register order.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Default absolute tolerance for analytic identities checked at matrix level.
@@ -15,32 +17,43 @@ ATOL = 1e-10
 
 def _as_array(values, dtype=complex) -> np.ndarray:
     """np.asarray(values, dtype), raising ValueError for integers beyond the float range
-    and for complex values when dtype is real.
+    and, when dtype is real, for complex input, numpy's included.
 
-    numpy raises OverflowError and TypeError for those.  The states, Schmidt
-    pairs and Schmidt coefficients that library entry points take are
-    converted here, so such input is a ValueError like any other bad input.
+    numpy raises OverflowError or TypeError for those, or warns and drops the
+    imaginary part of numpy complex values.  The states, Schmidt pairs and
+    Schmidt coefficients that library entry points take are converted here.
     """
     try:
-        return np.asarray(values, dtype=dtype)
+        if dtype is complex:
+            return np.asarray(values, dtype=complex)
+        array = np.asarray(values)
+        if array.dtype.kind == "c":
+            raise TypeError("complex input to a real array")
+        return array.astype(dtype, copy=False)
     except OverflowError:
         raise ValueError("number beyond the float range") from None
     except TypeError as exc:
         raise ValueError(f"cannot convert to {np.dtype(dtype)}: {exc}") from None
 
 
-def _as_real(value, name: str) -> float:
-    """value as a float; a complex value or an integer beyond the float range raises ValueError."""
+def _as_real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a float in [lo, hi], else ValueError; nan lies outside every range.
+    numpy complex is refused by type, since float() would drop its imaginary part."""
     try:
-        return float(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+        x = math.nan if isinstance(value, np.complexfloating) else float(value)
+    except (TypeError, OverflowError):  # Python complex, integers beyond the float range
+        x = math.nan
+    if not lo <= x <= hi:
+        raise ValueError(f"{name} must be a real number at least {lo} and at most {hi}, "
+                         f"got {value!r}")
+    return x
 
 
-def _check_int(value, name: str) -> int:
-    """value as an int; integral floats such as 3.0 are accepted, anything else raises."""
-    if not isinstance(value, (int, np.integer)) and not _as_real(value, name).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi], else ValueError; integral floats such as 3.0 are accepted."""
+    integral = isinstance(value, (int, np.integer)) or _as_real(value, name, lo, hi).is_integer()
+    if not (integral and lo <= int(value) <= hi):
+        raise ValueError(f"{name} must be an integer at least {lo} and at most {hi}, got {value!r}")
     return int(value)
 
 

@@ -50,9 +50,7 @@ def embedded_bell_coeffs() -> list:
 
 def doubled_schmidt_coeffs(lam: float) -> list:
     """Squared Schmidt spectrum of psi_lam x psi_lam across the doubled cut."""
-    lam = _as_real(lam, "lambda")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    lam = _as_real(lam, "lambda", 0.0, 1.0)
     return [lam**2, lam * (1 - lam), lam * (1 - lam), (1 - lam) ** 2]
 
 
@@ -90,9 +88,7 @@ def optimal_two_copy_prob(lam: float) -> float:
 
 def universal_two_copy_prob(lam: float) -> float:
     """Success 2 lam (1 - lam) of the basis-blind two-copy protocol at the same input."""
-    lam = _as_real(lam, "lambda")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    lam = _as_real(lam, "lambda", 0.0, 1.0)
     return 2.0 * lam * (1.0 - lam)
 
 
@@ -103,10 +99,7 @@ def conversion_curve(n: int):
     n is checked when this is called, not at the first point: it must be an
     integer in [1, MAX_GRID], which bounds the run time.
     """
-    n = _check_int(n, "n")
-    if not 1 <= n <= MAX_GRID:
-        raise ValueError(f"n must lie in [1, {MAX_GRID}], got {n}")
-    return _curve_points(n)
+    return _curve_points(_check_int(n, "n", 1, MAX_GRID))
 
 
 def _curve_points(n: int):

@@ -153,12 +153,34 @@ REAL_ENTRY_POINTS = [entry for entry in ENTRY_POINTS if not entry[3]]
                          ids=[entry[0] for entry in REAL_ENTRY_POINTS])
 def test_complex_in_a_real_slot_raises_value_error(name, call, valid, _):
     """A real-valued entry point rejects a complex argument in every slot with
-    ValueError, not the TypeError of float() or of a < comparison."""
+    ValueError, not the TypeError of float() or of a < comparison.  A numpy
+    complex is rejected by type, even with a zero imaginary part: float()
+    and np.asarray(..., dtype=float) would drop its imaginary part."""
     for slot in range(len(valid)):
-        args = list(valid)
-        args[slot] = complex(valid[slot], 1.0)
-        with pytest.raises(ValueError):
-            call(*args)
+        z = complex(valid[slot], 1.0)
+        for bad in (z, np.complex128(z), np.complex64(z),
+                    np.complex128(valid[slot]), np.complex64(valid[slot])):
+            args = list(valid)
+            args[slot] = bad
+            with pytest.raises(ValueError):
+                call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (vidal.monotones, (np.array([0.5 + 0.3j, 0.5]),)),
+    (vidal.monotones, (np.array([0.5, 0.5], dtype=complex),)),
+    (vidal.vidal_probability, (np.array([0.5 + 0.3j, 0.5]), [1.0])),
+    (vidal.vidal_probability, ([0.7, 0.3], np.array([0.5, 0.5], dtype=np.complex64))),
+    (sampling.dirichlet_moment_exact, (np.ones(2, dtype=complex), (1, 0))),
+    (sampling.dirichlet_moment_exact, ((1, 1), np.array([1, 0], dtype=complex))),
+], ids=["monotones", "monotones[zero-imag]", "vidal_probability[source]",
+        "vidal_probability[target]", "dirichlet_moment_exact[alpha]",
+        "dirichlet_moment_exact[beta]"])
+def test_complex_array_in_a_real_slot_raises_value_error(call, args):
+    """A complex ndarray in an array slot of a real-valued entry point is
+    rejected by its dtype before numpy converts it to float."""
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 def test_huge_integer_in_every_slot_raises_value_error():

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from epp_lab.linalg import (
+    _as_array,
+    _as_real,
+    _check_int,
     as_state,
     basis_state,
     bell_phi_plus,
@@ -166,3 +171,62 @@ def test_state_validation():
 def test_basis_state_bad_width():
     with pytest.raises(ValueError):
         basis_state(3, "01")
+
+
+# ------------------------------------------------ real and integer domains
+
+
+def test_domain_bounds_are_inclusive():
+    assert _as_real(0.5, "x", 0.5, 1.0) == 0.5
+    assert _as_real(1.0, "x", 0.5, 1.0) == 1.0
+    assert _check_int(1, "n", 1, 3) == 1
+    assert _check_int(3, "n", 1, 3) == 3
+    for outside in (np.nextafter(0.5, 0.0), np.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError):
+            _as_real(outside, "x", 0.5, 1.0)
+    for outside in (0, 4):
+        with pytest.raises(ValueError):
+            _check_int(outside, "n", 1, 3)
+
+
+def test_nan_lies_outside_every_domain_and_inf_outside_finite_ones():
+    for check in (_as_real, _check_int):
+        with pytest.raises(ValueError):
+            check(math.nan, "x")
+        for inf in (math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                check(inf, "x", -1, 1)
+    # the default domain is the whole real line, ends included
+    assert _as_real(-math.inf, "x") == -math.inf
+    with pytest.raises(ValueError):
+        _check_int(math.inf, "n")
+
+
+def test_integral_values_are_accepted_as_int():
+    for value in (3, 3.0, np.int64(3), np.uint64(3), np.float64(3.0)):
+        n = _check_int(value, "n", 0)
+        assert n == 3 and type(n) is int
+    for bad in (3.5, "3.0", 3 + 0j):
+        with pytest.raises(ValueError):
+            _check_int(bad, "n")
+
+
+def test_numpy_complex_is_rejected_by_type():
+    for z in (np.complex128(0.5), np.complex64(0.5), np.complex128(0.5 + 1j), 0.5 + 0j):
+        with pytest.raises(ValueError):
+            _as_real(z, "x")
+        with pytest.raises(ValueError):
+            _check_int(z, "n")
+    for values in (np.array([0.5, 0.5], dtype=complex), [np.complex64(0.5), 0.5]):
+        with pytest.raises(ValueError):
+            _as_array(values, float)
+    assert _as_array(np.array([0.5, 0.5], dtype=complex)).dtype == complex
+
+
+def test_domain_message_names_the_value_and_both_bounds():
+    with pytest.raises(ValueError, match=r"^lambda .*at least 0\.5 and at most 1\.0, got 0\.25$"):
+        _as_real(0.25, "lambda", 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^seed .*at least 0 and at most 7, got 8$"):
+        _check_int(8, "seed", 0, 7)
+    with pytest.raises(ValueError, match=r"^n .*at least 1 and at most 5, got 2\.5$"):
+        _check_int(2.5, "n", 1, 5)

@@ -237,6 +237,28 @@ def test_moment_float_paths():
             dirichlet_moment_exact(alpha, beta)
 
 
+def test_moment_order_above_the_ceiling_raises_before_any_factorial(monkeypatch):
+    """sum(alpha) + sum(beta) bounds the factorials, so their time."""
+    def no_factorial(k):
+        raise AssertionError("math.factorial was called")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    with pytest.raises(ValueError, match="at most"):
+        dirichlet_moment_exact((sampling.MAX_DIRICHLET_ORDER - 1, 1), (1, 0))
+
+
+def test_moment_order_at_the_ceiling_is_accepted():
+    # E[x_1] under Dirichlet(a_1, a_2) is a_1 / (a_1 + a_2)
+    a = sampling.MAX_DIRICHLET_ORDER - 2
+    assert dirichlet_moment_exact((a, 1), (1, 0)) == Fraction(a, a + 1)
+
+
+def test_moment_many_ones_above_the_ceiling_raises():
+    n = sampling.MAX_DIRICHLET_ORDER + 1
+    with pytest.raises(ValueError):
+        dirichlet_moment_exact((1,) * n, (0,) * n)
+
+
 # ------------------------------------------------------------ haar averages
 
 def test_known_basis_quadrature():
