@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import importlib
 import itertools
 import os
 import sys
@@ -28,9 +29,10 @@ atexit.register(gc.freeze)
 import numpy as np
 
 # every command is a cold start, so protocols, sampling, vidal and verify are
-# imported inside the commands that run them; parsing needs only kraus and linalg
+# imported inside the commands that run them; parsing needs only kraus and
+# linalg, and an integer option the module that holds its bound
 from .kraus import CANONICAL_PARAMS, KrausParams, f_parameter, params_physical, params_valid
-from .linalg import ATOL, bell_phi_plus, fidelity_up_to_phase, schmidt_state
+from .linalg import ATOL, _check_int, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "EPP_LAB_SEED"
@@ -86,16 +88,23 @@ def _parse_lambda(text: str) -> np.ndarray:
     return schmidt_state(np.sqrt(lam), np.sqrt(1.0 - lam))
 
 
-def _parse_seed(text: str) -> int:
-    from . import sampling
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed: {text!r}")
-    try:
-        return sampling.check_seed(seed)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _lib(name: str):
+    """The library module called name, imported only when an option's check first runs."""
+    return importlib.import_module(f".{name}", __package__)
+
+
+def _int_option(check):
+    """An argparse type for an integer option: int(text), so "1e3" and "1.5" are refused,
+    then check(n), the library's own domain check, whose ValueError is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            return check(int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_parse_seed = _int_option(lambda n: _lib("sampling").check_seed(n))
 
 
 def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
@@ -143,20 +152,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vidal = sub.add_parser("vidal-curve", help="CSV of conversion probabilities over lambda")
     p_vidal.set_defaults(func=cmd_vidal_curve)
-    p_vidal.add_argument("--grid", type=int, default=100, help="number of interior grid points")
+    p_vidal.add_argument(
+        "--grid", type=_int_option(lambda n: _check_int(n, "grid", 2, _lib("vidal").MAX_GRID)),
+        default=100, help="number of interior grid points")
     p_vidal.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     p_fgrid = sub.add_parser(
         "f-grid", help="CSV of validity, asymmetry f and physicality over (|a|, |b|)")
     p_fgrid.set_defaults(func=cmd_f_grid)
-    p_fgrid.add_argument("--grid", type=int, default=100, help="grid points per axis")
+    p_fgrid.add_argument("--grid", type=_int_option(lambda n: _check_int(n, "grid", 2, MAX_F_GRID)),
+                         default=100, help="grid points per axis")
     p_fgrid.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     p_haar = sub.add_parser("haar-average", help="analytic and Monte Carlo Haar averages")
     p_haar.set_defaults(func=cmd_haar_average)
     p_haar.add_argument("--mode", choices=("known-basis", "unknown-basis"),
                         default="known-basis")
-    p_haar.add_argument("--samples", type=int, default=10_000)
+    p_haar.add_argument("--samples", default=10_000, type=_int_option(
+        lambda n: _check_int(n, "samples", 1, _lib("sampling").MAX_SAMPLES)))
     p_haar.add_argument("--seed", type=_parse_seed, default=None)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
@@ -299,21 +312,6 @@ def main(argv=None) -> int:
     if out is not None and (os.path.isdir(out or ".")
                             or not os.path.isdir(os.path.dirname(out) or ".")):
         parser.error(f"--out must name a file in an existing directory, got {out!r}")
-    if args.command in ("vidal-curve", "f-grid"):
-        if args.command == "vidal-curve":
-            from .vidal import MAX_GRID as max_grid
-        else:
-            max_grid = MAX_F_GRID
-        if args.grid < 2:
-            parser.error("--grid must be at least 2")
-        if args.grid > max_grid:
-            parser.error(f"--grid must be at most {max_grid}")
-    if args.command == "haar-average":
-        from . import sampling
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
-        if args.samples > sampling.MAX_SAMPLES:
-            parser.error(f"--samples must be at most {sampling.MAX_SAMPLES}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
     if out is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_array, _as_finite, _cabs, basis_state
+from .linalg import _as_array, _cabs, basis_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -41,21 +41,12 @@ CONSTRAINT_SLACK = 1e-12
 _MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
 
 
-def _as_stack(values, shape: tuple, what: str) -> np.ndarray:
-    """values as a finite complex (P,) + shape stack, raising ValueError otherwise."""
-    stack = _as_finite(values, what)
-    if stack.ndim != len(shape) + 1 or stack.shape[1:] != shape:
-        raise ValueError(f"{what} must be a (P, {', '.join(map(str, shape))}) stack, "
-                         f"got shape {stack.shape}")
-    return stack
-
-
 def _fourth_powers(a, b) -> tuple[np.ndarray, np.ndarray]:
     """|a|^4 and |b|^4 of broadcast arrays, raising ValueError unless all are finite.
 
     _cabs and libm pow round as abs() and ** do on one Python complex.
     """
-    a, b = _as_array(a), _as_array(b)
+    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
     with np.errstate(over="ignore"):
         a4 = np.float_power(_cabs(a), 4)
         b4 = np.float_power(_cabs(b), 4)
@@ -73,7 +64,7 @@ def constraint_value(a, b) -> np.ndarray:
 
 def params_valid(a, b) -> np.ndarray:
     """Per pair: not both zero and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK."""
-    a, b = _as_array(a), _as_array(b)
+    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
     return ~((a == 0) & (b == 0)) & (constraint_value(a, b) <= 1.0 + CONSTRAINT_SLACK)
 
 
@@ -95,7 +86,7 @@ def params_physical(a, b) -> np.ndarray:
     CONSTRAINT_SLACK.  Pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25
     meet the constraint without being physical.
     """
-    a, b = _as_array(a), _as_array(b)
+    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
     largest = np.maximum(_cabs(a), _cabs(b))
     return params_valid(a, b) & (largest <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
 
@@ -116,8 +107,10 @@ class KrausParams:
 
     def __post_init__(self):
         # copies: an array the caller keeps must not change a validated pair
-        self.a, self.b = (np.array(np.atleast_1d(_as_array(x))) for x in (self.a, self.b))
-        if self.a.ndim != 1 or self.a.shape != self.b.shape or not self.a.size:
+        what = "a and b as two (P,) arrays with P >= 1"
+        self.a, self.b = (np.array(np.atleast_1d(_as_array(x, what=what, shape=[(), ("pair",)])))
+                          for x in (self.a, self.b))
+        if self.a.shape != self.b.shape or not self.a.size:
             raise ValueError(f"a and b must be two (P,) arrays with P >= 1, "
                              f"got shapes {self.a.shape} and {self.b.shape}")
         bad = np.flatnonzero(~params_valid(self.a, self.b))
@@ -157,7 +150,7 @@ def lift_local_kraus(K: np.ndarray) -> np.ndarray:
     product np.kron itself computes, so entry [p] is bitwise the lift of
     K[p:p + 1].
     """
-    K = _as_stack(K, (4, 4), "local operators")
+    K = _as_array(K, what="a (P, 4, 4) stack of local operators", shape=("operator", 4, 4))
     # kron[p, i, k, j, l] = K[p, i, j] * K[p, k, l]
     kron = K[:, :, None, :, None] * K[:, None, :, None, :]
     return kron.reshape((-1,) + (2,) * 8).transpose(_LIFT_AXES).reshape(-1, 16, 16)
@@ -172,11 +165,9 @@ def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:
     product and the same conjugated dot product, which s @ op.T or einsum
     would not.
     """
-    s = _as_finite(s, "states")
-    if s.ndim != 2:
-        raise ValueError(f"expected a batch (n, d) of states, got shape {s.shape}")
+    s = _as_array(s, what="a batch (n, d) of states", shape=("row", None))
     d = s.shape[1]
-    op = _as_stack(op, (d, d), "operators")
+    op = _as_array(op, what=f"a (P, {d}, {d}) stack of operators", shape=("operator", d, d))
     # (P, 1, d, d) @ (1, n, d, 1) -> (P, n, d)
     out = np.matmul(op[:, None], s[None, :, :, None])[..., 0]
     prob = np.matmul(out.conj()[..., None, :], out[..., :, None])[..., 0, 0].real
@@ -229,7 +220,7 @@ def pauli_expand(K: np.ndarray) -> np.ndarray:
     the expansion collapses to two free entries, r[p, 0, 3] = a/4 and
     r[p, 2, 3] = b/4, with every other entry fixed by linear relations.
     """
-    K = _as_stack(K, (4, 4), "operators")
+    K = _as_array(K, what="a (P, 4, 4) stack of operators", shape=("operator", 4, 4))
     return np.einsum("klij,pij->pkl", PAULI_PRODUCTS.conj(), K) / 4.0
 
 
@@ -240,7 +231,7 @@ def pauli_relation_residuals(r: np.ndarray) -> dict:
     the relation; values are absolute deviations of shape (...).  All
     residuals vanish (to rounding) exactly when K came from build_kraus.
     """
-    r = _as_finite(r, "Pauli coefficients")
+    r = _as_array(r, what="Pauli coefficients")
     if r.shape[-2:] != (4, 4) or r.ndim < 2:
         raise ValueError(f"Pauli coefficients must be a (..., 4, 4) array, got shape {r.shape}")
     r = np.moveaxis(r, (-2, -1), (0, 1))

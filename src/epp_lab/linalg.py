@@ -8,6 +8,7 @@ of it are np.kron(psi, psi), stored in (A, B, A', B') register order.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,32 +16,49 @@ import numpy as np
 ATOL = 1e-10
 
 
-def _as_array(values, dtype=complex) -> np.ndarray:
-    """np.asarray(values, dtype), raising ValueError for integers beyond the float range
-    and, when dtype is real, for complex input, numpy's included.
+def _fits(shape: tuple, spec: tuple) -> bool:
+    return len(shape) == len(spec) and all(n == m for n, m in zip(spec, shape) if type(n) is int)
 
-    numpy raises OverflowError or TypeError for those, or warns and drops the
-    imaginary part of numpy complex values.  The states, Schmidt pairs and
-    Schmidt coefficients that library entry points take are converted here.
+
+def _as_array(values, dtype=complex, what: str = "numbers", shape=None) -> np.ndarray:
+    """values as a finite array of dtype, float or complex, else ValueError "expected <what>, ...".
+
+    Numbers only: strings, bytes and other non-numeric dtypes are refused,
+    an object array must hold numbers.Real (for float) or numbers.Complex
+    entries, complex input to float is refused, numpy's included, and so
+    is an integer beyond the float range.  shape, when given, is the
+    required shape or a list of them: an int fixes the length of its axis,
+    None or a name leaves it free.  A non-finite entry is reported by its
+    index k on the leading axis, as "<name> k" where that axis is named
+    ("row 1", "pair 2") and as "index k" otherwise.
     """
+    array, real = np.asarray(values), np.dtype(dtype).kind == "f"
+    number = numbers.Real if real else numbers.Complex
+    if not (array.dtype.kind in ("biuf" if real else "biufc") or array.dtype.kind == "O"
+            and all(isinstance(x, number) for x in array.flat)):
+        raise ValueError(f"expected {what}, got {array.dtype} input where "
+                         f"{number.__name__.lower()} numbers belong")
     try:
-        if dtype is complex:
-            return np.asarray(values, dtype=complex)
-        array = np.asarray(values)
-        if array.dtype.kind == "c":
-            raise TypeError("complex input to a real array")
-        return array.astype(dtype, copy=False)
+        array = array.astype(dtype, copy=False)
     except OverflowError:
-        raise ValueError("number beyond the float range") from None
-    except TypeError as exc:
-        raise ValueError(f"cannot convert to {np.dtype(dtype)}: {exc}") from None
+        raise ValueError(f"expected {what}, got a number beyond the float range") from None
+    fits = [s for s in ([] if shape is None else shape if isinstance(shape, list) else [shape])
+            if _fits(array.shape, s)]
+    if shape is not None and not fits:
+        raise ValueError(f"expected {what}, got shape {array.shape}")
+    finite = np.isfinite(array)
+    if np.count_nonzero(finite) < array.size:  # cheaper than finite.all() on short arrays
+        axis = next((s[0] for s in fits if s and isinstance(s[0], str)), "index")
+        at = f" at {axis} {np.argwhere(~finite)[0][0]}" if array.ndim else ""
+        raise ValueError(f"expected {what}, got a non-finite entry{at}")
+    return array
 
 
 def _as_real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """value as a float in [lo, hi], else ValueError; nan lies outside every range.
-    numpy complex is refused by type, since float() would drop its imaginary part."""
+    """value as a float in [lo, hi], else ValueError; nan lies outside every range.  Text and
+    numpy complex are refused by type: float() would parse one and truncate the other."""
     try:
-        x = math.nan if isinstance(value, np.complexfloating) else float(value)
+        x = math.nan if isinstance(value, (str, bytes, np.complexfloating)) else float(value)
     except (TypeError, OverflowError):  # Python complex, integers beyond the float range
         x = math.nan
     if not lo <= x <= hi:
@@ -55,14 +73,6 @@ def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) ->
     if not (integral and lo <= int(value) <= hi):
         raise ValueError(f"{name} must be an integer at least {lo} and at most {hi}, got {value!r}")
     return int(value)
-
-
-def _as_finite(values, what: str) -> np.ndarray:
-    """_as_array(values), raising ValueError if any entry is nan or infinite."""
-    array = _as_array(values)
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{what} has a non-finite entry")
-    return array
 
 
 # Row k of a batch must be bitwise the value numpy's scalar operators give on
@@ -99,9 +109,7 @@ def _check_normalized(rows: np.ndarray) -> np.ndarray:
 
 def as_state(amps) -> np.ndarray:
     """Coerce four amplitudes to a complex (4,) array and check normalization."""
-    s = _as_array(amps)
-    if s.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes in a flat (4,) array, got shape {s.shape}")
+    s = _as_array(amps, what="4 amplitudes in a flat (4,) array", shape=(4,))
     _check_normalized(s[None, :])
     return s
 
@@ -127,8 +135,8 @@ def bell_phi_plus() -> np.ndarray:
 
 def fidelity_up_to_phase(a, b) -> float:
     """|<a|b>|^2 of two non-empty 1-D states, insensitive to global phase on either."""
-    a, b = _as_finite(a, "state"), _as_finite(b, "state")
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0:
+    a, b = (_as_array(x, what="a non-empty 1-D state", shape=(None,)) for x in (a, b))
+    if not a.size:
         raise ValueError(f"expected two non-empty 1-D states, got shapes {a.shape}, {b.shape}")
     if a.size != b.size:
         raise ValueError("states must have equal dimension")

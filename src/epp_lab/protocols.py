@@ -70,9 +70,7 @@ def _as_batch(state) -> np.ndarray:
 
     Every row must be normalized within ATOL, as in as_state.
     """
-    c = _as_array(state)
-    if c.ndim not in (1, 2) or c.shape[-1] != 4:
-        raise ValueError(f"expected a state (4,) or a batch (n, 4), got shape {c.shape}")
+    c = _as_array(state, what="a state (4,) or a batch (n, 4)", shape=[(4,), ("row", 4)])
     return _check_normalized(c.reshape(-1, 4))
 
 
@@ -115,11 +113,10 @@ def _stage_amplitudes(c: np.ndarray, pairs: KrausParams):
 
     alpha, beta = ab[..., 0], ab[..., 3]
     # closed form for the same amplitudes
-    u = c[:, 0] * c[:, 3] + c[:, 1] * c[:, 2]
-    w = c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2]
+    u, w = _products(c)
     # np.power(z, 2) rounds as z**2 on one complex does
-    expected_alpha = (2.0 * np.power(pairs.a, 2))[:, None] * u
-    expected_beta = (2.0 * np.power(pairs.b, 2))[:, None] * w
+    expected_alpha = (2.0 * np.power(pairs.a, 2))[:, None] * (u + w)
+    expected_beta = (2.0 * np.power(pairs.b, 2))[:, None] * (u - w)
     if not (
         np.all(np.abs(alpha - expected_alpha) <= ATOL)
         and np.all(np.abs(beta - expected_beta) <= ATOL)
@@ -212,6 +209,11 @@ def full_pipeline(state, params) -> ProtocolResult:
 # each row rounds as on its own, by the rule above linalg._cmul
 
 
+def _products(c):
+    """c1 c4 and c2 c3 for every row of a validated (n, 4) batch."""
+    return _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+
+
 def _cross_term(c):
     """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2] for every row of a validated (n, 4) batch."""
     term = _cmul(np.power(c[:, 0], 2), np.power(c[:, 3], 2))
@@ -229,8 +231,9 @@ def schmidt_pair_bound(alpha, beta):
 
     Takes two scalars, a pair of one, or two (n,) arrays of normalized pairs.
     """
-    a, b = _as_array(alpha), _as_array(beta)
-    if a.shape != b.shape or a.ndim > 1:
+    a, b = (_as_array(x, what="two scalars or two (n,) arrays", shape=[(), ("row",)])
+            for x in (alpha, beta))
+    if a.shape != b.shape:
         raise ValueError(f"expected two scalars or two (n,) arrays, got {a.shape}, {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
     err = np.abs(np.float_power(_cabs(a), 2) + np.float_power(_cabs(b), 2) - 1.0)
@@ -246,8 +249,7 @@ def schmidt_conversion_bound(state):
     No admissible parameter pair reaches it on states where both c1 c4 and
     c2 c3 are nonzero; the gap is at least 4(1 - f)|c1 c2 c3 c4|.
     """
-    c = _as_batch(state)
-    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    u, w = _products(_as_batch(state))
     return 2.0 * np.float_power(_cabs(u) + _cabs(w), 2)
 
 
@@ -258,7 +260,7 @@ def four_copy_bell_bound(state):
     which is 2|(c1 c4)^2 - (c2 c3)^2|^2, manifestly non-negative.
     """
     c = _as_batch(state)
-    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    u, w = _products(c)
     value = (
         2.0 * np.float_power(_cabs(w), 4)
         + 2.0 * np.float_power(_cabs(u), 4)
@@ -270,8 +272,7 @@ def four_copy_bell_bound(state):
 
 def kalman_stage1_prob(state):
     """First-round success 2(|c2 c3|^2 + |c1 c4|^2) of the symmetric-parameter branch."""
-    c = _as_batch(state)
-    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    u, w = _products(_as_batch(state))
     return 2.0 * (np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2))
 
 
@@ -281,8 +282,7 @@ def kalman_stage2_prob(state):
     |(c1 c4)^2 - (c2 c3)^2|^2 / (2 (|c2 c3|^2 + |c1 c4|^2)^2), raising
     ValueError when the stage-1 probability of any row vanishes.
     """
-    c = _as_batch(state)
-    u, w = _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
+    u, w = _products(_as_batch(state))
     denom = 2.0 * np.float_power(np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2), 2)
     vanished = np.flatnonzero(denom == 0.0)
     if vanished.size:

@@ -21,8 +21,8 @@ MAX_GRID = 10**6
 
 
 def _clean_coeffs(coeffs) -> np.ndarray:
-    x = _as_array(coeffs, float)
-    if x.ndim != 1 or x.size == 0:
+    x = _as_array(coeffs, float, "a 1-D list of squared Schmidt coefficients", (None,))
+    if not x.size:
         raise ValueError(f"need a 1-D list of at least one coefficient, got shape {x.shape}")
     if x.min() < -_NEG_TOL:
         raise ValueError(f"negative squared coefficient {x.min():.3e}")

@@ -6,9 +6,10 @@ replaced by nan, +inf, -inf, 1e400 (which parses to inf) or the integers
 the real or the imaginary part.  The call must raise ValueError: returning
 anything, a nan above all, or raising OverflowError fails the test.  A
 complex value in a slot of a real-valued entry point must raise ValueError
-too, not TypeError.
+too, not TypeError, and so must a number written as text.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,18 +170,32 @@ def test_complex_in_a_real_slot_raises_value_error(name, call, valid, _):
 @pytest.mark.parametrize("call, args", [
     (vidal.monotones, (np.array([0.5 + 0.3j, 0.5]),)),
     (vidal.monotones, (np.array([0.5, 0.5], dtype=complex),)),
+    (vidal.monotones, ([Fraction(1, 2), np.complex64(0.5 + 1j)],)),
     (vidal.vidal_probability, (np.array([0.5 + 0.3j, 0.5]), [1.0])),
     (vidal.vidal_probability, ([0.7, 0.3], np.array([0.5, 0.5], dtype=np.complex64))),
     (sampling.dirichlet_moment_exact, (np.ones(2, dtype=complex), (1, 0))),
     (sampling.dirichlet_moment_exact, ((1, 1), np.array([1, 0], dtype=complex))),
-], ids=["monotones", "monotones[zero-imag]", "vidal_probability[source]",
+], ids=["monotones", "monotones[zero-imag]", "monotones[object]", "vidal_probability[source]",
         "vidal_probability[target]", "dirichlet_moment_exact[alpha]",
         "dirichlet_moment_exact[beta]"])
 def test_complex_array_in_a_real_slot_raises_value_error(call, args):
     """A complex ndarray in an array slot of a real-valued entry point is
-    rejected by its dtype before numpy converts it to float."""
+    rejected by its dtype before numpy converts it to float, and a numpy
+    complex among other numbers by its type."""
     with pytest.raises(ValueError):
         call(*args)
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5"], ids=["str", "bytes"])
+def test_text_in_every_slot_raises_value_error(text):
+    """A number written as text is no number: float(), complex() and
+    np.asarray would parse it, the entry points refuse it in every slot."""
+    for name, call, valid, _ in ENTRY_POINTS:
+        for slot in range(len(valid)):
+            args = list(valid)
+            args[slot] = text
+            with pytest.raises(ValueError):
+                call(*args)
 
 
 def test_huge_integer_in_every_slot_raises_value_error():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ def test_numpy_complex_is_rejected_by_type():
         with pytest.raises(ValueError):
             _as_array(values, float)
     assert _as_array(np.array([0.5, 0.5], dtype=complex)).dtype == complex
+
+
+def test_array_owner_checks_kind_shape_and_finiteness():
+    # None leaves an axis free, a name too; a list offers alternative shapes
+    for rows in (1, 3):
+        assert _as_array(np.ones((rows, 4)), shape=(None, 4)).shape == (rows, 4)
+    assert _as_array([0.5], shape=[(), ("row",)]).shape == (1,)
+    with pytest.raises(ValueError, match=r"^expected a batch, got shape \(4,\)$"):
+        _as_array(np.ones(4), what="a batch", shape=(None, 4))
+    # an object array of numbers converts entry by entry, exactly
+    halves = _as_array([Fraction(1, 2), Fraction(-3, 4)], float)
+    assert halves.dtype == float and halves.tolist() == [0.5, -0.75]
+    assert _as_array(np.array([Fraction(1, 2), 1j], dtype=object)).tolist() == [0.5, 1j]
+    # the first non-finite entry is named by its index on the leading axis
+    batch = np.ones((4, 2))
+    batch[3, 0] = batch[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry at row 2$"):
+        _as_array(batch, shape=("row", 2))
+    with pytest.raises(ValueError, match=r"non-finite entry at index 2$"):
+        _as_array(batch)
+    for text in (["0.5"], "0.5", b"0.5", [Fraction(1, 2), "0.5"], None):
+        with pytest.raises(ValueError, match="where complex numbers belong"):
+            _as_array(text)
 
 
 def test_domain_message_names_the_value_and_both_bounds():

@@ -8,6 +8,10 @@ belongs in tests/ (reference implementations go to tests/oracles.py).
 
 The front ends, verify.py and cli.py, reach the library modules through
 their public names only; linalg's shared helpers are the one exception.
+
+Caller input becomes an array in one place, linalg._as_array, which
+decides its kind, shape and finiteness: no other function calls
+np.asarray, except sampling._exact_total on values the package made.
 """
 import ast
 from pathlib import Path
@@ -135,3 +139,40 @@ def test_guard_sees_a_test_only_name(tmp_path):
     )
     (package / "run.py").write_text("from .core import used as run_used\nrun_used(5)\n")
     assert unreferenced_names(package) == ["core.STEP", "core.helper"]
+
+
+# the functions allowed to call np.asarray, as "module.function"
+ASARRAY_OWNERS = ["linalg._as_array", "sampling._exact_total"]
+
+
+def asarray_callers(modules: dict) -> list:
+    """Sorted "module.name" of each top-level function or class, and "module"
+    for other top-level statements, that calls np.asarray or numpy.asarray, in
+    the sources modules maps by module name."""
+    found = set()
+    for stem, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "asarray" and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id in ("np", "numpy") for node in ast.walk(stmt)):
+                named = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                found.add(f"{stem}.{stmt.name}" if named else stem)
+    return sorted(found)
+
+
+def test_only_the_owner_converts_input_with_asarray():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert asarray_callers(modules) == ASARRAY_OWNERS
+
+
+def test_guard_sees_an_asarray_call():
+    """Calls inside functions, methods and at top level are reported; other
+    numpy functions are not."""
+    source = (
+        "import numpy as np\n"
+        "X = np.asarray([1])\n"
+        "def f(x):\n    return np.array(np.asarray(x))\n"
+        "class K:\n    def m(self, x):\n        return numpy.asarray(x)\n"
+        "def g(x):\n    return np.atleast_1d(x)\n"
+    )
+    assert asarray_callers({"mod": source}) == ["mod", "mod.K", "mod.f"]
