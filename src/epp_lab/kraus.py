@@ -41,31 +41,35 @@ CONSTRAINT_SLACK = 1e-12
 _MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
 
 
-def _fourth_powers(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """|a|^4 and |b|^4 of broadcast arrays, raising ValueError unless all are finite.
+def _moduli(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """|a| and |b| through _cabs, each argument converted once; real input stays real."""
+    return _cabs(_as_array(a, None, "pair entries a")), _cabs(_as_array(b, None, "pair entries b"))
 
-    _cabs and libm pow round as abs() and ** do on one Python complex.
-    """
-    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
+
+def _fourth_powers(ma, mb) -> tuple[np.ndarray, np.ndarray]:
+    """ma^4 and mb^4 by libm pow, as ** rounds on one float, else ValueError if not all finite."""
     with np.errstate(over="ignore"):
-        a4 = np.float_power(_cabs(a), 4)
-        b4 = np.float_power(_cabs(b), 4)
+        a4, b4 = np.float_power(ma, 4), np.float_power(mb, 4)
     bad = np.flatnonzero(~(np.isfinite(a4) & np.isfinite(b4)))
     if bad.size:
         raise ValueError(f"|a|^4 and |b|^4 must be finite floats, not so in pair {bad[0]}")
     return a4, b4
 
 
+def _valid(ma, mb) -> np.ndarray:
+    a4, b4 = _fourth_powers(ma, mb)
+    return ~((ma == 0) & (mb == 0)) & (2.0 * (a4 + b4) <= 1.0 + CONSTRAINT_SLACK)
+
+
 def constraint_value(a, b) -> np.ndarray:
     """2(|a|^4 + |b|^4) per pair of broadcast arrays; valid pairs keep it at most 1."""
-    a4, b4 = _fourth_powers(a, b)
+    a4, b4 = _fourth_powers(*_moduli(a, b))
     return 2.0 * (a4 + b4)
 
 
 def params_valid(a, b) -> np.ndarray:
     """Per pair: not both zero and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK."""
-    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
-    return ~((a == 0) & (b == 0)) & (constraint_value(a, b) <= 1.0 + CONSTRAINT_SLACK)
+    return _valid(*_moduli(a, b))
 
 
 def f_parameter(a, b) -> np.ndarray:
@@ -74,7 +78,7 @@ def f_parameter(a, b) -> np.ndarray:
     f = 1 only at the degenerate corners (|a| = 2**-0.25, b = 0) and the
     mirror image, where the branch output is always a product state.
     """
-    a4, b4 = _fourth_powers(a, b)
+    a4, b4 = _fourth_powers(*_moduli(a, b))
     return 2.0 * abs(a4 - b4)
 
 
@@ -86,9 +90,8 @@ def params_physical(a, b) -> np.ndarray:
     CONSTRAINT_SLACK.  Pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25
     meet the constraint without being physical.
     """
-    a, b = _as_array(a, what="pair entries a"), _as_array(b, what="pair entries b")
-    largest = np.maximum(_cabs(a), _cabs(b))
-    return params_valid(a, b) & (largest <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
+    ma, mb = _moduli(a, b)
+    return _valid(ma, mb) & (np.maximum(ma, mb) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
 
 
 @dataclass(eq=False)

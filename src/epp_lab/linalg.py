@@ -30,16 +30,18 @@ def _as_array(values, dtype=complex, what: str = "numbers", shape=None) -> np.nd
     required shape or a list of them: an int fixes the length of its axis,
     None or a name leaves it free.  A non-finite entry is reported by its
     index k on the leading axis, as "<name> k" where that axis is named
-    ("row 1", "pair 2") and as "index k" otherwise.
+    ("row 1", "pair 2") and as "index k" otherwise.  dtype None makes
+    b, i, u and f input float and every other input complex.
     """
-    array, real = np.asarray(values), np.dtype(dtype).kind == "f"
+    array = np.asarray(values)
+    real = array.dtype.kind in "biuf" if dtype is None else np.dtype(dtype).kind == "f"
     number = numbers.Real if real else numbers.Complex
     if not (array.dtype.kind in ("biuf" if real else "biufc") or array.dtype.kind == "O"
             and all(isinstance(x, number) for x in array.flat)):
         raise ValueError(f"expected {what}, got {array.dtype} input where "
                          f"{number.__name__.lower()} numbers belong")
     try:
-        array = array.astype(dtype, copy=False)
+        array = array.astype(float if real else complex, copy=False)
     except OverflowError:
         raise ValueError(f"expected {what}, got a number beyond the float range") from None
     fits = [s for s in ([] if shape is None else shape if isinstance(shape, list) else [shape])
@@ -54,22 +56,23 @@ def _as_array(values, dtype=complex, what: str = "numbers", shape=None) -> np.nd
     return array
 
 
-def _as_real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """value as a float in [lo, hi], else ValueError; nan lies outside every range.  Text and
-    numpy complex are refused by type: float() would parse one and truncate the other."""
+def _as_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+             noun: str = "a real number") -> float:
+    """value as a float in [lo, hi], else ValueError naming noun; nan lies outside every range.
+    Text and numpy complex are refused by type: float() would parse one and truncate the other."""
     try:
         x = math.nan if isinstance(value, (str, bytes, np.complexfloating)) else float(value)
     except (TypeError, OverflowError):  # Python complex, integers beyond the float range
         x = math.nan
     if not lo <= x <= hi:
-        raise ValueError(f"{name} must be a real number at least {lo} and at most {hi}, "
-                         f"got {value!r}")
+        raise ValueError(f"{name} must be {noun} at least {lo} and at most {hi}, got {value!r}")
     return x
 
 
 def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     """value as an int in [lo, hi], else ValueError; integral floats such as 3.0 are accepted."""
-    integral = isinstance(value, (int, np.integer)) or _as_real(value, name, lo, hi).is_integer()
+    integral = (isinstance(value, (int, np.integer))
+                or _as_real(value, name, lo, hi, "an integer").is_integer())
     if not (integral and lo <= int(value) <= hi):
         raise ValueError(f"{name} must be an integer at least {lo} and at most {hi}, got {value!r}")
     return int(value)
@@ -81,9 +84,13 @@ def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) ->
 # algorithms.  So products are written out in real arithmetic (_cmul), moduli
 # go through hypot (_cabs), and powers through np.power(z, 2) and
 # np.float_power(x, k), which call the scalar routines element by element.
+# Real arrays take x * y and np.abs, bitwise the complex route at imaginary
+# part 0 (x*y - 0*0 = x*y, hypot(x, 0) = |x|), without complex temporaries.
 
 
 def _cmul(x, y):
+    if x.dtype.kind == y.dtype.kind == "f":
+        return x * y
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -91,7 +98,7 @@ def _cmul(x, y):
 
 
 def _cabs(z):
-    return np.hypot(z.real, z.imag)
+    return np.abs(z) if z.dtype.kind == "f" else np.hypot(z.real, z.imag)
 
 
 def _check_normalized(rows: np.ndarray) -> np.ndarray:

@@ -231,7 +231,7 @@ def schmidt_pair_bound(alpha, beta):
 
     Takes two scalars, a pair of one, or two (n,) arrays of normalized pairs.
     """
-    a, b = (_as_array(x, what="two scalars or two (n,) arrays", shape=[(), ("row",)])
+    a, b = (_as_array(x, None, "two scalars or two (n,) arrays", [(), ("row",)])
             for x in (alpha, beta))
     if a.shape != b.shape:
         raise ValueError(f"expected two scalars or two (n,) arrays, got {a.shape}, {b.shape}")

@@ -76,15 +76,20 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
 
 
 def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream."""
+    """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream.
+
+    Built in place, so one block peaks near 2.25 times its output bytes.
+    """
     # scipy is imported here, on the one path that draws Gaussians, so that
     # the commands that never do start without it
     from scipy.special import ndtri
 
-    u = uniform_block(seed, n, 8, start)
-    z = ndtri(u)
-    c = z[:, :4] + 1j * z[:, 4:]
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    z = uniform_block(seed, n, 8, start)
+    c = np.empty((len(z), 4), dtype=complex)
+    c.real, c.imag = np.hsplit(ndtri(z, out=z), 2)
+    del z
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return c
 
 
 def schmidt_lambda_pdf(lam: float) -> float:

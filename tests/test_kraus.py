@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from epp_lab import kraus
 from epp_lab.kraus import (
     CANONICAL_PARAMS,
     KILL_VECTOR_LABELS,
@@ -18,7 +19,7 @@ from epp_lab.kraus import (
     pauli_expand,
     pauli_relation_residuals,
 )
-from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
+from epp_lab.linalg import ATOL, _as_array, basis_state, bell_phi_plus
 from epp_lab.protocols import stage1
 from oracles import kalman_kraus, pauli_reconstruct, permute_qubits, scalar_region_tests
 
@@ -106,6 +107,35 @@ def test_region_tests_on_arrays_match_scalar_reference(drawn):
         assert got.shape == (len(pairs),)
         assert got.tolist() == [ref[k] for ref in expected], test.__name__
         assert test(a[3], b).tolist() == [ref[k] for ref in broadcast], test.__name__
+
+
+REGION_TESTS = (constraint_value, params_valid, f_parameter, params_physical)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_region_tests_on_the_f_grid_axis_are_bitwise_the_complex_route(n):
+    """f-grid's real axis takes real moduli; each row equals, bit for bit,
+    the same row with the axis given as complex."""
+    grid = np.linspace(0.0, 1.0, n)
+    for test in REGION_TESTS:
+        for a in grid:
+            assert test(a, grid).tobytes() == test(complex(a), grid.astype(complex)).tobytes()
+
+
+def test_region_tests_convert_each_argument_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _as_array(*args, **kwargs)
+
+    monkeypatch.setattr(kraus, "_as_array", counting)
+    grid = np.linspace(0.0, 1.0, 100)
+    for test in REGION_TESTS:
+        for a, b in [(grid[70], grid), (0.5 + 0.1j, 0.3)]:
+            calls.clear()
+            test(a, b)
+            assert len(calls) <= 2, test.__name__
 
 
 def test_build_kraus_stack_equals_stacks_of_one():

@@ -9,7 +9,9 @@ from scipy.stats import unitary_group
 from epp_lab.linalg import (
     _as_array,
     _as_real,
+    _cabs,
     _check_int,
+    _cmul,
     as_state,
     basis_state,
     bell_phi_plus,
@@ -254,3 +256,47 @@ def test_domain_message_names_the_value_and_both_bounds():
         _check_int(8, "seed", 0, 7)
     with pytest.raises(ValueError, match=r"^n .*at least 1 and at most 5, got 2\.5$"):
         _check_int(2.5, "n", 1, 5)
+
+
+def test_check_int_names_an_integer_for_every_non_integer():
+    # text, nan, complex and non-integral reals are all refused as integers
+    for bad in ("2", math.nan, 2.5, 0.5j, None):
+        with pytest.raises(ValueError, match=r"^n must be an integer at least 0 and at most inf"):
+            _check_int(bad, "n", 0)
+    with pytest.raises(ValueError, match=r"^lambda must be a real number at least"):
+        _as_real("0.7", "lambda", 0.5, 1.0)
+
+
+def test_dtype_none_keeps_real_kinds_real_and_makes_the_rest_complex():
+    for values in (True, 3, np.arange(3, dtype=np.uint8), [0.5, -2], np.float32(0.5)):
+        array = _as_array(values, None)
+        assert array.dtype == float and array.tolist() == np.asarray(values).tolist()
+    # complex input and object arrays, complex entries among them, stay complex
+    for values in (0.5j, [0.5, 1j], np.array([Fraction(1, 2), 1j], dtype=object),
+                   [Fraction(1, 2), Fraction(-3, 4)]):
+        array = _as_array(values, None)
+        assert array.dtype == complex and array.tolist() == _as_array(values).tolist()
+    for text in (["0.5"], "0.5", None):
+        with pytest.raises(ValueError, match="where complex numbers belong"):
+            _as_array(text, None)
+
+
+# finite doubles with the edge cases spelled out: signed zeros, subnormals, the extremes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.0, 1e-200]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(finite_floats, finite_floats), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_real_arrays_take_real_arithmetic_bitwise(drawn):
+    """_cmul and _cabs on real arrays give x * y and |x| with no complex
+    temporaries, bit for bit the complex route at imaginary part 0."""
+    pairs = [(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS] + drawn
+    x, y = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="ignore"):
+        product, expected = _cmul(x, y), _cmul(x.astype(complex), y.astype(complex))
+        # one complex operand keeps the complex route
+        assert _cmul(x, y.astype(complex)).tobytes() == expected.tobytes()
+    assert product.dtype == float and product.tobytes() == expected.real.tobytes()
+    assert _cabs(x).dtype == float and _cabs(x).tobytes() == _cabs(x.astype(complex)).tobytes()

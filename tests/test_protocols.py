@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -227,6 +229,38 @@ def test_schmidt_pair_bound_values():
     for alpha, beta in [(np.ones(2), np.zeros(3)), (np.ones((2, 2)), np.zeros((2, 2)))]:
         with pytest.raises(ValueError, match="two scalars or two"):
             schmidt_pair_bound(alpha, beta)
+
+
+def schmidt_pairs():
+    """Normalized real Schmidt pairs: Python ints, negatives, signed zeros and subnormals."""
+    edges = st.sampled_from([(1, 0), (0, -1), (-1, 0), (1.0, -0.0), (-0.0, -1.0), (1.0, 5e-324),
+                             (-2.2250738585072014e-308, 1.0), (-0.6, 0.8)])
+    drawn = st.builds(lambda x, sign: (x, sign * float(np.sqrt(1.0 - x * x))),
+                      st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([1.0, -1.0]))
+    return st.one_of(edges, drawn)
+
+
+@given(st.lists(schmidt_pairs(), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_real_schmidt_pairs_are_bitwise_the_complex_route(pairs):
+    """Real coefficients stay real through _cmul and _cabs; every bit of the
+    result equals the same call with the values given as complex, for
+    scalars, lists, float arrays and object arrays of Fraction."""
+    alpha, beta = (list(column) for column in zip(*pairs))
+    expected = schmidt_pair_bound(np.array(alpha, dtype=complex), np.array(beta, dtype=complex))
+    for a, b in [(alpha, beta), (np.array(alpha, dtype=float), np.array(beta, dtype=float)),
+                 (np.array([Fraction(x) for x in alpha]), np.array([Fraction(x) for x in beta]))]:
+        assert schmidt_pair_bound(a, b).tobytes() == expected.tobytes()
+    for (a, b), value in zip(pairs, expected):
+        assert schmidt_pair_bound(a, b).tobytes() == np.array([value]).tobytes()
+        assert schmidt_pair_bound(complex(a), complex(b)).tobytes() == np.array([value]).tobytes()
+
+
+def test_complex_object_arrays_are_still_accepted():
+    alpha = np.array([Fraction(3, 5), 0.8j], dtype=object)
+    beta = np.array([Fraction(-4, 5), Fraction(3, 5)], dtype=object)
+    expected = schmidt_pair_bound(np.array([0.6, 0.8j]), np.array([-0.8, 0.6]))
+    assert schmidt_pair_bound(alpha, beta).tobytes() == expected.tobytes()
 
 
 def test_conversion_bound_values():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -615,3 +616,37 @@ def test_memory_is_flat_above_the_hold_cap():
     each chunk again, so eight times the samples peak within a few MB."""
     small, large = peak_rss_mb(200_000, 2**14), peak_rss_mb(1_600_000, 2**14)
     assert abs(large - small) <= 5.0, (small, large)
+
+
+# ------------------------------------------------------ chunk kernel footprints
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees allocated while call() runs; numpy reports its buffers there."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_haar_block_works_in_place():
+    """ndtri overwrites the uniforms and the division runs in the output, so
+    one chunk peaks near its uniforms plus its output, not at 4.4 times it."""
+    haar_state_block(3, 8_192)  # imports and first-call set-up are not the chunk's
+    peak = traced_peak(lambda: haar_state_block(5, 8_192, 77))
+    assert peak <= 2.5 * haar_state_block(5, 8_192, 77).nbytes, peak
+
+
+def test_known_basis_chunk_keeps_real_coefficients_real():
+    """Real Schmidt coefficients take real arithmetic: no complex copies of
+    the inputs or their product, about 3 float arrays of n at the peak."""
+    n = 8_192
+    lams = _lambda_from_uniform(uniform_block(9, n, 1)[:, 0])
+    alpha, beta = np.sqrt(lams), np.sqrt(1.0 - lams)
+    schmidt_pair_bound(alpha, beta)
+    peak = traced_peak(lambda: schmidt_pair_bound(alpha, beta))
+    assert peak <= 6 * 8 * n, peak
