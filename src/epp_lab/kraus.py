@@ -116,7 +116,7 @@ class KrausParams:
         if self.a.shape != self.b.shape or not self.a.size:
             raise ValueError(f"a and b must be two (P,) arrays with P >= 1, "
                              f"got shapes {self.a.shape} and {self.b.shape}")
-        bad = np.flatnonzero(~params_valid(self.a, self.b))
+        bad = np.flatnonzero(~_valid(_cabs(self.a), _cabs(self.b)))
         if bad.size:
             i = bad[0]
             raise ValueError(f"pair {i} ({complex(self.a[i])}, {complex(self.b[i])}) is not valid: "

@@ -14,13 +14,13 @@ stack of one).  For an (n, 4) batch and P pairs, stage1 and full_pipeline
 return (P, n) fields, stage2 (n,) fields and every closed form an (n,)
 array, and an undefined output is an all-zero row.  The stage kernel
 builds and lifts a (P, 16, 16) operator stack and applies it to the whole
-batch, walking slices of the KrausParams stack of at most _STEP_ROWS
-pair x state rows so that peak memory does not grow with P.  Stage 2 is
-that kernel at CANONICAL_PARAMS; in full_pipeline it runs on the P x n
-stage-1 outputs of the same step.  The leak, basis-support and
-closed-form checks run on every (pair, row).  Entry [p, k] of any result
-is bitwise entry [0, 0] of the call on pair p and row k alone, whatever
-the step size.
+batch, in steps of at most _STEP_ROWS pair x state rows; only the pair
+axis is cut, so a longer batch runs whole.  Stage 2 is that kernel at
+CANONICAL_PARAMS; full_pipeline runs it on its stage-1 outputs, which are
+normalized in the {|00>, |11>} basis by construction, without stage2's
+input checks.  The leak, basis-support and closed-form checks run on every
+(pair, row).  Entry [p, k] of any result is bitwise entry [0, 0] of the
+call on pair p and row k alone, whatever the step size.
 """
 from __future__ import annotations
 
@@ -38,10 +38,10 @@ _AB_SLOTS = np.array([0, 4, 8, 12])
 # for product inputs, so this only guards float dust)
 _ZERO_PROB = 1e-30
 
-# pair x state rows one step of the stage kernel runs.  A step's workspace
-# grows by about 1 KB per row and 8 KB per lifted pair, so the cap keeps it
-# under 1 MB however many pairs a call takes (verify's 1 540-pair grid in
-# one step would peak near 13 MB)
+# most pair x state rows in one step of the stage kernel, which cuts only the
+# pair axis.  A step's workspace is about 1 KB per row plus 8 KB per lifted
+# pair, under 1 MB for any number of pairs (verify's 1 540-pair grid in one
+# step: near 13 MB); a batch of n > 512 states runs whole, about 0.9 KB a row
 _STEP_ROWS = 512
 
 
@@ -178,12 +178,13 @@ def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     p1, first_output, first_product = _stage1_rows(c, pairs)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= _ZERO_PROB
-    second = stage2(first_output[ran])
+    # stage2's kernel without its input checks: stage-1 outputs are normalized in its basis
+    second_prob, second_output, _ = _stage1_rows(first_output[ran], CANONICAL_PARAMS)
     p2 = np.zeros_like(p1)
-    p2[ran] = second.success_prob
+    p2[ran] = second_prob[0]
     product = first_product | (p2 < _ZERO_PROB)
     output = np.zeros_like(first_output)
-    output[ran] = second.output
+    output[ran] = second_output[0]
     # no output, no success: the pipeline succeeds exactly where its output is defined
     output[product] = 0.0
     p2[product] = 0.0
@@ -221,11 +222,6 @@ def _cross_term(c):
     return _cmul(term, np.power(c[:, 2].conj(), 2)).real
 
 
-def phase_term(state):
-    """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2], the phase-dependent part of the four-copy bound."""
-    return _cross_term(_as_batch(state))
-
-
 def schmidt_pair_bound(alpha, beta):
     """Optimal conclusive probability for two copies of alpha|00> + beta|11>: 2|alpha beta|^2.
 
@@ -259,7 +255,11 @@ def four_copy_bell_bound(state):
     Equals 2|c2 c3|^4 + 2|c1 c4|^4 - 4 Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2],
     which is 2|(c1 c4)^2 - (c2 c3)^2|^2, manifestly non-negative.
     """
-    c = _as_batch(state)
+    return _four_copy(_as_batch(state))
+
+
+def _four_copy(c):
+    """four_copy_bell_bound for every row of a validated (n, 4) batch."""
     u, w = _products(c)
     value = (
         2.0 * np.float_power(_cabs(w), 4)

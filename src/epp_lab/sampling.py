@@ -31,12 +31,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .linalg import _as_real, _check_int
-from .protocols import four_copy_bell_bound, phase_term, schmidt_pair_bound
+from .protocols import _cross_term, _four_copy, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
-# bounds time (10**8 unknown-basis samples: about 100 s); memory is flat in it
+# bounds time (10**8 unknown-basis samples: about 60 s on two cores); memory is flat in it
 MAX_SAMPLES = 10**8
 # a Monte Carlo mean agrees with its target within this many standard errors
 AGREEMENT_SIGMAS = 4.0
@@ -269,7 +269,7 @@ def unknown_basis_average_exact() -> float:
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
     return _mc_estimate(
-        n_samples, seed, lambda start, k: four_copy_bell_bound(haar_state_block(seed, k, start))
+        n_samples, seed, lambda start, k: _four_copy(haar_state_block(seed, k, start))
     )
 
 
@@ -280,5 +280,5 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     and eta is uniform given the magnitudes.
     """
     return _mc_estimate(
-        n_samples, seed, lambda start, k: phase_term(haar_state_block(seed, k, start))
+        n_samples, seed, lambda start, k: _cross_term(haar_state_block(seed, k, start))
     )

@@ -19,7 +19,7 @@ from epp_lab.kraus import (
     pauli_expand,
     pauli_relation_residuals,
 )
-from epp_lab.linalg import ATOL, _as_array, basis_state, bell_phi_plus
+from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
 from epp_lab.protocols import stage1
 from oracles import kalman_kraus, pauli_reconstruct, permute_qubits, scalar_region_tests
 
@@ -122,20 +122,24 @@ def test_region_tests_on_the_f_grid_axis_are_bitwise_the_complex_route(n):
             assert test(a, grid).tobytes() == test(complex(a), grid.astype(complex)).tobytes()
 
 
-def test_region_tests_convert_each_argument_once(monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return _as_array(*args, **kwargs)
-
-    monkeypatch.setattr(kraus, "_as_array", counting)
+def test_region_tests_convert_each_argument_once(count_calls):
+    calls = count_calls(kraus, "_as_array")
     grid = np.linspace(0.0, 1.0, 100)
     for test in REGION_TESTS:
         for a, b in [(grid[70], grid), (0.5 + 0.1j, 0.3)]:
             calls.clear()
             test(a, b)
             assert len(calls) <= 2, test.__name__
+
+
+def test_kraus_params_converts_each_argument_once(count_calls):
+    """The validity test runs on the arrays __post_init__ has just made."""
+    calls = count_calls(kraus, "_as_array")
+    grid = np.linspace(0.0, 0.8, 100)
+    for a, b in [(grid, grid[::-1]), (0.5 + 0.1j, 0.3), ([0.5], [0.3j])]:
+        calls.clear()
+        KrausParams(a, b)
+        assert len(calls) <= 2
 
 
 def test_build_kraus_stack_equals_stacks_of_one():

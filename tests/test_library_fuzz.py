@@ -86,7 +86,6 @@ ENTRY_POINTS = [
         protocols.four_copy_bell_bound,
         protocols.kalman_stage1_prob,
         protocols.kalman_stage2_prob,
-        protocols.phase_term,
     ) for state in (STATE, STATE + SCHMIDT_STATE)],
     ("schmidt_pair_bound", protocols.schmidt_pair_bound, [0.6, 0.8], True),
     ("schmidt_pair_bound[batch]",

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from epp_lab import protocols
 from epp_lab.kraus import CANONICAL_PARAMS, KrausParams, build_kraus
 from epp_lab.linalg import (
+    ATOL,
     as_state,
     bell_phi_plus,
     fidelity_up_to_phase,
@@ -17,7 +18,6 @@ from epp_lab.protocols import (
     full_pipeline,
     kalman_stage1_prob,
     kalman_stage2_prob,
-    phase_term,
     schmidt_conversion_bound,
     schmidt_pair_bound,
     stage1,
@@ -58,7 +58,6 @@ STATE_CLOSED_FORMS = (
     schmidt_conversion_bound,
     kalman_stage1_prob,
     kalman_stage2_prob,
-    phase_term,
 )
 
 
@@ -484,6 +483,65 @@ def test_step_rows_do_not_change_results(monkeypatch, step_rows):
         assert np.array_equal(got.output, want.output)
 
 
+def near_product_states(rng, n):
+    """Product states plus eps times complex Gaussian noise, eps from 1e-2 to 1e-14, normalized."""
+    q = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    product = (q[:, 0, :, None] * q[:, 1, None, :]).reshape(n, 4)
+    noise = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    c = (product / np.linalg.norm(product, axis=1, keepdims=True)
+         + 10.0 ** -rng.uniform(2, 14, (n, 1)) * noise)
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+@given(seeds, st.lists(seeds, min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_pipeline_stage2_is_the_public_composition(seed, pair_seeds):
+    """full_pipeline runs stage 2 on its stage-1 rows without stage2's input
+    checks.  The rows pass them by construction: every defined one is
+    normalized within ATOL and exactly zero in slots 1-2.  So the pipeline is
+    bitwise public stage1, then public stage2 on the rows that ran."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0, 4)
+    schmidt = [schmidt_state(np.sqrt(l), np.sqrt(1 - l) * np.exp(2j * np.pi * rng.random()))
+               for l in lam]
+    batch = np.vstack([haar_state_block(seed, 4), schmidt, near_product_states(rng, 8)])
+    pairs = stack_params(*[random_params(s) for s in pair_seeds])
+
+    first = stage1(batch, pairs)
+    p1 = first.success_prob
+    ran = p1 >= protocols._ZERO_PROB
+    rows = first.output[ran]
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= ATOL)
+    assert not rows[:, 1:3].any()
+    second = stage2(rows)
+    p2 = np.zeros_like(p1)
+    p2[ran] = second.success_prob
+    product = first.product_output | (p2 < protocols._ZERO_PROB)
+    output = np.zeros_like(first.output)
+    output[ran] = second.output
+    output[product] = 0.0
+    p2[product] = 0.0
+
+    result = full_pipeline(batch, pairs)
+    assert np.array_equal(result.success_prob, p1 * p1 * p2)
+    assert np.array_equal(result.stage_probs, [p1, p1, p2])
+    assert np.array_equal(result.product_output, product)
+    assert np.array_equal(result.output, output)
+
+
+def test_full_pipeline_checks_its_input_once(monkeypatch, count_calls):
+    """The caller's batch is checked once, not again by stage 2 in each step;
+    the public stage2 keeps its check."""
+    calls = count_calls(protocols, "_check_normalized")
+    monkeypatch.setattr(protocols, "_STEP_ROWS", 4)
+    pairs = stack_params(*[random_params(s) for s in range(5)])
+    full_pipeline(haar_state_block(3, 2), pairs)
+    assert len(calls) == 1
+    calls.clear()
+    stage2(bell_phi_plus())
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "params",
     [[], (), [CANONICAL_PARAMS, (0.5, 0.3)], (0.5, 0.3), None, 0.5,
@@ -506,7 +564,7 @@ def scalar_closed_forms(c):
         schmidt_conversion_bound: 2.0 * (abs(u) + abs(w)) ** 2,
         kalman_stage1_prob: 2.0 * (abs(w) ** 2 + abs(u) ** 2),
         kalman_stage2_prob: abs(u**2 - w**2) ** 2 / (2.0 * (abs(w) ** 2 + abs(u) ** 2) ** 2),
-        phase_term: cross,
+        protocols._cross_term: cross,
     }
 
 

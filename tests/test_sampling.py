@@ -17,9 +17,9 @@ from scipy.special import ndtri
 from scipy.stats import kstest
 
 import epp_lab
-from epp_lab import sampling
+from epp_lab import protocols, sampling
 from epp_lab.kraus import CANONICAL_PARAMS
-from epp_lab.protocols import four_copy_bell_bound, full_pipeline, phase_term, schmidt_pair_bound
+from epp_lab.protocols import four_copy_bell_bound, full_pipeline, schmidt_pair_bound
 from epp_lab.sampling import (
     KNOWN_BASIS_RNG_ALGORITHM,
     RNG_ALGORITHM,
@@ -455,8 +455,8 @@ def one_block_values(estimator, n, seed):
     if estimator is known_basis_average_mc:
         lams = _lambda_from_uniform(uniform_block(seed, n, 1)[:, 0])
         return schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
-    closed_form = four_copy_bell_bound if estimator is unknown_basis_average_mc else phase_term
-    return closed_form(haar_state_block(seed, n))
+    unknown = estimator is unknown_basis_average_mc
+    return (four_copy_bell_bound if unknown else protocols._cross_term)(haar_state_block(seed, n))
 
 
 CHUNK = sampling._CHUNK_ROWS
@@ -472,6 +472,35 @@ def test_threaded_values_are_one_block_bitwise(monkeypatch, estimator, n):
     assert np.array_equal(values, expected)
     est = estimator(n, 9)
     assert est == estimate_of(expected, 9, est.algorithm)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
+def test_chunks_do_not_recheck_their_rows(count_calls, estimator):
+    """The Haar rows are the package's own, so no closed form re-checks their norms."""
+    calls = count_calls(protocols, "_check_normalized")
+    estimator(2 * CHUNK + 1, 3)
+    assert not calls
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [8, 20], ids=["serial", "threaded"])
+@pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
+def test_non_finite_rows_still_raise(monkeypatch, estimator, n):
+    """A uniform draw of exactly 0.0 makes ndtri give -inf and its Haar row
+    nan; the exact sum refuses the value, on either path."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 4)
+    draw = sampling.uniform_block
+
+    def with_zero(seed, k, width=8, start=0):
+        u = draw(seed, k, width, start)
+        if start <= 5 < start + k:
+            u[5 - start, 0] = 0.0
+        return u
+
+    monkeypatch.setattr(sampling, "uniform_block", with_zero)
+    assert np.isnan(haar_state_block(3, 1, 5)).any()
+    with pytest.raises(ValueError, match="per-sample values must be finite"):
+        estimator(n, 3)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
@@ -548,7 +577,8 @@ def test_estimate_is_the_scalar_reference_bitwise(monkeypatch, chunk):
     assert (est.mean, est.std_error) == reference_estimate(values.tolist())
 
 
-@pytest.mark.parametrize("closed_form", [four_copy_bell_bound, phase_term])
+@pytest.mark.parametrize("closed_form", [four_copy_bell_bound, protocols._cross_term],
+                         ids=["four_copy_bell_bound", "phase_term"])
 def test_estimate_squares_through_pow(closed_form):
     """Deviations are squared through libm pow, as float ** 2 is.  A product
     d * d rounds differently for about one deviation in a thousand, which a
