@@ -236,6 +236,11 @@ def schmidt_pair_bound(alpha, beta):
     bad = np.flatnonzero(~(err <= ATOL))
     if bad.size:
         raise ValueError(f"Schmidt pair not normalized: {err[bad[0]]:.3e} off in row {bad[0]}")
+    return _pair_bound(a, b)
+
+
+def _pair_bound(a, b):
+    """schmidt_pair_bound on two (n,) arrays of pairs the package made normalized, unchecked."""
     return 2.0 * np.float_power(_cabs(_cmul(a, b)), 2)
 
 

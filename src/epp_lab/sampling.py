@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .linalg import _as_real, _check_int
-from .protocols import _cross_term, _four_copy, schmidt_pair_bound
+from .protocols import _cross_term, _four_copy, _pair_bound, schmidt_pair_bound
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
@@ -250,7 +250,7 @@ def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the known-basis average; samples lambda by inverse CDF."""
     def chunk(start, k):
         lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
-        return schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
+        return _pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
     return _mc_estimate(n_samples, seed, chunk, KNOWN_BASIS_RNG_ALGORITHM)
 
 

@@ -206,9 +206,10 @@ def criterion_05(seed: int) -> list:
 
 def criterion_06(seed: int) -> list:
     """Monotone-ratio probability matches the piecewise curve and beats the blind one."""
-    curve = list(vidal.conversion_curve(1000))
-    worst = max(abs(p_vidal - vidal.optimal_two_copy_prob(lam)) for lam, p_vidal, _ in curve)
-    min_dominance = min(p_vidal - p_universal for _, p_vidal, p_universal in curve)
+    lam = vidal.curve_lambdas(1000)  # the conversion_curve(1000) points, bitwise
+    p_v = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam), vidal.embedded_bell_coeffs())
+    worst = np.abs(p_v - vidal.optimal_two_copy_prob(lam)).max()
+    min_dominance = (p_v - vidal.universal_two_copy_prob(lam)).min()
     return [
         CriterionRow("c06-vidal-agreement", 0.0, worst, 1e-12, worst <= 1e-12),
         CriterionRow(

@@ -157,10 +157,31 @@ def test_c06_vidal_curve():
 
 
 def test_conversion_curve_is_the_c06_grid():
-    """conversion_curve(1000) walks, bit for bit, the grid 0.5 + 0.5 k / 1001.0
-    that c06 once built itself."""
+    """conversion_curve(1000) walks, bit for bit, the grid curve_lambdas(1000)
+    that c06 reads, which is 0.5 + 0.5 k / 1001.0 as c06 once built it itself."""
     lams = [lam for lam, _, _ in vidal.conversion_curve(1000)]
+    assert [x.hex() for x in lams] == [x.hex() for x in vidal.curve_lambdas(1000).tolist()]
     assert [x.hex() for x in lams] == [(0.5 + 0.5 * k / 1001.0).hex() for k in range(1, 1001)]
+
+
+@pytest.mark.parametrize("n", [20, 400, 1000, 3000])
+def test_conversion_curve_is_the_stacked_curve(n):
+    """What vidal-curve prints point by point is, in all three columns and bit
+    for bit, what c06 checks with one stacked call per column."""
+    lam = vidal.curve_lambdas(n)
+    p_vidal = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam),
+                                      vidal.embedded_bell_coeffs())
+    stacked = zip(lam, p_vidal, vidal.universal_two_copy_prob(lam))
+    assert ([tuple(map(float.hex, point)) for point in vidal.conversion_curve(n)]
+            == [tuple(map(float.hex, point)) for point in stacked])
+
+
+def test_c06_makes_one_vidal_probability_call(count_calls):
+    """c06 is one stacked call, not one call per point; the traced verify
+    still counts it under vidal.vidal_probability."""
+    calls = count_calls(vidal, "vidal_probability")
+    verify.criterion_06(SEED)
+    assert len(calls) == 1 and np.shape(calls[0][0]) == (1000, 4)
 
 
 def test_c07_known_basis_average():

@@ -93,11 +93,21 @@ ENTRY_POINTS = [
      [0.6, 1.0, 0.8, 0.0], True),
     ("vidal_probability", lambda *v: vidal.vidal_probability(v[:2], v[2:]),
      [0.7, 0.3, 0.5, 0.5], False),
+    ("vidal_probability[stack]",
+     lambda *v: vidal.vidal_probability(stack(v[:4], (2, 2)), v[4:]),
+     [0.7, 0.3, 0.4, 0.6, 0.5, 0.5], False),
     ("monotones", lambda *v: vidal.monotones(v), [0.7, 0.3], False),
     ("optimal_two_copy_prob", vidal.optimal_two_copy_prob, [0.8], False),
+    ("optimal_two_copy_prob[array]", lambda *v: vidal.optimal_two_copy_prob(list(v)),
+     [0.6, 0.8], False),
     ("universal_two_copy_prob", vidal.universal_two_copy_prob, [0.8], False),
+    ("universal_two_copy_prob[array]", lambda *v: vidal.universal_two_copy_prob(list(v)),
+     [0.6, 0.8], False),
     ("doubled_schmidt_coeffs", vidal.doubled_schmidt_coeffs, [0.8], False),
+    ("doubled_schmidt_coeffs[array]", lambda *v: vidal.doubled_schmidt_coeffs(list(v)),
+     [0.6, 0.8], False),
     ("conversion_curve", lambda n: list(vidal.conversion_curve(n)), [3], False),
+    ("curve_lambdas", vidal.curve_lambdas, [3], False),
     ("schmidt_lambda_pdf", sampling.schmidt_lambda_pdf, [0.8], False),
     ("dirichlet_moment_exact", lambda *v: sampling.dirichlet_moment_exact(v[:2], v[2:]),
      [1, 2, 0, 1], False),
@@ -210,15 +220,21 @@ def test_huge_integer_in_every_slot_raises_value_error():
                     call(*args)
 
 
-@pytest.mark.parametrize("call, args", [
-    (vidal.vidal_probability, (1.0, [1.0])),
-    (vidal.vidal_probability, ([[0.5, 0.5], [0.0, 0.0]], [1.0, 0.0])),
-    (vidal.monotones, (1.0,)),
-    (vidal.monotones, ([[0.5], [0.5]],)),
-], ids=["vidal_probability[scalar]", "vidal_probability[2-D]", "monotones[scalar]",
-        "monotones[2-D]"])
-def test_spectrum_that_is_not_1d_raises_value_error(call, args):
+@pytest.mark.parametrize("call, args, match", [
+    (vidal.vidal_probability, (1.0, [1.0]), "1-D"),
+    (vidal.vidal_probability, ([[0.5, 0.5], [0.0, 0.0]], [1.0, 0.0]), "sum to 1.* in row 1$"),
+    (vidal.vidal_probability, ([[[0.5, 0.5]]], [1.0]), "1-D"),
+    (vidal.vidal_probability, ([0.5, 0.5], [[0.5, 0.5]]), "1-D"),
+    (vidal.monotones, (1.0,), "1-D"),
+    (vidal.monotones, ([[0.5], [0.5]],), "1-D"),
+    (vidal.monotones, ([[0.5, 0.5]],), "1-D"),
+], ids=["vidal_probability[scalar]", "vidal_probability[2-D]", "vidal_probability[3-D]",
+        "vidal_probability[2-D target]", "monotones[scalar]", "monotones[2-D]",
+        "monotones[2-D row]"])
+def test_spectrum_that_is_not_1d_raises_value_error(call, args, match):
     """A squared Schmidt spectrum is a 1-D list: a scalar or a 2-D array is not
-    flattened into one, even when its entries sum to 1."""
-    with pytest.raises(ValueError, match="1-D"):
+    flattened into one, even when its entries sum to 1.  The one exception is
+    vidal_probability's source, which may be a 2-D stack of spectra; a stack
+    with a row that does not sum to 1 is refused, and the row is named."""
+    with pytest.raises(ValueError, match=match):
         call(*args)

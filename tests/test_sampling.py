@@ -482,6 +482,14 @@ def test_chunks_do_not_recheck_their_rows(count_calls, estimator):
     assert not calls
 
 
+def test_known_basis_chunks_run_the_unchecked_kernel(count_calls):
+    """The chunk's pairs sqrt(lam), sqrt(1 - lam) are the package's own, so the
+    public schmidt_pair_bound, which converts and re-checks them, is not called."""
+    calls = count_calls(sampling, "schmidt_pair_bound")
+    known_basis_average_mc(2 * CHUNK + 1, 3)
+    assert not calls
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n", [8, 20], ids=["serial", "threaded"])
 @pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])

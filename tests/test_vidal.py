@@ -6,6 +6,7 @@ from epp_lab.linalg import basis_state, bell_phi_plus, schmidt_state
 from epp_lab.vidal import (
     MAX_GRID,
     conversion_curve,
+    curve_lambdas,
     doubled_schmidt_coeffs,
     embedded_bell_coeffs,
     monotones,
@@ -137,9 +138,12 @@ def test_doubled_coeffs_domain():
     "bad", [float("nan"), float("inf"), 2.5, "x", 0, -3, 0.0, MAX_GRID + 1, 10**400],
     ids=["nan", "inf", "2.5", "str", "0", "-3", "0.0", "MAX_GRID+1", "10**400"])
 def test_conversion_curve_checks_n_when_called(bad):
-    """A bad n raises ValueError from the call itself, before any point is asked for."""
+    """A bad n raises ValueError from the call itself, before any point is asked
+    for, and from curve_lambdas, which checks n the same way."""
     with pytest.raises(ValueError):
         conversion_curve(bad)
+    with pytest.raises(ValueError):
+        curve_lambdas(bad)
 
 
 def test_conversion_curve_accepts_integral_n():
@@ -148,3 +152,67 @@ def test_conversion_curve_accepts_integral_n():
     assert list(conversion_curve(3.0)) == points
     assert list(conversion_curve(np.int64(3))) == points
     conversion_curve(MAX_GRID)  # the ceiling itself is accepted; no point is computed
+    grids = [curve_lambdas(n).tolist() for n in (3, 3.0, np.int64(3))]
+    assert grids == [[lam for lam, _, _ in points]] * 3
+
+
+def plain_vidal(source, target):
+    """The single-spectrum rule in plain Python: the minimum of E_l(source) / E_l(target)
+    over l with E_l(target) > 0, zero-padded, clamped to [0, 1]."""
+    Es, Et = monotones(source).tolist(), monotones(target).tolist()
+    Es += [0.0] * (len(Et) - len(Es))
+    best = 1.0
+    for e_s, e_t in zip(Es, Et):
+        if e_t > 0.0:
+            best = min(best, e_s / e_t)
+    return max(best, 0.0)
+
+
+def spectra(k: int):
+    """Squared Schmidt spectra of length k, some entries exactly zero."""
+    entries = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0), min_size=k, max_size=k)
+    return entries.filter(lambda x: sum(x) > 0).map(lambda x: [v / sum(x) for v in x])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_stacked_source_is_bitwise_row_by_row(data):
+    """vidal_probability(stack, target)[i] is bitwise vidal_probability(stack[i], target),
+    and that is the plain-Python rule, for spectra of length 1-4 with zero
+    entries against targets of any length 1-4, so padding runs on both sides."""
+    k = data.draw(st.integers(1, 4), label="k")
+    stack = data.draw(st.lists(spectra(k), min_size=1, max_size=5), label="stack")
+    target = data.draw(st.integers(1, 4).flatmap(spectra), label="target")
+    got = vidal_probability(stack, target)
+    assert got.shape == (len(stack),)
+    for i, row in enumerate(stack):
+        assert float(got[i]).hex() == float(vidal_probability(row, target)).hex()
+        assert float(got[i]).hex() == plain_vidal(row, target).hex()
+
+
+@given(st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_two_copy_curves_take_arrays_bitwise(lams):
+    """Entry i of each two-copy curve on an array is bitwise the scalar call at
+    lams[i], and that is the formula on one Python float."""
+    lam = np.array(lams)
+    for i, x in enumerate(lams):
+        plain = {
+            optimal_two_copy_prob: 1.0 if x < 1 / np.sqrt(2) else 2.0 * (1.0 - x**2),
+            universal_two_copy_prob: 2.0 * x * (1.0 - x),
+        }
+        for fn, expected in plain.items():
+            assert float(fn(lam)[i]).hex() == float(fn(x)).hex() == expected.hex()
+        row = [x**2, x * (1 - x), x * (1 - x), (1 - x) ** 2]
+        assert doubled_schmidt_coeffs(lam)[i].tolist() == doubled_schmidt_coeffs(x).tolist() == row
+
+
+def test_two_copy_curves_name_the_point_outside_the_domain():
+    with pytest.raises(ValueError, match=r"strictly inside \[0.5, 1.0\], got 1.0 at point 2$"):
+        optimal_two_copy_prob([0.6, 0.7, 1.0])
+    with pytest.raises(ValueError, match=r"lie in \[0.0, 1.0\], got 1.5 at point 1$"):
+        doubled_schmidt_coeffs([0.6, 1.5])
+    with pytest.raises(ValueError, match="an \\(n,\\) array"):
+        universal_two_copy_prob([[0.6]])
+
