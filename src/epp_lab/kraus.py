@@ -29,9 +29,10 @@ PAULI_BASIS = (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2)
 
 # (A,B,A',B') -> (A,A',B,B'); the permutation is an involution
 COPY_INTERLEAVE = (0, 2, 1, 3)
-# the same reorder on the row and on the column qubits of a stack of 16x16
-# operators, behind its leading axis
-_LIFT_AXES = (0,) + tuple(1 + q for q in COPY_INTERLEAVE) + tuple(5 + q for q in COPY_INTERLEAVE)
+# the same reorder on the row and on the column qubits of a 16x16 operator,
+# as a permutation of its 256 entries in row-major order
+_LIFT_ORDER = (np.arange(256).reshape((2,) * 8)
+               .transpose(COPY_INTERLEAVE + tuple(4 + q for q in COPY_INTERLEAVE)).reshape(256))
 
 # Slack on the parameter constraint so boundary points like a = b = sqrt(2)/2
 # survive floating-point rounding.
@@ -156,7 +157,7 @@ def lift_local_kraus(K: np.ndarray) -> np.ndarray:
     K = _as_array(K, what="a (P, 4, 4) stack of local operators", shape=("operator", 4, 4))
     # kron[p, i, k, j, l] = K[p, i, j] * K[p, k, l]
     kron = K[:, :, None, :, None] * K[:, None, :, None, :]
-    return kron.reshape((-1,) + (2,) * 8).transpose(_LIFT_AXES).reshape(-1, 16, 16)
+    return np.take(kron.reshape(-1, 256), _LIFT_ORDER, axis=1).reshape(-1, 16, 16)
 
 
 def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:

@@ -13,14 +13,15 @@ The pairs come as one KrausParams, which holds P pairs (one pair is a
 stack of one).  For an (n, 4) batch and P pairs, stage1 and full_pipeline
 return (P, n) fields, stage2 (n,) fields and every closed form an (n,)
 array, and an undefined output is an all-zero row.  The stage kernel
-builds and lifts a (P, 16, 16) operator stack and applies it to the whole
-batch, in steps of at most _STEP_ROWS pair x state rows; only the pair
-axis is cut, so a longer batch runs whole.  Stage 2 is that kernel at
-CANONICAL_PARAMS; full_pipeline runs it on its stage-1 outputs, which are
-normalized in the {|00>, |11>} basis by construction, without stage2's
-input checks.  The leak, basis-support and closed-form checks run on every
-(pair, row).  Entry [p, k] of any result is bitwise entry [0, 0] of the
-call on pair p and row k alone, whatever the step size.
+lifts a (P, 16, 16) operator stack and applies it in (pair x state) tiles
+of at most _STEP_ROWS rows: a batch of n <= _STEP_ROWS states runs whole,
+_STEP_ROWS // n pairs a tile, a longer one in slices of _STEP_ROWS states,
+one pair a tile.  Stage 2 is that kernel at CANONICAL_PARAMS; full_pipeline
+runs it in each tile on the tile's stage-1 outputs, normalized in the
+{|00>, |11>} basis by construction, without stage2's input checks.  The
+leak, basis-support and closed-form checks run on every (pair, row).  Entry
+[p, k] of any result is bitwise entry [0, 0] of the call on pair p and row
+k alone, whatever the tile size.
 """
 from __future__ import annotations
 
@@ -38,11 +39,11 @@ _AB_SLOTS = np.array([0, 4, 8, 12])
 # for product inputs, so this only guards float dust)
 _ZERO_PROB = 1e-30
 
-# most pair x state rows in one step of the stage kernel, which cuts only the
-# pair axis.  A step's workspace is about 1 KB per row plus 8 KB per lifted
-# pair, under 1 MB for any number of pairs (verify's 1 540-pair grid in one
-# step: near 13 MB); a batch of n > 512 states runs whole, about 0.9 KB a row
-_STEP_ROWS = 512
+# most pair x state rows in one tile of the stage kernel, for any P and n.
+# A full tile's workspace measures 1.1-1.5 MB under tracemalloc (1 024
+# states x 1 pair, 8 x 128), where verify's 1 540-pair grid as one tile
+# peaked near 13 MB and 20 000 states as one tile near 18 MB
+_STEP_ROWS = 1024
 
 
 @dataclass
@@ -81,20 +82,28 @@ def _as_params(params) -> KrausParams:
 
 
 def _walk(step, c: np.ndarray, pairs: KrausParams) -> list:
-    """step(c, chunk) over slices of the pairs, at most _STEP_ROWS pair x state rows a slice.
+    """step(rows, chunk) over (pair x state) tiles of at most _STEP_ROWS rows, joined.
 
-    step returns a tuple of arrays with a leading pair axis; the chunks are
-    joined along it.  A batch longer than _STEP_ROWS runs one pair at a time.
+    The tiles follow the rule above; an empty batch is one tile of no rows.
+    step returns arrays with leading (pair, state) axes, copied into place.
     """
-    size = max(1, _STEP_ROWS // max(len(c), 1))
-    parts = [step(c, pairs[i:i + size]) for i in range(0, len(pairs), size)]
-    return [np.concatenate(field) for field in zip(*parts)]
+    rows = min(max(len(c), 1), _STEP_ROWS)
+    size = _STEP_ROWS // rows
+    fields = None
+    for i in range(0, len(pairs), size):
+        chunk = pairs[i:i + size]
+        for k in range(0, max(len(c), 1), rows):
+            tile = step(c[k:k + rows], chunk)
+            fields = fields or [np.empty((len(pairs), len(c)) + f.shape[2:], f.dtype) for f in tile]
+            for field, f in zip(fields, tile):
+                field[i:i + size, k:k + rows] = f
+    return fields
 
 
-def _stage_amplitudes(c: np.ndarray, pairs: KrausParams):
+def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     """Matrix-level run of one two-copy branch per pair on an (n, 4) batch.
 
-    Returns (alpha', beta', prob), each of shape (P, n).
+    Returns (prob, output, product), of shapes (P, n), (P, n, 4) and (P, n).
     """
     M = lift_local_kraus(build_kraus(pairs))
     # row k is np.kron(c[k], c[k])
@@ -117,28 +126,16 @@ def _stage_amplitudes(c: np.ndarray, pairs: KrausParams):
     # np.power(z, 2) rounds as z**2 on one complex does
     expected_alpha = (2.0 * np.power(pairs.a, 2))[:, None] * (u + w)
     expected_beta = (2.0 * np.power(pairs.b, 2))[:, None] * (u - w)
-    if not (
-        np.all(np.abs(alpha - expected_alpha) <= ATOL)
-        and np.all(np.abs(beta - expected_beta) <= ATOL)
-    ):
+    if not (np.all(np.abs(alpha - expected_alpha) <= ATOL)
+            and np.all(np.abs(beta - expected_beta) <= ATOL)):
         raise RuntimeError("matrix-level amplitudes disagree with the closed form")
-    return alpha, beta, prob
 
-
-def _branch_output(alpha, beta, prob) -> tuple[np.ndarray, np.ndarray]:
-    """Rows alpha'|00> + beta'|11> normalized, zero where the branch fails; and the success mask."""
+    # rows alpha'|00> + beta'|11> normalized, zero where the branch fails
     defined = prob >= _ZERO_PROB
     output = np.zeros(prob.shape + (4,), dtype=complex)
-    output[..., 0] = alpha
-    output[..., 3] = beta
+    output[..., 0], output[..., 3] = alpha, beta
     output[defined] /= np.sqrt(prob[defined])[:, None]
     output[~defined] = 0.0
-    return output, defined
-
-
-def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
-    alpha, beta, prob = _stage_amplitudes(c, pairs)
-    output, defined = _branch_output(alpha, beta, prob)
     # squared moduli from real and imaginary parts round the same in any batch size
     weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
     product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
@@ -170,7 +167,7 @@ def stage2(state) -> ProtocolResult:
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
     # two copies of such a state never make a product output
-    prob, output, product = (field[0] for field in _stage1_rows(c, CANONICAL_PARAMS))
+    prob, output, product = (field[0] for field in _walk(_stage1_rows, c, CANONICAL_PARAMS))
     return ProtocolResult(prob, output, [prob], product)
 
 

@@ -24,15 +24,16 @@ def _monotones(coeffs, what="a 1-D list of squared Schmidt coefficients", shape=
     x = _as_array(coeffs, float, what, shape)
     if not x.size:
         raise ValueError(f"need a spectrum of at least one coefficient, got shape {x.shape}")
-    if x.min() < -_NEG_TOL:
-        raise ValueError(f"negative squared coefficient {x.min():.3e}")
+    low = x.min(axis=-1)
     x = np.maximum(x, 0.0)
-    total = x.sum(axis=-1)
-    off = np.abs(total - 1.0) > 1e-10  # x is finite
-    if np.count_nonzero(off):  # cheaper than off.any() on one spectrum
-        bad = np.flatnonzero(off)[0]
-        raise ValueError(f"squared coefficients must sum to 1, got {float(total.flat[bad])!r}"
-                         + (f" in row {bad}" if x.ndim > 1 else ""))
+    total = x.sum(axis=-1)  # x is finite
+    for off, value, text in ((low < -_NEG_TOL, low, "negative squared coefficient {:.3e}"),
+                             (np.abs(total - 1.0) > 1e-10, total,
+                              "squared coefficients must sum to 1, got {!r}")):
+        if np.count_nonzero(off):  # cheaper than off.any() on one spectrum
+            bad = np.flatnonzero(off)[0]
+            raise ValueError(text.format(float(value.flat[bad]))
+                             + (f" in row {bad}" if x.ndim > 1 else ""))
     # E[l] = x[l] + x[l+1] + ... in non-increasing order: the ascending running sum, reversed
     return np.cumsum(np.sort(x), axis=-1)[..., ::-1]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 
@@ -17,3 +19,21 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(call) runs call() and returns the peak bytes tracemalloc
+    saw allocated meanwhile, above what was allocated before; numpy reports
+    its buffers there."""
+    def measure(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -233,6 +233,8 @@ def test_lift_stack_equals_single_lifts():
     stack[1] = build_kraus(KrausParams(0.6, 0))
     lifted = lift_local_kraus(stack)
     assert lifted.shape == (7, 16, 16)
+    # np.matmul rounds by operand layout, so the stage kernel's bits need a C-ordered lift
+    assert lifted.flags.c_contiguous
     for p, (K, M) in enumerate(zip(stack, lifted)):
         assert np.array_equal(M, lift_local_kraus(stack[p:p + 1])[0])
         kron = np.kron(K, K).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)

@@ -228,13 +228,15 @@ def test_huge_integer_in_every_slot_raises_value_error():
     (vidal.monotones, (1.0,), "1-D"),
     (vidal.monotones, ([[0.5], [0.5]],), "1-D"),
     (vidal.monotones, ([[0.5, 0.5]],), "1-D"),
+    (vidal.vidal_probability, ([[0.5, 0.5], [1.2, -0.2]], [1.0]), "negative .* in row 1$"),
 ], ids=["vidal_probability[scalar]", "vidal_probability[2-D]", "vidal_probability[3-D]",
         "vidal_probability[2-D target]", "monotones[scalar]", "monotones[2-D]",
-        "monotones[2-D row]"])
+        "monotones[2-D row]", "vidal_probability[2-D negative]"])
 def test_spectrum_that_is_not_1d_raises_value_error(call, args, match):
     """A squared Schmidt spectrum is a 1-D list: a scalar or a 2-D array is not
     flattened into one, even when its entries sum to 1.  The one exception is
     vidal_probability's source, which may be a 2-D stack of spectra; a stack
-    with a row that does not sum to 1 is refused, and the row is named."""
+    with a row that does not sum to 1, or that holds a negative coefficient,
+    is refused, and the row is named."""
     with pytest.raises(ValueError, match=match):
         call(*args)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from epp_lab import protocols
+from epp_lab import protocols, verify
 from epp_lab.kraus import CANONICAL_PARAMS, KrausParams, build_kraus
 from epp_lab.linalg import (
     ATOL,
@@ -468,19 +468,86 @@ def test_parameter_axis_equals_single_calls(seed):
     assert_stack_equals_single_calls(full_pipeline, batch, pairs)
 
 
-@pytest.mark.parametrize("step_rows", [1, 3, 8, 10**6])
+@pytest.mark.parametrize("step_rows", [1, 3, 8, 24, 10**6])
 def test_step_rows_do_not_change_results(monkeypatch, step_rows):
-    """However the parameter axis is cut into steps, every field is bitwise the same."""
+    """However the (pair x state) product is cut into tiles, every field is
+    bitwise the same.  On this 12-row batch of 8 pairs, steps 1, 3 and 8 cut
+    the state axis, one pair a tile; 24 runs the batch whole, 2 pairs a tile."""
     pairs = stack_params(*[random_params(s) for s in range(6)], CANONICAL_PARAMS,
                          KrausParams(0, 0.5))
     batch = mixed_batch(11)
-    expected = [stage1(batch, pairs), full_pipeline(batch, pairs)]
+    first = stage1(batch, pairs).output.reshape(-1, 4)
+    basis = first[np.any(first != 0, axis=1)]
+
+    def runs():
+        return [stage1(batch, pairs), full_pipeline(batch, pairs), stage2(basis)]
+
+    expected = runs()
     monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
-    for want, got in zip(expected, [stage1(batch, pairs), full_pipeline(batch, pairs)]):
+    for want, got in zip(expected, runs()):
         assert np.array_equal(got.success_prob, want.success_prob)
         assert np.array_equal(got.stage_probs, want.stage_probs)
         assert np.array_equal(got.product_output, want.product_output)
         assert np.array_equal(got.output, want.output)
+
+
+@pytest.mark.parametrize("n, pairs, step_rows", [
+    (0, 3, 4), (1, 1, 4), (3, 7, 4), (4, 5, 4), (5, 2, 4), (12, 8, 24), (30, 3, 8),
+])
+def test_every_tile_is_bounded_on_both_axes(monkeypatch, count_calls, n, pairs, step_rows):
+    """Each kernel step applies at most _STEP_ROWS (pair x state) rows, for any
+    P and n, and the tiles cover the product once; stage 2 inside a
+    full_pipeline tile runs on that tile's rows."""
+    monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
+    calls = count_calls(protocols, "apply_kraus")
+    params = stack_params(*[random_params(s) for s in range(pairs)])
+    batch = haar_state_block(4, n)
+    stage1(batch, params)
+    assert all(len(op) * len(s) <= step_rows for op, s in calls)
+    assert sum(len(op) * len(s) for op, s in calls) == pairs * n
+    calls.clear()
+    full_pipeline(batch, params)
+    assert all(len(op) * len(s) <= step_rows for op, s in calls)
+    assert sum(len(op) * len(s) for op, s in calls[::2]) == pairs * n
+
+
+@pytest.mark.parametrize("criterion, steps", [
+    (verify.criterion_02, 1), (verify.criterion_05, 20), (verify.criterion_10, 13),
+], ids=["c02", "c05", "c10"])
+def test_verify_criteria_take_few_kernel_steps(count_calls, criterion, steps):
+    """One lift per stage-1 tile, and one more in full_pipeline for its stage 2:
+    c02 (1 000 states, 1 pair) and c05 (1 000 states, 20 pairs) run the batch
+    whole, and c10 (8 states, 1 540 pairs) 128 pairs a tile."""
+    calls = count_calls(protocols, "lift_local_kraus")
+    criterion(42)
+    assert len(calls) == steps * (1 if criterion is verify.criterion_05 else 2)
+
+
+def test_empty_batch_gives_empty_fields():
+    empty = np.zeros((0, 4), dtype=complex)
+    pairs = stack_params(random_params(1), CANONICAL_PARAMS)
+    for run in (stage1, full_pipeline):
+        result = run(empty, pairs)
+        assert_one_shape(result, (2, 0))
+        assert result.success_prob.dtype == float and result.output.dtype == complex
+    assert_one_shape(stage2(empty), (0,))
+
+
+@pytest.mark.parametrize("n", [512, 5_000, 20_000])
+def test_stage_memory_is_bounded_in_the_batch(traced_peak, n):
+    """A long batch runs in tiles of _STEP_ROWS states, so the kernel's
+    workspace (about 1.2 MB) stays under 2.5 MB above the returned fields
+    whatever n is; the batch whole in one step took about 0.9 KB a state,
+    18 MB at 20 000."""
+    states = haar_state_block(1, n)
+    for run in (stage1, full_pipeline):
+        run(states[:2], CANONICAL_PARAMS)  # first-call set-up is not the batch's
+        peak = traced_peak(lambda: run(states, CANONICAL_PARAMS))
+        result = run(states, CANONICAL_PARAMS)
+        fields = {id(f): f.nbytes for f in (result.success_prob, result.output,
+                                            result.product_output, *result.stage_probs)}
+        assert peak - sum(fields.values()) < 2.5e6, (run.__name__, peak)
+        assert peak < 5e6, (run.__name__, peak)
 
 
 def near_product_states(rng, n):

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -659,19 +658,7 @@ def test_memory_is_flat_above_the_hold_cap():
 # ------------------------------------------------------ chunk kernel footprints
 
 
-def traced_peak(call) -> int:
-    """Peak bytes tracemalloc sees allocated while call() runs; numpy reports its buffers there."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_haar_block_works_in_place():
+def test_haar_block_works_in_place(traced_peak):
     """ndtri overwrites the uniforms and the division runs in the output, so
     one chunk peaks near its uniforms plus its output, not at 4.4 times it."""
     haar_state_block(3, 8_192)  # imports and first-call set-up are not the chunk's
@@ -679,7 +666,7 @@ def test_haar_block_works_in_place():
     assert peak <= 2.5 * haar_state_block(5, 8_192, 77).nbytes, peak
 
 
-def test_known_basis_chunk_keeps_real_coefficients_real():
+def test_known_basis_chunk_keeps_real_coefficients_real(traced_peak):
     """Real Schmidt coefficients take real arithmetic: no complex copies of
     the inputs or their product, about 3 float arrays of n at the peak."""
     n = 8_192
