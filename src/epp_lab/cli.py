@@ -13,7 +13,6 @@ import argparse
 import atexit
 import gc
 import importlib
-import itertools
 import os
 import sys
 
@@ -191,7 +190,7 @@ def cmd_bounds(args) -> int:
     lines.append("four_copy_bell_bound = " + _fmt(protocols.four_copy_bell_bound(c)[0]))
     p1 = protocols.kalman_stage1_prob(c)[0]
     lines.append("kalman_stage1_prob = " + _fmt(p1))
-    if p1 == 0.0:
+    if p1 < protocols.ZERO_PROB:  # stage 1 fails, as simulate reports it
         lines.append("kalman_stage2_prob = undefined")
     else:
         lines.append("kalman_stage2_prob = " + _fmt(protocols.kalman_stage2_prob(c)[0]))
@@ -231,12 +230,12 @@ def cmd_simulate(args) -> int:
 
 
 def _vidal_curve_blocks(n: int):
-    """The vidal-curve CSV in blocks of 1024 lines, so memory does not grow with n."""
+    """The vidal-curve CSV, one text block per conversion_curve block of points."""
     from . import vidal
     yield "lambda,p_vidal,p_universal\n"
-    points = vidal.conversion_curve(n)
-    while block := list(itertools.islice(points, 1024)):
-        yield "".join(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}\n" for lam, p_v, p_u in block)
+    for block in vidal.conversion_curve(n):
+        yield "".join(f"{_fmt(lam)},{_fmt(p_v)},{_fmt(p_u)}\n"
+                      for lam, p_v, p_u in zip(*(column.tolist() for column in block)))
 
 
 def cmd_vidal_curve(args) -> int:
@@ -306,8 +305,8 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         try:
             args.params = KrausParams(args.a, args.b)
-        except ValueError:
-            parser.error("invalid Kraus parameters: need 2(|a|^4+|b|^4) <= 1, not both zero")
+        except ValueError as exc:
+            parser.error(f"invalid Kraus parameters: {exc}")
     out = getattr(args, "out", None)
     if out is not None and (os.path.isdir(out or ".")
                             or not os.path.isdir(os.path.dirname(out) or ".")):

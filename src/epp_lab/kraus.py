@@ -167,13 +167,13 @@ def apply_kraus(op: np.ndarray, s: np.ndarray) -> tuple:
     and the probabilities (P, n).  Entry [p, k] is bitwise op[p] @ s[k]
     on its own: every (operator, row) pair runs the same matrix-vector
     product and the same conjugated dot product, which s @ op.T or einsum
-    would not.
+    would not.  np.matmul rounds by operand layout, so both are taken C-ordered.
     """
-    s = _as_array(s, what="a batch (n, d) of states", shape=("row", None))
+    s = np.ascontiguousarray(_as_array(s, what="a batch (n, d) of states", shape=("row", None)))
     d = s.shape[1]
     op = _as_array(op, what=f"a (P, {d}, {d}) stack of operators", shape=("operator", d, d))
     # (P, 1, d, d) @ (1, n, d, 1) -> (P, n, d)
-    out = np.matmul(op[:, None], s[None, :, :, None])[..., 0]
+    out = np.matmul(np.ascontiguousarray(op)[:, None], s[None, :, :, None])[..., 0]
     prob = np.matmul(out.conj()[..., None, :], out[..., :, None])[..., 0, 0].real
     return out, prob
 
@@ -231,30 +231,27 @@ def pauli_expand(K: np.ndarray) -> np.ndarray:
 def pauli_relation_residuals(r: np.ndarray) -> dict:
     """Residuals of the linear relations satisfied by the purifying family.
 
-    r is a (..., 4, 4) array of coefficients from pauli_expand.  Keys name
-    the relation; values are absolute deviations of shape (...).  All
-    residuals vanish (to rounding) exactly when K came from build_kraus.
+    r is a (P, 4, 4) stack of coefficients from pauli_expand.  Keys name
+    the relation; values are (P,) absolute deviations.  All residuals
+    vanish (to rounding) exactly when K came from build_kraus.
     """
-    r = _as_array(r, what="Pauli coefficients")
-    if r.shape[-2:] != (4, 4) or r.ndim < 2:
-        raise ValueError(f"Pauli coefficients must be a (..., 4, 4) array, got shape {r.shape}")
-    r = np.moveaxis(r, (-2, -1), (0, 1))
+    r = _as_array(r, what="a (P, 4, 4) stack of Pauli coefficients", shape=("operator", 4, 4))
     i = 1j
     checks = {
-        "r21+r12": r[1, 0] + r[0, 1],
-        "r22-r11": r[1, 1] - r[0, 0],
-        "r23-i*r14": r[1, 2] - i * r[0, 3],
-        "r24-i*r13": r[1, 3] - i * r[0, 2],
-        "r41+i*r32": r[3, 0] + i * r[2, 1],
-        "r42-i*r31": r[3, 1] - i * r[2, 0],
-        "r43+r34": r[3, 2] + r[2, 3],
-        "r44+r33": r[3, 3] + r[2, 2],
-        "r11-r34": r[0, 0] - r[2, 3],
-        "r12-i*r34": r[0, 1] - i * r[2, 3],
-        "r13-r14": r[0, 2] - r[0, 3],
-        "r31-r14": r[2, 0] - r[0, 3],
-        "r32-i*r14": r[2, 1] - i * r[0, 3],
-        "r33-r34": r[2, 2] - r[2, 3],
+        "r21+r12": r[:, 1, 0] + r[:, 0, 1],
+        "r22-r11": r[:, 1, 1] - r[:, 0, 0],
+        "r23-i*r14": r[:, 1, 2] - i * r[:, 0, 3],
+        "r24-i*r13": r[:, 1, 3] - i * r[:, 0, 2],
+        "r41+i*r32": r[:, 3, 0] + i * r[:, 2, 1],
+        "r42-i*r31": r[:, 3, 1] - i * r[:, 2, 0],
+        "r43+r34": r[:, 3, 2] + r[:, 2, 3],
+        "r44+r33": r[:, 3, 3] + r[:, 2, 2],
+        "r11-r34": r[:, 0, 0] - r[:, 2, 3],
+        "r12-i*r34": r[:, 0, 1] - i * r[:, 2, 3],
+        "r13-r14": r[:, 0, 2] - r[:, 0, 3],
+        "r31-r14": r[:, 2, 0] - r[:, 0, 3],
+        "r32-i*r14": r[:, 2, 1] - i * r[:, 0, 3],
+        "r33-r34": r[:, 2, 2] - r[:, 2, 3],
     }
     # _cabs, as abs() of one complex number computes it
     return {name: _cabs(val) for name, val in checks.items()}

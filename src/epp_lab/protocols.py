@@ -12,16 +12,18 @@ module that takes single states, the kraus functions take stacks only.
 The pairs come as one KrausParams, which holds P pairs (one pair is a
 stack of one).  For an (n, 4) batch and P pairs, stage1 and full_pipeline
 return (P, n) fields, stage2 (n,) fields and every closed form an (n,)
-array, and an undefined output is an all-zero row.  The stage kernel
-lifts a (P, 16, 16) operator stack and applies it in (pair x state) tiles
-of at most _STEP_ROWS rows: a batch of n <= _STEP_ROWS states runs whole,
-_STEP_ROWS // n pairs a tile, a longer one in slices of _STEP_ROWS states,
-one pair a tile.  Stage 2 is that kernel at CANONICAL_PARAMS; full_pipeline
-runs it in each tile on the tile's stage-1 outputs, normalized in the
-{|00>, |11>} basis by construction, without stage2's input checks.  The
-leak, basis-support and closed-form checks run on every (pair, row).  Entry
-[p, k] of any result is bitwise entry [0, 0] of the call on pair p and row
-k alone, whatever the tile size.
+array.  A stage whose success probability is below ZERO_PROB, the one
+floor of every route, fails: its output is undefined, an all-zero row, and
+kalman_stage2_prob raises.  The stage kernel lifts a (P, 16, 16) operator
+stack and applies it in (pair x state) tiles of at most _STEP_ROWS rows: a
+batch of n <= _STEP_ROWS states runs whole, _STEP_ROWS // n pairs a tile, a
+longer one in slices of _STEP_ROWS states, one pair a tile.  Stage 2 is
+that kernel at CANONICAL_PARAMS; full_pipeline runs it in each tile on the
+tile's stage-1 outputs, normalized in the {|00>, |11>} basis by
+construction, without stage2's input checks.  The leak, basis-support and
+closed-form checks run on every (pair, row).  Entry [p, k] of any result is
+bitwise entry [0, 0] of the call on pair p and row k alone, whatever the
+tile size.
 """
 from __future__ import annotations
 
@@ -35,9 +37,9 @@ from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
 _AB_SLOTS = np.array([0, 4, 8, 12])
 
-# treat branch weights below this as exact failure (amplitudes cancel exactly
-# for product inputs, so this only guards float dust)
-_ZERO_PROB = 1e-30
+# the stage-failure floor: a stage whose success probability is below it fails
+# (amplitudes cancel exactly for product inputs, so this only guards float dust)
+ZERO_PROB = 1e-30
 
 # most pair x state rows in one tile of the stage kernel, for any P and n.
 # A full tile's workspace measures 1.1-1.5 MB under tracemalloc (1 024
@@ -53,8 +55,8 @@ class ProtocolResult:
     success_prob is (n,) from stage2 and (P, n) from stage1 and
     full_pipeline, and every other field has the same leading shape.
     output holds the normalized post-selected states, (..., 4), with an
-    all-zero row where the success probability vanishes and no output
-    exists; a normalized output is never all-zero.  stage_probs is a list
+    all-zero row where the success probability is below ZERO_PROB and no
+    output exists; a normalized output is never all-zero.  stage_probs is a list
     of arrays that multiply to success_prob.  product_output (bool) marks
     a defined but unentangled output (one Schmidt coefficient numerically
     zero), which makes any following stage fail.
@@ -131,7 +133,7 @@ def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
         raise RuntimeError("matrix-level amplitudes disagree with the closed form")
 
     # rows alpha'|00> + beta'|11> normalized, zero where the branch fails
-    defined = prob >= _ZERO_PROB
+    defined = prob >= ZERO_PROB
     output = np.zeros(prob.shape + (4,), dtype=complex)
     output[..., 0], output[..., 3] = alpha, beta
     output[defined] /= np.sqrt(prob[defined])[:, None]
@@ -174,12 +176,12 @@ def stage2(state) -> ProtocolResult:
 def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     p1, first_output, first_product = _stage1_rows(c, pairs)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
-    ran = p1 >= _ZERO_PROB
+    ran = p1 >= ZERO_PROB
     # stage2's kernel without its input checks: stage-1 outputs are normalized in its basis
     second_prob, second_output, _ = _stage1_rows(first_output[ran], CANONICAL_PARAMS)
     p2 = np.zeros_like(p1)
     p2[ran] = second_prob[0]
-    product = first_product | (p2 < _ZERO_PROB)
+    product = first_product | (p2 < ZERO_PROB)
     output = np.zeros_like(first_output)
     output[ran] = second_output[0]
     # no output, no success: the pipeline succeeds exactly where its output is defined
@@ -193,7 +195,7 @@ def full_pipeline(state, params) -> ProtocolResult:
 
     Both stage-1 runs see identical inputs, so their branch probabilities
     coincide and the total success probability is P1^2 * P2.  A failed or
-    product stage-1 output, or a stage-2 branch weight below _ZERO_PROB,
+    product stage-1 output, or a stage-2 branch weight below ZERO_PROB,
     makes the pipeline report an undefined (all-zero) output instead of
     raising, and then P2 and the success probability are exactly zero.
     Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
@@ -282,11 +284,12 @@ def kalman_stage2_prob(state):
     """Second-round success conditioned on the first; undefined when the first fails.
 
     |(c1 c4)^2 - (c2 c3)^2|^2 / (2 (|c2 c3|^2 + |c1 c4|^2)^2), raising
-    ValueError when the stage-1 probability of any row vanishes.
+    ValueError where kalman_stage1_prob of any row is below ZERO_PROB.
     """
     u, w = _products(_as_batch(state))
-    denom = 2.0 * np.float_power(np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2), 2)
-    vanished = np.flatnonzero(denom == 0.0)
-    if vanished.size:
-        raise ValueError(f"undefined: stage-1 success probability vanishes in row {vanished[0]}")
-    return np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom
+    half_p1 = np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2)
+    failed = np.flatnonzero(~(2.0 * half_p1 >= ZERO_PROB))
+    if failed.size:
+        raise ValueError(f"undefined: stage-1 probability below {ZERO_PROB:g} in row {failed[0]}")
+    return np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / (
+        2.0 * np.float_power(half_p1, 2))

@@ -125,7 +125,7 @@ def criterion_01(seed: int) -> list:
     states = np.zeros((len(lams), 4), dtype=complex)
     states[:, 0], states[:, 3] = np.sqrt(lams), np.sqrt(1.0 - lams)
     result = protocols.stage2(states)
-    dev = np.abs(result.success_prob - 2.0 * lams * (1.0 - lams))
+    dev = np.abs(result.success_prob - vidal.universal_two_copy_prob(lams))
     # |<Bell|output>|^2 per row, rounded as fidelity_up_to_phase rounds one state
     fidelity = np.float_power(_cabs(result.output.conj() @ bell_phi_plus()), 2)
     worst = float(np.max([dev, np.abs(fidelity - 1.0)]))
@@ -141,8 +141,7 @@ def criterion_02(seed: int) -> list:
     t0 = time.perf_counter()
     states = sampling.haar_state_block(_sub_seed(seed, 2), 1000)
     p1 = protocols.kalman_stage1_prob(states)
-    # the conditional second round is undefined where p1 = 0; measure-zero event
-    ok = p1 != 0.0
+    ok = p1 >= protocols.ZERO_PROB
     achieved = protocols.full_pipeline(states, kraus.CANONICAL_PARAMS).success_prob[0, ok]
     closed = protocols.four_copy_bell_bound(states[ok])
     # float_power squares through pow, as p1**2 on one float does

@@ -114,19 +114,19 @@ def curve_lambdas(n: int) -> np.ndarray:
 
 
 def conversion_curve(n: int):
-    """Iterator over (lam, p_vidal, p_universal) on the curve_lambdas(n) grid: the
-    monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call each.
+    """Iterator over the curve_lambdas(n) grid in blocks of at most 1024 points, so memory
+    stays flat in n, each three (k,) float arrays (lam, p_vidal, p_universal): the
+    monotone-ratio and basis-blind two-copy probabilities, one vidal_probability call a point.
 
-    n is checked when this is called, not at the first point: it must be an
+    n is checked when this is called, not at the first block: it must be an
     integer in [1, MAX_GRID], which bounds the run time.
     """
-    return _curve_points(_check_int(n, "n", 1, MAX_GRID))
+    return _curve_blocks(_check_int(n, "n", 1, MAX_GRID))
 
 
-def _curve_points(n: int):
+def _curve_blocks(n: int):
     target = embedded_bell_coeffs()
-    for start in range(1, n + 1, 1024):  # in blocks of 1024 points, so memory stays flat
+    for start in range(1, n + 1, 1024):
         lam = _curve_lambda(np.arange(start, min(start + 1024, n + 1)), n)
-        for lam_k, coeffs, p_universal in zip(lam.tolist(), doubled_schmidt_coeffs(lam),
-                                               universal_two_copy_prob(lam).tolist()):
-            yield lam_k, vidal_probability(coeffs, target), p_universal
+        p_vidal = np.array([vidal_probability(c, target) for c in doubled_schmidt_coeffs(lam)])
+        yield lam, p_vidal, universal_two_copy_prob(lam)

@@ -143,8 +143,8 @@ def test_c04_stacked_expansion_matches_per_pair_loop():
         a, b = params.a[i], params.b[i]
         r = np.array([[np.trace(np.kron(sk, sl).conj().T @ K) / 4.0
                        for sl in kraus.PAULI_BASIS] for sk in kraus.PAULI_BASIS])
-        residuals = kraus.pauli_relation_residuals(r)
-        worst = max([worst, *residuals.values(), abs(r[0, 3] - a / 4), abs(r[2, 3] - b / 4)])
+        residuals = [value[0] for value in kraus.pauli_relation_residuals(r[None]).values()]
+        worst = max([worst, *residuals, abs(r[0, 3] - a / 4), abs(r[2, 3] - b / 4)])
     assert verify.criterion_04(SEED)[0].observed == worst
 
 
@@ -159,21 +159,22 @@ def test_c06_vidal_curve():
 def test_conversion_curve_is_the_c06_grid():
     """conversion_curve(1000) walks, bit for bit, the grid curve_lambdas(1000)
     that c06 reads, which is 0.5 + 0.5 k / 1001.0 as c06 once built it itself."""
-    lams = [lam for lam, _, _ in vidal.conversion_curve(1000)]
+    lams = np.concatenate([lam for lam, _, _ in vidal.conversion_curve(1000)]).tolist()
     assert [x.hex() for x in lams] == [x.hex() for x in vidal.curve_lambdas(1000).tolist()]
     assert [x.hex() for x in lams] == [(0.5 + 0.5 * k / 1001.0).hex() for k in range(1, 1001)]
 
 
 @pytest.mark.parametrize("n", [20, 400, 1000, 3000])
 def test_conversion_curve_is_the_stacked_curve(n):
-    """What vidal-curve prints point by point is, in all three columns and bit
+    """What vidal-curve prints block by block is, in all three columns and bit
     for bit, what c06 checks with one stacked call per column."""
     lam = vidal.curve_lambdas(n)
     p_vidal = vidal.vidal_probability(vidal.doubled_schmidt_coeffs(lam),
                                       vidal.embedded_bell_coeffs())
-    stacked = zip(lam, p_vidal, vidal.universal_two_copy_prob(lam))
-    assert ([tuple(map(float.hex, point)) for point in vidal.conversion_curve(n)]
-            == [tuple(map(float.hex, point)) for point in stacked])
+    stacked = [lam, p_vidal, vidal.universal_two_copy_prob(lam)]
+    blocks = list(vidal.conversion_curve(n))
+    for column, joined in zip(stacked, map(np.concatenate, zip(*blocks))):
+        assert joined.dtype == float and joined.tobytes() == column.tobytes()
 
 
 def test_c06_makes_one_vidal_probability_call(count_calls):

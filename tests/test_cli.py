@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from test_acceptance import PINNED_SHA256
 
 import epp_lab
-from epp_lab import cli, sampling, verify, vidal
+from epp_lab import cli, protocols, sampling, verify, vidal
 from epp_lab.cli import DEFAULT_SEED, MAX_F_GRID, SEED_ENV_VAR, build_parser, main
 
 
@@ -62,6 +62,32 @@ def test_bounds_product_state_undefined_stage2(capsys):
     assert code == 0
     assert float(report["kalman_stage1_prob"]) == 0.0
     assert report["kalman_stage2_prob"] == "undefined"
+
+
+@pytest.mark.parametrize("argv", [["--lambda", "1e-300"], ["--state", "1 0 0 1e-100"],
+                                  ["--state", "1 0 0 1e-20"]])
+def test_bounds_undefined_below_the_stage_floor(capsys, argv):
+    """bounds and simulate share one stage-failure floor, protocols.ZERO_PROB:
+    where kalman_stage1_prob is positive but below it, bounds prints stage 2
+    undefined and exits 0, as simulate reports stage 1's output undefined."""
+    code, out, _ = run_cli(capsys, "bounds", *argv)
+    report = parse_report(out)
+    assert code == 0
+    assert 0.0 < float(report["kalman_stage1_prob"]) < protocols.ZERO_PROB
+    assert report["kalman_stage2_prob"] == "undefined"
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    assert code == 0 and parse_report(out)["stage1_output"] == "undefined"
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_bounds_exits_0_on_every_lambda(lam):
+    """Every --lambda in (0, 1), the subnormal ones included, gets a report and exit 0."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["bounds", "--lambda", repr(lam)]) == 0
+    p2 = parse_report(stdout.getvalue())["kalman_stage2_prob"]
+    assert p2 == "undefined" or 0.0 <= float(p2) <= 1.0
 
 
 # ------------------------------------------------------------------ simulate
@@ -125,11 +151,15 @@ def test_simulate_notes_nonphysical_params(capsys):
 
 
 def test_simulate_rejects_invalid_params(capsys):
-    # |a|^4 beyond the float range is a usage error too, not an OverflowError
-    for a, b in [("1", "1"), ("1e200", "0.5"), ("0.5", "0,1e100")]:
+    """Exit 2 with the library's own message: a non-finite entry is not blamed
+    on the constraint, and |a|^4 beyond the float range is no OverflowError."""
+    for a, b, message in [("nan", "0.5", "non-finite entry"), ("1", "1", "is not valid"),
+                          ("1e200", "0.5", "must be finite"), ("0.5", "0,1e100", "must be finite")]:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lambda", "0.75", "--a", a, "--b", b])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid Kraus parameters: " in err and message in err
 
 
 # --------------------------------------------------------------------- csvs

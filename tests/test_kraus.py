@@ -21,6 +21,7 @@ from epp_lab.kraus import (
 )
 from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
 from epp_lab.protocols import stage1
+from epp_lab.sampling import haar_state_block
 from oracles import kalman_kraus, pauli_reconstruct, permute_qubits, scalar_region_tests
 
 SQRT_HALF = np.sqrt(2) / 2
@@ -254,12 +255,13 @@ def test_check_and_expansion_stack_equal_stacks_of_one():
     coeffs = pauli_expand(stack)
     assert residuals.shape == (7, 8) and coeffs.shape == (7, 4, 4)
     relations = pauli_relation_residuals(coeffs)
+    assert all(value.shape == (7,) for value in relations.values())
     for p in range(len(stack)):
         one = stack[p:p + 1]
         assert np.array_equal(residuals[p], check_universality_constraints(lift_local_kraus(one))[0])
         assert np.array_equal(coeffs[p], pauli_expand(one)[0])
-        for name, value in pauli_relation_residuals(coeffs[p]).items():
-            assert value == relations[name][p], name
+        for name, value in pauli_relation_residuals(coeffs[p:p + 1]).items():
+            assert value.shape == (1,) and value[0] == relations[name][p], name
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 5), (2, 2, 4, 4)])
@@ -268,8 +270,9 @@ def test_pauli_expand_rejects_wrong_shape(shape):
         pauli_expand(np.ones(shape))
 
 
-@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 3)])
+@pytest.mark.parametrize("shape", [(4,), (4, 4), (3, 3), (2, 4, 3), (2, 2, 4, 4)])
 def test_pauli_relation_residuals_rejects_wrong_shape(shape):
+    """A (P, 4, 4) stack only, as pauli_expand returns it; one operator is a stack of one."""
     with pytest.raises(ValueError):
         pauli_relation_residuals(np.ones(shape))
 
@@ -347,6 +350,27 @@ def test_apply_kraus_stack_matches_single_operators():
         assert np.array_equal(one_out[p, 0], out[p, 4]) and one_prob[p, 0] == prob[p, 4]
 
 
+def test_apply_kraus_rounds_any_layout_as_c_order():
+    """np.matmul rounds by operand layout, so apply_kraus makes both operands
+    C-ordered.  The lift's entries gathered by fancy indexing, which numpy
+    lays out with strides (16, 2048, 128), and a Fortran-ordered batch give
+    bitwise the result on the C-ordered lift_local_kraus output; applied as
+    they are, that gather moves the last bits of hundreds of outputs."""
+    rng = np.random.default_rng(33)
+    K = build_kraus(KrausParams(rng.uniform(0.05, 0.6, 8) * np.exp(2j * np.pi * rng.random(8)),
+                                rng.uniform(0.05, 0.6, 8) * np.exp(2j * np.pi * rng.random(8))))
+    kron = K[:, :, None, :, None] * K[:, None, :, None, :]
+    gathered = kron.reshape(-1, 256)[:, kraus._LIFT_ORDER].reshape(-1, 16, 16)
+    M = lift_local_kraus(K)
+    assert not gathered.flags.c_contiguous and np.array_equal(gathered, M)
+    c = haar_state_block(34, 12)
+    doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
+    out, prob = apply_kraus(M, doubled)
+    for op, s in [(gathered, doubled), (M, np.asfortranarray(doubled))]:
+        strided_out, strided_prob = apply_kraus(op, s)
+        assert np.array_equal(strided_out, out) and np.array_equal(strided_prob, prob)
+
+
 @pytest.mark.parametrize(
     "shape", [(2, 3, 16), (5, 8), (5, 17), (16,)], ids=["3d", "narrow", "wide", "one-state"]
 )
@@ -408,11 +432,11 @@ def test_pauli_expand_roundtrip_random():
 @settings(max_examples=50, deadline=None)
 def test_pauli_relations_on_family(raw):
     p = params_from(raw)
-    r = pauli_expand(build_kraus(p))[0]
+    r = pauli_expand(build_kraus(p))
     residuals = pauli_relation_residuals(r)
-    assert max(residuals.values()) <= 1e-12
-    assert abs(r[0, 3] - p.a[0] / 4) <= 1e-12
-    assert abs(r[2, 3] - p.b[0] / 4) <= 1e-12
+    assert max(residuals.values())[0] <= 1e-12
+    assert abs(r[0, 0, 3] - p.a[0] / 4) <= 1e-12
+    assert abs(r[0, 2, 3] - p.b[0] / 4) <= 1e-12
 
 
 @given(

@@ -80,7 +80,7 @@ ENTRY_POINTS = [
      lambda *v: kraus.check_universality_constraints(stack(v, (1, 16, 16))), IDENTITY_16, True),
     ("pauli_expand", lambda *v: kraus.pauli_expand(stack(v, (1, 4, 4))), KRAUS, True),
     ("pauli_relation_residuals",
-     lambda *v: kraus.pauli_relation_residuals(stack(v, (4, 4))), PAULI_COEFFS, True),
+     lambda *v: kraus.pauli_relation_residuals(stack(v, (1, 4, 4))), PAULI_COEFFS, True),
     *[closed_form(fn, state) for fn in (
         protocols.schmidt_conversion_bound,
         protocols.four_copy_bell_bound,
@@ -106,7 +106,7 @@ ENTRY_POINTS = [
     ("doubled_schmidt_coeffs", vidal.doubled_schmidt_coeffs, [0.8], False),
     ("doubled_schmidt_coeffs[array]", lambda *v: vidal.doubled_schmidt_coeffs(list(v)),
      [0.6, 0.8], False),
-    ("conversion_curve", lambda n: list(vidal.conversion_curve(n)), [3], False),
+    ("conversion_curve", lambda n: next(vidal.conversion_curve(n)), [3], False),
     ("curve_lambdas", vidal.curve_lambdas, [3], False),
     ("schmidt_lambda_pdf", sampling.schmidt_lambda_pdf, [0.8], False),
     ("dirichlet_moment_exact", lambda *v: sampling.dirichlet_moment_exact(v[:2], v[2:]),

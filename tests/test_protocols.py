@@ -8,6 +8,7 @@ from epp_lab import protocols, verify
 from epp_lab.kraus import CANONICAL_PARAMS, KrausParams, build_kraus
 from epp_lab.linalg import (
     ATOL,
+    _cabs,
     as_state,
     bell_phi_plus,
     fidelity_up_to_phase,
@@ -298,6 +299,27 @@ def test_kalman_stage2_undefined_for_product():
         kalman_stage2_prob(np.array([bell_phi_plus(), [1, 0, 0, 0]]))
 
 
+def test_kalman_stage2_undefined_below_the_stage_floor():
+    """kalman_stage2_prob is undefined exactly where kalman_stage1_prob is below
+    protocols.ZERO_PROB, where the matrix route's stage-1 output is undefined
+    too, and names the first such row, nonzero or not (the square of 2e-200
+    underflows).  On every other row, the one at 2e-30 included, its values
+    are bitwise the closed form as written before the floor was shared."""
+    batch = np.vstack([haar_state_block(5, 4), [[1, 0, 0, 1e-15]], [[1, 0, 0, 1e-16]],
+                       [[1, 0, 0, 1e-100]], [[0, 0, 0, 1]], [bell_phi_plus()]])
+    below = kalman_stage1_prob(batch) < protocols.ZERO_PROB
+    assert below.tolist() == [False] * 5 + [True] * 3 + [False]
+    assert np.array_equal(~below, stage1(batch, CANONICAL_PARAMS).output[0].any(axis=1))
+    with pytest.raises(ValueError, match="below 1e-30 in row 5"):
+        kalman_stage2_prob(batch)
+    with pytest.raises(ValueError, match="row 1"):
+        kalman_stage2_prob(batch[[8, 6, 7]])
+    u, w = protocols._products(batch[~below])
+    denom = 2.0 * np.float_power(np.float_power(_cabs(w), 2) + np.float_power(_cabs(u), 2), 2)
+    expected = np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / denom
+    assert np.array_equal(kalman_stage2_prob(batch[~below]), expected)
+
+
 @given(seeds)
 @settings(max_examples=50)
 def test_kalman_route_reproduces_four_copy_bound(seed):
@@ -422,7 +444,7 @@ def test_batch_equals_row_by_row(seed, kind):
     basis = np.vstack([defined, [[1, 0, 0, 0]], [[0, 0, 0, 1]]])
     assert_batch_equals_rows(stage2, basis)
     # closed forms: an (n,) array whose row k is bitwise the (1,) array for row k
-    defined_p1 = batch[kalman_stage1_prob(batch) != 0.0]
+    defined_p1 = batch[kalman_stage1_prob(batch) >= protocols.ZERO_PROB]
     for closed_form in STATE_CLOSED_FORMS:
         rows = defined_p1 if closed_form is kalman_stage2_prob else batch
         singles = [closed_form(c) for c in rows]
@@ -576,14 +598,14 @@ def test_pipeline_stage2_is_the_public_composition(seed, pair_seeds):
 
     first = stage1(batch, pairs)
     p1 = first.success_prob
-    ran = p1 >= protocols._ZERO_PROB
+    ran = p1 >= protocols.ZERO_PROB
     rows = first.output[ran]
     assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= ATOL)
     assert not rows[:, 1:3].any()
     second = stage2(rows)
     p2 = np.zeros_like(p1)
     p2[ran] = second.success_prob
-    product = first.product_output | (p2 < protocols._ZERO_PROB)
+    product = first.product_output | (p2 < protocols.ZERO_PROB)
     output = np.zeros_like(first.output)
     output[ran] = second.output
     output[product] = 0.0

@@ -146,14 +146,30 @@ def test_conversion_curve_checks_n_when_called(bad):
         curve_lambdas(bad)
 
 
+def curve_columns(n):
+    """The three columns of conversion_curve(n), each block as a list."""
+    return [[column.tolist() for column in block] for block in conversion_curve(n)]
+
+
 def test_conversion_curve_accepts_integral_n():
-    points = list(conversion_curve(3))
-    assert len(points) == 3
-    assert list(conversion_curve(3.0)) == points
-    assert list(conversion_curve(np.int64(3))) == points
-    conversion_curve(MAX_GRID)  # the ceiling itself is accepted; no point is computed
+    blocks = curve_columns(3)
+    assert len(blocks) == 1 and [len(column) for column in blocks[0]] == [3, 3, 3]
+    assert curve_columns(3.0) == blocks
+    assert curve_columns(np.int64(3)) == blocks
+    conversion_curve(MAX_GRID)  # the ceiling itself is accepted; no block is computed
     grids = [curve_lambdas(n).tolist() for n in (3, 3.0, np.int64(3))]
-    assert grids == [[lam for lam, _, _ in points]] * 3
+    assert grids == [blocks[0][0]] * 3
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (1024, [1024]), (1025, [1024, 1]),
+                                      (3000, [1024, 1024, 952])])
+def test_conversion_curve_blocks_hold_at_most_1024_points(n, sizes):
+    """Each block is three (k,) float arrays, k at most 1024, so memory stays flat in n."""
+    blocks = list(conversion_curve(n))
+    assert [len(block[0]) for block in blocks] == sizes
+    for block in blocks:
+        assert len(block) == 3
+        assert all(column.shape == block[0].shape and column.dtype == float for column in block)
 
 
 def plain_vidal(source, target):
