@@ -266,11 +266,11 @@ def cmd_haar_average(args) -> int:
     if args.mode == "known-basis":
         analytic = sampling.known_basis_average_quadrature()
         est = sampling.known_basis_average_mc(args.samples, args.seed)
-        target = 0.2
+        target = sampling.KNOWN_BASIS_AVERAGE
     else:
         analytic = sampling.unknown_basis_average_exact()
         est = sampling.unknown_basis_average_mc(args.samples, args.seed)
-        target = 2.0 / 105.0
+        target = sampling.UNKNOWN_BASIS_AVERAGE
     ok = est.within_sigmas(target)
     lines.append("analytic = " + _fmt(analytic))
     lines.append("mc_mean = " + _fmt(est.mean))

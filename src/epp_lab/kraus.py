@@ -102,18 +102,18 @@ class KrausParams:
     a and b are complex (P,) arrays; one pair is a stack of one, and
     params[i] and params[i:j] are stacks too.  Every pair must pass
     params_valid, or a ValueError names the first that fails.  A vanishing
-    a or b is allowed, but that branch can only make product output (stage1
-    reports it as product_output), so the stage it feeds is useless.
+    a or b is allowed, but that branch can only make an unentangled output,
+    on which the stage it feeds fails, so it is useless in a pipeline.
     """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        # copies: an array the caller keeps must not change a validated pair
-        what = "a and b as two (P,) arrays with P >= 1"
-        self.a, self.b = (np.array(np.atleast_1d(_as_array(x, what=what, shape=[(), ("pair",)])))
-                          for x in (self.a, self.b))
+        # copies, each under its own name: an array the caller keeps must not change a valid pair
+        self.a, self.b = (np.array(np.atleast_1d(_as_array(
+            x, what=f"{name} as one number or a (P,) array with P >= 1", shape=[(), ("pair",)])))
+            for name, x in (("a", self.a), ("b", self.b)))
         if self.a.shape != self.b.shape or not self.a.size:
             raise ValueError(f"a and b must be two (P,) arrays with P >= 1, "
                              f"got shapes {self.a.shape} and {self.b.shape}")
@@ -134,8 +134,16 @@ class KrausParams:
 CANONICAL_PARAMS = KrausParams(np.sqrt(2) / 2, np.sqrt(2) / 2)
 
 
+def _as_params(params) -> KrausParams:
+    """params if it is a KrausParams, else ValueError naming its type."""
+    if not isinstance(params, KrausParams):
+        raise ValueError(f"expected a KrausParams, got {type(params).__name__}")
+    return params
+
+
 def build_kraus(params: KrausParams) -> np.ndarray:
     """Success-branch operators a(|00><01| + |00><10|) + b(|10><01| - |10><10|), (P, 4, 4)."""
+    params = _as_params(params)
     K = np.zeros((len(params), 4, 4), dtype=complex)
     K[:, 0, 1] = params.a
     K[:, 0, 2] = params.a

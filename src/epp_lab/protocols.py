@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import CANONICAL_PARAMS, KrausParams, apply_kraus, build_kraus, lift_local_kraus
+from .kraus import (CANONICAL_PARAMS, KrausParams, _as_params, apply_kraus, build_kraus,
+                    lift_local_kraus)
 from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
@@ -57,15 +58,14 @@ class ProtocolResult:
     output holds the normalized post-selected states, (..., 4), with an
     all-zero row where the success probability is below ZERO_PROB and no
     output exists; a normalized output is never all-zero.  stage_probs is a list
-    of arrays that multiply to success_prob.  product_output (bool) marks
-    a defined but unentangled output (one Schmidt coefficient numerically
-    zero), which makes any following stage fail.
+    of arrays that multiply to success_prob.  A stage-1 output can be
+    defined but unentangled (one Schmidt coefficient numerically zero);
+    stage 2 then fails on it, so full_pipeline reports that row undefined.
     """
 
     success_prob: np.ndarray
     output: np.ndarray
     stage_probs: list
-    product_output: np.ndarray
 
 
 def _as_batch(state) -> np.ndarray:
@@ -75,12 +75,6 @@ def _as_batch(state) -> np.ndarray:
     """
     c = _as_array(state, what="a state (4,) or a batch (n, 4)", shape=[(4,), ("row", 4)])
     return _check_normalized(c.reshape(-1, 4))
-
-
-def _as_params(params) -> KrausParams:
-    if not isinstance(params, KrausParams):
-        raise ValueError(f"expected a KrausParams, got {type(params).__name__}")
-    return params
 
 
 def _walk(step, c: np.ndarray, pairs: KrausParams) -> list:
@@ -105,7 +99,8 @@ def _walk(step, c: np.ndarray, pairs: KrausParams) -> list:
 def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     """Matrix-level run of one two-copy branch per pair on an (n, 4) batch.
 
-    Returns (prob, output, product), of shapes (P, n), (P, n, 4) and (P, n).
+    Returns (prob, output, product), of shapes (P, n), (P, n, 4) and (P, n);
+    product (bool) marks a defined but unentangled output.
     """
     M = lift_local_kraus(build_kraus(pairs))
     # row k is np.kron(c[k], c[k])
@@ -149,12 +144,12 @@ def stage1(state, params) -> ProtocolResult:
 
     alpha' = 2 a^2 (c1 c4 + c2 c3) and beta' = 2 b^2 (c1 c4 - c2 c3); the
     success probability is |alpha'|^2 + |beta'|^2.  Degenerate parameters
-    (a = 0 or b = 0) give a product output, reported via product_output.
+    (a = 0 or b = 0) give an unentangled output, on which stage2 fails.
     Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
     every field is (P, n).
     """
-    prob, output, product = _walk(_stage1_rows, _as_batch(state), _as_params(params))
-    return ProtocolResult(prob, output, [prob], product)
+    prob, output, _ = _walk(_stage1_rows, _as_batch(state), _as_params(params))
+    return ProtocolResult(prob, output, [prob])
 
 
 def stage2(state) -> ProtocolResult:
@@ -168,9 +163,8 @@ def stage2(state) -> ProtocolResult:
     c = _as_batch(state)
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
-    # two copies of such a state never make a product output
-    prob, output, product = (field[0] for field in _walk(_stage1_rows, c, CANONICAL_PARAMS))
-    return ProtocolResult(prob, output, [prob], product)
+    prob, output, _ = (field[0] for field in _walk(_stage1_rows, c, CANONICAL_PARAMS))
+    return ProtocolResult(prob, output, [prob])
 
 
 def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
@@ -187,7 +181,7 @@ def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     # no output, no success: the pipeline succeeds exactly where its output is defined
     output[product] = 0.0
     p2[product] = 0.0
-    return p1, p2, output, product
+    return p1, p2, output
 
 
 def full_pipeline(state, params) -> ProtocolResult:
@@ -201,8 +195,8 @@ def full_pipeline(state, params) -> ProtocolResult:
     Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
     every field is (P, n).
     """
-    p1, p2, output, product = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
-    return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2], product)
+    p1, p2, output = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
+    return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2])
 
 
 # ------------------------------------------------------------ closed forms

@@ -36,6 +36,10 @@ from .protocols import _cross_term, _four_copy, _pair_bound, schmidt_pair_bound
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
 
+# the paper's Haar averages: two copies in a known Schmidt basis, four in an unknown one
+KNOWN_BASIS_AVERAGE = 1 / 5
+UNKNOWN_BASIS_AVERAGE = 2 / 105
+
 # bounds time (10**8 unknown-basis samples: about 60 s on two cores); memory is flat in it
 MAX_SAMPLES = 10**8
 # a Monte Carlo mean agrees with its target within this many standard errors
@@ -127,7 +131,6 @@ class MonteCarloEstimate:
     mean: float
     std_error: float        # sample std / sqrt(n); NaN for n = 1
     n_samples: int
-    seed: int
     algorithm: str = RNG_ALGORITHM
 
     def within_sigmas(self, target: float) -> bool:
@@ -202,11 +205,11 @@ def _sum_chunks(n: int, chunk_values) -> int:
     return sum(totals)
 
 
-def _mc_estimate(n_samples, seed, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarloEstimate:
+def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarloEstimate:
     """Mean and standard error of the values chunk_values(start, k) gives for
     rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES."""
     n = _check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
-    # a bad seed raises here, before any chunk runs or thread starts
+    # a bad seed, which chunk_values holds, raises here, before any thread starts
     chunk_values(n - 1, 1)
     held = np.empty(n) if n <= _HOLD_MAX else None
 
@@ -227,7 +230,7 @@ def _mc_estimate(n_samples, seed, chunk_values, algorithm=RNG_ALGORITHM) -> Mont
     # one sample has no standard error: NaN
     var = math.nan if n == 1 else _sum_chunks(n, squared_deviations) / 2**1075 / (n - 1)
     return MonteCarloEstimate(
-        mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed, algorithm=algorithm
+        mean=mean, std_error=math.sqrt(var / n), n_samples=n, algorithm=algorithm
     )
 
 
@@ -251,7 +254,7 @@ def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     def chunk(start, k):
         lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
         return _pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
-    return _mc_estimate(n_samples, seed, chunk, KNOWN_BASIS_RNG_ALGORITHM)
+    return _mc_estimate(n_samples, chunk, KNOWN_BASIS_RNG_ALGORITHM)
 
 
 def unknown_basis_average_exact() -> float:
@@ -268,9 +271,7 @@ def unknown_basis_average_exact() -> float:
 
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
-    return _mc_estimate(
-        n_samples, seed, lambda start, k: _four_copy(haar_state_block(seed, k, start))
-    )
+    return _mc_estimate(n_samples, lambda start, k: _four_copy(haar_state_block(seed, k, start)))
 
 
 def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
@@ -279,6 +280,4 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     The term equals x1 x2 x3 x4 cos(eta) with eta = 2(th1 + th4 - th2 - th3),
     and eta is uniform given the magnitudes.
     """
-    return _mc_estimate(
-        n_samples, seed, lambda start, k: _cross_term(haar_state_block(seed, k, start))
-    )
+    return _mc_estimate(n_samples, lambda start, k: _cross_term(haar_state_block(seed, k, start)))

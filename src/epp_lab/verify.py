@@ -220,13 +220,14 @@ def criterion_06(seed: int) -> list:
 def criterion_07(seed: int) -> list:
     """Known-basis Haar average: quadrature hits 1/5; Monte Carlo agrees at 4 sigma."""
     t0 = time.perf_counter()
+    target = sampling.KNOWN_BASIS_AVERAGE
     quad_val = sampling.known_basis_average_quadrature()
-    quad_dev = abs(quad_val - 0.2)
+    quad_dev = abs(quad_val - target)
     est = sampling.known_basis_average_mc(100_000, _sub_seed(seed, 7))
     elapsed = time.perf_counter() - t0
     return [
-        CriterionRow("c07-known-quadrature", 0.2, quad_val, 1e-8, quad_dev <= 1e-8),
-        _mc_row("c07-known-mc", 0.2, est),
+        CriterionRow("c07-known-quadrature", target, quad_val, 1e-8, quad_dev <= 1e-8),
+        _mc_row("c07-known-mc", target, est),
         _runtime_row("c07-known-runtime", elapsed, 5.0),
     ]
 
@@ -237,7 +238,7 @@ def criterion_08(seed: int) -> list:
     moment = float(sampling.dirichlet_moment_exact((1, 1, 1, 1), (2, 0, 0, 2)))
     exact = sampling.unknown_basis_average_exact()
     est = sampling.unknown_basis_average_mc(10_000, _sub_seed(seed, 8))
-    target = 2.0 / 105.0
+    target = sampling.UNKNOWN_BASIS_AVERAGE
     elapsed = time.perf_counter() - t0
     return [
         CriterionRow("c08-moment-exact", 1.0 / 210.0, moment, 0.0, moment == 1.0 / 210.0),
@@ -302,7 +303,9 @@ def _run_once(seed: int, corrupt_kraus: bool = False) -> list:
 
 
 def run_all(seed: int, corrupt_kraus: bool = False) -> list:
-    """All criteria plus the repeat-determinism check (criteria rerun and compared)."""
+    """All criteria plus the repeat-determinism check (criteria rerun and compared);
+    a seed that sampling.check_seed refuses raises before any criterion runs."""
+    seed = sampling.check_seed(seed)
     rows = _run_once(seed, corrupt_kraus=corrupt_kraus)
     repeat = _run_once(seed, corrupt_kraus=corrupt_kraus)
     identical = rows_to_json(rows, seed) == rows_to_json(repeat, seed)

@@ -214,9 +214,18 @@ def test_mc_rows_pass_as_within_sigmas_decides(criterion, estimator, target, row
     monkeypatch.setattr(sampling, estimator, lambda n, seed: seen.append(real(n, seed)) or seen[-1])
     assert criterion(SEED)[row].passed == seen[0].within_sigmas(target)
     for offset in (-4.01, -3.99, 3.99, 4.01):
-        planted = sampling.MonteCarloEstimate(target + offset * 1e-3, 1e-3, 10, SEED)
+        planted = sampling.MonteCarloEstimate(target + offset * 1e-3, 1e-3, 10)
         monkeypatch.setattr(sampling, estimator, lambda n, seed: planted)
         assert criterion(SEED)[row].passed == planted.within_sigmas(target) == (abs(offset) < 4)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", float("nan"), -1, 2**64])
+def test_run_all_checks_its_seed_before_any_criterion(seed, monkeypatch):
+    """A seed Philox cannot take raises ValueError naming seed before any
+    criterion runs, as the CLI refuses it."""
+    monkeypatch.setattr(verify, "_run_once", lambda *args, **kwargs: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        verify.run_all(seed)
 
 
 def test_c10_kraus_maximizer():

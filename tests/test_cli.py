@@ -152,14 +152,17 @@ def test_simulate_notes_nonphysical_params(capsys):
 
 def test_simulate_rejects_invalid_params(capsys):
     """Exit 2 with the library's own message: a non-finite entry is not blamed
-    on the constraint, and |a|^4 beyond the float range is no OverflowError."""
-    for a, b, message in [("nan", "0.5", "non-finite entry"), ("1", "1", "is not valid"),
-                          ("1e200", "0.5", "must be finite"), ("0.5", "0,1e100", "must be finite")]:
+    on the constraint and names the one of a and b that holds it, and |a|^4
+    beyond the float range is no OverflowError."""
+    for a, b, message in [("nan", "0.5", "expected a as"), ("0.5", "inf,0", "expected b as"),
+                          ("1", "1", "is not valid"), ("1e200", "0.5", "must be finite"),
+                          ("0.5", "0,1e100", "must be finite")]:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lambda", "0.75", "--a", a, "--b", b])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid Kraus parameters: " in err and message in err
+        assert ("non-finite entry" in err) == message.startswith("expected")
 
 
 # --------------------------------------------------------------------- csvs

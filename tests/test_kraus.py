@@ -20,7 +20,7 @@ from epp_lab.kraus import (
     pauli_relation_residuals,
 )
 from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
-from epp_lab.protocols import stage1
+from epp_lab.protocols import _stage1_rows
 from epp_lab.sampling import haar_state_block
 from oracles import kalman_kraus, pauli_reconstruct, permute_qubits, scalar_region_tests
 
@@ -59,6 +59,9 @@ def test_build_kraus_entries():
     expected[2, 1] = b
     expected[2, 2] = -b
     assert np.array_equal(K, expected[None])
+    # a raw pair is refused by type, not read as one
+    with pytest.raises(ValueError, match="expected a KrausParams, got tuple"):
+        build_kraus((a, b))
 
 
 def test_kalman_circuit_matches_family():
@@ -192,10 +195,11 @@ def test_overflowing_fourth_power_raises_value_error():
 
 def test_degenerate_params_flagged_not_fatal():
     corner = KrausParams(2**-0.25, 0)
-    assert stage1(bell_phi_plus(), corner).product_output
+    # _stage1_rows's third value marks a defined but unentangled output
+    assert _stage1_rows(bell_phi_plus()[None], corner)[2].all()
     assert f_parameter(corner.a, corner.b) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(build_kraus(corner)[0]) == 1
-    assert not stage1(bell_phi_plus(), CANONICAL_PARAMS).product_output
+    assert not _stage1_rows(bell_phi_plus()[None], CANONICAL_PARAMS)[2].any()
     assert f_parameter(CANONICAL_PARAMS.a, CANONICAL_PARAMS.b) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -50,6 +50,13 @@ def stack_params(*params):
     return KrausParams(np.concatenate([p.a for p in params]), np.concatenate([p.b for p in params]))
 
 
+def product_mask(state, params=CANONICAL_PARAMS):
+    """(P, n) bool, True where stage1's output is defined but unentangled: the
+    kernel's third value, over the tiles stage1 runs.  full_pipeline zeroes
+    those rows; stage2 is this kernel at CANONICAL_PARAMS."""
+    return protocols._walk(protocols._stage1_rows, protocols._as_batch(state), params)[2]
+
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # the closed forms that take one state (4,) or a batch (n, 4); kalman_stage2_prob
@@ -74,7 +81,7 @@ def test_stage1_bell_input():
     assert fidelity_up_to_phase(result.output[0, 0], bell_phi_plus()) == pytest.approx(
         1.0, abs=1e-12
     )
-    assert not result.product_output[0, 0]
+    assert not product_mask(bell_phi_plus())[0, 0]
 
 
 @given(seeds, seeds)
@@ -98,7 +105,7 @@ def test_stage1_closed_form(state_seed, param_seed):
 def test_stage1_degenerate_params_product_output():
     result = stage1(bell_phi_plus(), KrausParams(0.6, 0))
     assert result.success_prob[0, 0] > 0
-    assert result.product_output[0, 0]
+    assert product_mask(bell_phi_plus(), KrausParams(0.6, 0))[0, 0]
 
 
 def test_stage2_balanced_pair():
@@ -130,14 +137,14 @@ def test_stage2_rejects_wrong_basis():
 
 def test_stage2_is_stage1_at_symmetric_point():
     """On inputs in the {|00>, |11>} basis stage2 is bitwise stage1 at a = b =
-    sqrt(2)/2, and never reports a product output."""
+    sqrt(2)/2, whose kernel never marks a product output on them."""
     lams = np.linspace(0.0, 1.0, 41)
     batch = np.array([schmidt_state(np.sqrt(lam), np.sqrt(1 - lam)) for lam in lams])
     batch[7, 1] = 1e-11  # within the basis tolerance
     second, first = stage2(batch), stage1(batch, CANONICAL_PARAMS)
     assert np.array_equal(second.success_prob, first.success_prob[0])
     assert np.array_equal(second.output, first.output[0])
-    assert not second.product_output.any() and not first.product_output.any()
+    assert not product_mask(batch).any()
 
 
 @given(seeds)
@@ -166,7 +173,7 @@ def test_full_pipeline_product_input():
     result = full_pipeline(as_state([0, 1, 0, 0]), CANONICAL_PARAMS)
     assert result.success_prob[0, 0] == 0.0
     assert not result.output[0, 0].any()
-    assert result.product_output[0, 0]
+    assert result.stage_probs[2][0, 0] == 0.0
 
 
 def test_full_pipeline_degenerate_params():
@@ -189,7 +196,9 @@ def test_full_pipeline_succeeds_exactly_where_its_output_is_defined():
     assert np.array_equal(result.success_prob == 0.0, undefined)
     assert np.all(result.stage_probs[2][undefined] == 0.0)
     # rows where stage 1 succeeded with a product output are among them
-    assert np.any(undefined & (result.stage_probs[0] > 0.0) & result.product_output)
+    product = product_mask(states, params)
+    assert np.any(undefined & (result.stage_probs[0] > 0.0) & product)
+    assert not (product & ~undefined).any()
     assert not undefined.all()
 
 
@@ -356,20 +365,21 @@ def test_phase_invariance_of_conversion_bound():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: as_state([np.nan, 0, 0, 1]),
-        lambda: KrausParams(np.nan, 0.5),
-        lambda: KrausParams(0.5, complex(0.1, np.nan)),
-        lambda: schmidt_pair_bound(np.nan, 1.0),
-        lambda: vidal_probability([np.nan, 1.0], [0.5, 0.5]),
-        lambda: monotones([np.nan, 1.0]),
+        (lambda: as_state([np.nan, 0, 0, 1]), None),
+        (lambda: KrausParams(np.nan, 0.5), "expected a as .* non-finite entry"),
+        (lambda: KrausParams(0.5, complex(0.1, np.nan)), "expected b as .* non-finite entry"),
+        (lambda: schmidt_pair_bound(np.nan, 1.0), None),
+        (lambda: vidal_probability([np.nan, 1.0], [0.5, 0.5]), None),
+        (lambda: monotones([np.nan, 1.0]), None),
     ],
     ids=["as_state", "params_a", "params_b", "pair_bound", "vidal", "monotones"],
 )
-def test_non_finite_input_rejected(call):
-    """NaN makes every |x - 1| > tol test False, so each guard must be finite-safe."""
-    with pytest.raises(ValueError):
+def test_non_finite_input_rejected(call, message):
+    """NaN makes every |x - 1| > tol test False, so each guard must be finite-safe;
+    KrausParams names which of a and b is bad."""
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -394,10 +404,9 @@ def mixed_batch(seed):
 def assert_one_shape(result, shape):
     """Every field is an array with the given leading shape, never a float or None;
     an output row is all zero where the success probability vanishes, else normalized."""
-    for f in (result.success_prob, result.product_output, *result.stage_probs):
+    for f in (result.success_prob, *result.stage_probs):
         assert isinstance(f, np.ndarray) and f.shape == shape
     assert isinstance(result.output, np.ndarray) and result.output.shape == shape + (4,)
-    assert result.product_output.dtype == bool
     norms = np.linalg.norm(result.output, axis=-1)
     assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-12))
     assert not result.output[result.success_prob == 0.0].any()
@@ -417,7 +426,7 @@ def assert_batch_equals_rows(run, batch):
         assert_one_shape(r, lead + (1,))
     # join the batches of one along the state axis
     axis = len(lead)
-    for name in ("success_prob", "product_output", "output"):
+    for name in ("success_prob", "output"):
         joined = np.concatenate([getattr(r, name) for r in rows], axis)
         assert np.array_equal(getattr(result, name), joined)
     joined = np.concatenate([r.stage_probs for r in rows], axis + 1)
@@ -438,6 +447,9 @@ def test_batch_equals_row_by_row(seed, kind):
     batch = mixed_batch(seed)
     assert_batch_equals_rows(lambda c: stage1(c, params), batch)
     assert_batch_equals_rows(lambda c: full_pipeline(c, params), batch)
+    product = product_mask(batch, params)
+    assert product.dtype == bool and product.shape == (1, len(batch))
+    assert np.array_equal(product, np.concatenate([product_mask(c, params) for c in batch], 1))
     # stage-2 inputs: the defined stage-1 outputs plus failing |00>-only rows
     first = stage1(batch, params).output[0]
     defined = first[np.any(first != 0, axis=1)]
@@ -468,7 +480,6 @@ def assert_stack_equals_single_calls(run, batch, pairs):
             one = run(c, params)
             assert result.success_prob[p, k] == one.success_prob[0, 0]
             assert [q[p, k] for q in result.stage_probs] == [q[0, 0] for q in one.stage_probs]
-            assert result.product_output[p, k] == one.product_output[0, 0]
             assert np.array_equal(result.output[p, k], one.output[0, 0])
             if k == 0:
                 assert single_state.success_prob[p, 0] == one.success_prob[0, 0]
@@ -488,6 +499,10 @@ def test_parameter_axis_equals_single_calls(seed):
     batch = mixed_batch(seed)
     assert_stack_equals_single_calls(stage1, batch, pairs)
     assert_stack_equals_single_calls(full_pipeline, batch, pairs)
+    product = product_mask(batch, pairs)
+    for p in range(len(pairs)):
+        for k, c in enumerate(batch):
+            assert product[p, k] == product_mask(c, pairs[p])[0, 0]
 
 
 @pytest.mark.parametrize("step_rows", [1, 3, 8, 24, 10**6])
@@ -504,13 +519,17 @@ def test_step_rows_do_not_change_results(monkeypatch, step_rows):
     def runs():
         return [stage1(batch, pairs), full_pipeline(batch, pairs), stage2(basis)]
 
-    expected = runs()
+    def products():
+        return [product_mask(batch, pairs), product_mask(basis)]
+
+    expected, expected_products = runs(), products()
     monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
     for want, got in zip(expected, runs()):
         assert np.array_equal(got.success_prob, want.success_prob)
         assert np.array_equal(got.stage_probs, want.stage_probs)
-        assert np.array_equal(got.product_output, want.product_output)
         assert np.array_equal(got.output, want.output)
+    for want, got in zip(expected_products, products()):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n, pairs, step_rows", [
@@ -553,6 +572,8 @@ def test_empty_batch_gives_empty_fields():
         assert_one_shape(result, (2, 0))
         assert result.success_prob.dtype == float and result.output.dtype == complex
     assert_one_shape(stage2(empty), (0,))
+    product = product_mask(empty, pairs)
+    assert product.dtype == bool and product.shape == (2, 0)
 
 
 @pytest.mark.parametrize("n", [512, 5_000, 20_000])
@@ -566,8 +587,7 @@ def test_stage_memory_is_bounded_in_the_batch(traced_peak, n):
         run(states[:2], CANONICAL_PARAMS)  # first-call set-up is not the batch's
         peak = traced_peak(lambda: run(states, CANONICAL_PARAMS))
         result = run(states, CANONICAL_PARAMS)
-        fields = {id(f): f.nbytes for f in (result.success_prob, result.output,
-                                            result.product_output, *result.stage_probs)}
+        fields = {id(f): f.nbytes for f in (result.success_prob, result.output, *result.stage_probs)}
         assert peak - sum(fields.values()) < 2.5e6, (run.__name__, peak)
         assert peak < 5e6, (run.__name__, peak)
 
@@ -605,7 +625,7 @@ def test_pipeline_stage2_is_the_public_composition(seed, pair_seeds):
     second = stage2(rows)
     p2 = np.zeros_like(p1)
     p2[ran] = second.success_prob
-    product = first.product_output | (p2 < protocols.ZERO_PROB)
+    product = product_mask(batch, pairs) | (p2 < protocols.ZERO_PROB)
     output = np.zeros_like(first.output)
     output[ran] = second.output
     output[product] = 0.0
@@ -614,7 +634,7 @@ def test_pipeline_stage2_is_the_public_composition(seed, pair_seeds):
     result = full_pipeline(batch, pairs)
     assert np.array_equal(result.success_prob, p1 * p1 * p2)
     assert np.array_equal(result.stage_probs, [p1, p1, p2])
-    assert np.array_equal(result.product_output, product)
+    assert np.array_equal(~result.output.any(axis=-1), product)
     assert np.array_equal(result.output, output)
 
 

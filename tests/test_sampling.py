@@ -263,10 +263,13 @@ def test_moment_many_ones_above_the_ceiling_raises():
 
 def test_known_basis_quadrature():
     assert known_basis_average_quadrature() == pytest.approx(0.2, abs=1e-8)
+    # the target haar-average and c07 compare against, bitwise
+    assert sampling.KNOWN_BASIS_AVERAGE == 0.2 == float(Fraction(1, 5))
 
 
 def test_unknown_basis_exact():
     assert unknown_basis_average_exact() == float(Fraction(2, 105))
+    assert sampling.UNKNOWN_BASIS_AVERAGE == 2.0 / 105.0 == float(Fraction(2, 105))
 
 
 def test_known_basis_mc_agrees_with_quadrature():
@@ -289,7 +292,7 @@ def test_pipeline_route_matches_closed_form_route():
     closed = four_copy_bell_bound(states)
     assert np.max(np.abs(pipeline - closed)) < 1e-10
     # the estimator is the closed form on the seeded block
-    assert unknown_basis_average_mc(300, seed=9) == estimate_of(closed, 9)
+    assert unknown_basis_average_mc(300, seed=9) == estimate_of(closed)
 
 
 def test_phase_term_averages_to_zero():
@@ -311,23 +314,21 @@ def test_mc_determinism():
 
 # ------------------------------------------------------------ estimator core
 
-def estimate_of(values, seed, algorithm=RNG_ALGORITHM):
+def estimate_of(values, algorithm=RNG_ALGORITHM):
     """The estimator body run on given per-sample values, sliced per chunk."""
     values = np.asarray(values, dtype=float)
-    return sampling._mc_estimate(
-        values.size, seed, lambda start, k: values[start:start + k], algorithm
-    )
+    return sampling._mc_estimate(values.size, lambda start, k: values[start:start + k], algorithm)
 
 
 def test_estimate_basic():
-    est = estimate_of([1.0, 2.0, 3.0, 4.0], seed=0)
+    est = estimate_of([1.0, 2.0, 3.0, 4.0])
     assert est.mean == pytest.approx(2.5)
     assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
     assert est.n_samples == 4
 
 
 def test_estimate_single_sample():
-    est = estimate_of([0.7], seed=0)
+    est = estimate_of([0.7])
     assert math.isnan(est.std_error)
     assert est.within_sigmas(0.7)
     assert not est.within_sigmas(0.8)
@@ -335,7 +336,7 @@ def test_estimate_single_sample():
 
 def test_estimate_empty():
     with pytest.raises(ValueError):
-        estimate_of([], seed=0)
+        estimate_of([])
 
 
 def test_sample_count_above_the_cap_raises_before_any_draw(monkeypatch):
@@ -376,11 +377,11 @@ def test_exact_total_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         sampling._exact_total(np.array([0.5, bad, 0.25]))
     with pytest.raises(ValueError, match="finite"):
-        estimate_of([0.5, bad, 0.25], seed=0)
+        estimate_of([0.5, bad, 0.25])
 
 
 def test_within_sigmas_width():
-    est = MonteCarloEstimate(mean=1.0, std_error=0.1, n_samples=100, seed=0)
+    est = MonteCarloEstimate(mean=1.0, std_error=0.1, n_samples=100)
     assert est.within_sigmas(1.35)
     assert not est.within_sigmas(1.45)
 
@@ -470,7 +471,7 @@ def test_threaded_values_are_one_block_bitwise(monkeypatch, estimator, n):
     expected = one_block_values(estimator, n, 9)
     assert np.array_equal(values, expected)
     est = estimator(n, 9)
-    assert est == estimate_of(expected, 9, est.algorithm)
+    assert est == estimate_of(expected, est.algorithm)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
@@ -565,7 +566,7 @@ def test_threads_take_each_chunk_once(monkeypatch):
     try:
         total = sampling._sum_chunks(30_001, chunk_values)
         taken_once, threads_once = sorted(taken), len(threads)
-        est = sampling._mc_estimate(30_001, 0, chunk_values)
+        est = sampling._mc_estimate(30_001, chunk_values)
     finally:
         sys.setswitchinterval(interval)
     assert total == sum(range(30_001)) << 1075
@@ -580,7 +581,7 @@ def test_estimate_is_the_scalar_reference_bitwise(monkeypatch, chunk):
     """The estimator rounds the exact sums once, so any chunking gives the plain scalar result."""
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk)
     values = four_copy_bell_bound(haar_state_block(42, 10_000))
-    est = estimate_of(values, seed=42)
+    est = estimate_of(values)
     assert (est.mean, est.std_error) == reference_estimate(values.tolist())
 
 
@@ -596,7 +597,7 @@ def test_estimate_squares_through_pow(closed_form):
     telling = [w for w in windows if reference_estimate(w) != reference_estimate(w, lambda d: d * d)]
     assert telling
     for w in telling:
-        est = estimate_of(w, seed=42)
+        est = estimate_of(w)
         assert (est.mean, est.std_error) == reference_estimate(w)
 
 

@@ -5,6 +5,9 @@ referenced somewhere in the package other than its own definition and the
 re-exports in __init__.py; a reference from a name that fails this test does
 not count either.  A name that only tests reach
 belongs in tests/ (reference implementations go to tests/oracles.py).
+Every public field of a dataclass of the package must be read as an
+attribute somewhere in the package outside its own class: a result field
+that no command or criterion reads is dead weight on every result.
 
 The front ends, verify.py and cli.py, reach the library modules through
 their public names only; linalg's shared helpers are the one exception.
@@ -79,6 +82,72 @@ def unreferenced_names(package: Path) -> list:
         if not newly:
             return sorted(key for key, (_, node) in definitions.items() if id(node) in dead)
         dead.update(id(node) for node in newly)
+
+
+def dataclass_fields(tree: ast.Module) -> dict:
+    """(class name, class node) -> public field names, for each top-level
+    class decorated with dataclass or dataclass(...)."""
+    out = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" in [getattr(d, "id", getattr(d, "attr", None)) for d in decorators]:
+            out[node.name, node] = [
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and not stmt.target.id.startswith("_")
+            ]
+    return out
+
+
+def unread_fields(package: Path) -> list:
+    """Public dataclass fields of package that no top-level statement outside
+    their own class reads as an attribute, as sorted "module.Class.field".
+
+    A read is matched by attribute name alone, whatever object it is read
+    from, so a field that shares its name with another attribute the package
+    reads (a field seed beside cli's args.seed) passes unseen: such a field
+    goes by inspection."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    statements = [
+        (stmt, {node.attr for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+        for tree in modules.values() for stmt in tree.body
+    ]
+    return sorted(
+        f"{stem}.{name}.{field}"
+        for stem, tree in modules.items()
+        for (name, cls), fields in dataclass_fields(tree).items()
+        for field in fields
+        if not any(field in reads and stmt is not cls for stmt, reads in statements)
+    )
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert unread_fields(PACKAGE) == []
+
+
+def test_guard_sees_a_field_no_one_reads(tmp_path):
+    """A field read only inside its own class's methods, or only written or
+    passed by keyword outside it, is reported; a field read from any other
+    statement is not, and neither is an annotation of a class that is no
+    dataclass."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "core.py").write_text(
+        "import dataclasses, functools\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(eq=False)\nclass Result:\n    value: float\n    extra: int\n"
+        "    _hidden: int = 0\n\n"
+        "    def twice(self):\n        return 2 * self.extra\n\n"
+        "@dataclasses.dataclass\nclass Spare:\n    count: int\n\n"
+        "@functools.total_ordering\nclass Plain:\n    size: int\n"
+    )
+    (package / "run.py").write_text(
+        "from .core import Result, Spare\n"
+        "r = Result(value=1.0, extra=2)\nr.extra = 3\nSpare(count=1)\nprint(r.value)\n"
+    )
+    assert unread_fields(package) == ["core.Result.extra", "core.Spare.count"]
 
 
 LIBRARY_MODULES = ("kraus", "protocols", "vidal", "sampling")
