@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: bounds, simulate, vidal-curve, f-grid, haar-average, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Seeded
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (as
+for SIGPIPE) when the reader of stdout closes it early.  Seeded
 commands take --seed, fall back to the EPP_LAB_SEED environment variable,
 then to DEFAULT_SEED; the seed in effect is echoed in the output.
 haar-average takes at most sampling.MAX_SAMPLES samples.  CSV floats
@@ -30,7 +31,7 @@ import numpy as np
 # every command is a cold start, so protocols, sampling, vidal and verify are
 # imported inside the commands that run them; parsing needs only kraus and
 # linalg, and an integer option the module that holds its bound
-from .kraus import CANONICAL_PARAMS, KrausParams, f_parameter, params_physical, params_valid
+from .kraus import CANONICAL_PARAMS, KrausParams, region
 from .linalg import ATOL, _check_int, bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
 DEFAULT_SEED = 42
@@ -202,7 +203,7 @@ def cmd_simulate(args) -> int:
     from . import protocols
     c = args.state
     params = args.params
-    if not params_physical(args.a, args.b):
+    if not region(args.a, args.b).physical:
         print("note: max(|a|, |b|) exceeds sqrt(2)/2, so the success branch is not a "
               "contraction and does not describe a physical operation", file=sys.stderr)
     lines = [
@@ -249,8 +250,8 @@ def _f_grid_blocks(n: int):
     grid = np.linspace(0.0, 1.0, n)
     labels = [_fmt(x) for x in grid]
     for a, a_label in zip(grid, labels):
-        columns = zip(labels, params_valid(a, grid).tolist(), f_parameter(a, grid).tolist(),
-                      params_physical(a, grid).tolist())
+        row = region(a, grid)
+        columns = zip(labels, row.valid.tolist(), row.f.tolist(), row.physical.tolist())
         yield "".join(f"{a_label},{b_label},{int(valid)},{_fmt(f)},{int(physical)}\n"
                       for b_label, valid, f, physical in columns)
 
@@ -313,15 +314,25 @@ def main(argv=None) -> int:
         parser.error(f"--out must name a file in an existing directory, got {out!r}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
-    if out is None:
-        return args.func(args)
-    # opened before any work, so a file that cannot be written costs nothing
+    if out is not None:
+        # opened before any work, so a file that cannot be written costs nothing
+        try:
+            args.out = open(out, "w", newline="\n")
+        except OSError as exc:
+            parser.error(f"cannot open --out {out!r}: {exc.strerror or exc}")
     try:
-        args.out = open(out, "w", newline="\n")
-    except OSError as exc:
-        parser.error(f"cannot open --out {out!r}: {exc.strerror or exc}")
-    with args.out:
-        return args.func(args)
+        if out is None:
+            code = args.func(args)
+        else:
+            with args.out:
+                code = args.func(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: fd 1 goes to devnull so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the shell's status for a process SIGPIPE ended
+    return code
 
 
 if __name__ == "__main__":

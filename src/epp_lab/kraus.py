@@ -9,12 +9,14 @@ reorders registers so the lifted operator acts on states stored in
 Every function that takes operators takes a (P, ...) stack of them, and
 one operator is a stack of one; entry [p] of a result is bitwise the
 result on the stack of one K[p:p + 1].  A KrausParams holds P pairs, one
-pair is a stack of one.  The region tests (constraint_value, params_valid,
-f_parameter, params_physical) broadcast over arrays of pairs, bitwise per pair.
+pair is a stack of one.  region(a, b) says where pairs lie in the parameter
+square: constraint value, validity, asymmetry f and physicality, broadcast
+over arrays of pairs, bitwise per pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,42 +59,37 @@ def _fourth_powers(ma, mb) -> tuple[np.ndarray, np.ndarray]:
     return a4, b4
 
 
-def _valid(ma, mb) -> np.ndarray:
+class Region(NamedTuple):
+    """Where pairs (a, b) lie in the parameter square, as broadcast arrays of one entry a pair.
+
+    constraint is 2(|a|^4 + |b|^4); valid: not both zero and constraint <= 1,
+    within CONSTRAINT_SLACK.  f is the asymmetry 2 | |a|^4 - |b|^4 |, in
+    [0, 1] for valid pairs and 1 only at the degenerate corners (|a| = 2**-0.25,
+    b = 0) and their mirror image, where the branch output is always a product
+    state.  physical: valid, and the success branch is a contraction.  K^dag K
+    has eigenvalues 2|a|^2 and 2|b|^2 (and two zeros), so that holds exactly
+    when max(|a|, |b|) <= sqrt(2)/2, within CONSTRAINT_SLACK; pairs with
+    sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25 are valid without being physical.
+    """
+
+    constraint: np.ndarray
+    valid: np.ndarray
+    f: np.ndarray
+    physical: np.ndarray
+
+
+def _region(ma, mb) -> Region:
+    """The Region of the pairs with moduli ma and mb; ValueError if a fourth power is not finite."""
     a4, b4 = _fourth_powers(ma, mb)
-    return ~((ma == 0) & (mb == 0)) & (2.0 * (a4 + b4) <= 1.0 + CONSTRAINT_SLACK)
+    constraint = 2.0 * (a4 + b4)
+    valid = ~((ma == 0) & (mb == 0)) & (constraint <= 1.0 + CONSTRAINT_SLACK)
+    physical = valid & (np.maximum(ma, mb) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
+    return Region(constraint, valid, 2.0 * abs(a4 - b4), physical)
 
 
-def constraint_value(a, b) -> np.ndarray:
-    """2(|a|^4 + |b|^4) per pair of broadcast arrays; valid pairs keep it at most 1."""
-    a4, b4 = _fourth_powers(*_moduli(a, b))
-    return 2.0 * (a4 + b4)
-
-
-def params_valid(a, b) -> np.ndarray:
-    """Per pair: not both zero and 2(|a|^4 + |b|^4) <= 1 within CONSTRAINT_SLACK."""
-    return _valid(*_moduli(a, b))
-
-
-def f_parameter(a, b) -> np.ndarray:
-    """Asymmetry f = 2 | |a|^4 - |b|^4 | per pair, ranging over [0, 1] for valid pairs.
-
-    f = 1 only at the degenerate corners (|a| = 2**-0.25, b = 0) and the
-    mirror image, where the branch output is always a product state.
-    """
-    a4, b4 = _fourth_powers(*_moduli(a, b))
-    return 2.0 * abs(a4 - b4)
-
-
-def params_physical(a, b) -> np.ndarray:
-    """Per pair: valid, and its success branch is a contraction, as a physical branch must be.
-
-    K^dag K has eigenvalues 2|a|^2 and 2|b|^2 (and two zeros), so a valid
-    pair is physical exactly when max(|a|, |b|) <= sqrt(2)/2, within
-    CONSTRAINT_SLACK.  Pairs with sqrt(2)/2 < max(|a|, |b|) <= 2**-0.25
-    meet the constraint without being physical.
-    """
-    ma, mb = _moduli(a, b)
-    return _valid(ma, mb) & (np.maximum(ma, mb) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
+def region(a, b) -> Region:
+    """The Region of the pairs (a, b), two broadcast arrays, each converted once."""
+    return _region(*_moduli(a, b))
 
 
 @dataclass(eq=False)
@@ -100,8 +97,8 @@ class KrausParams:
     """A stack of P >= 1 complex pairs (a, b) steering the success branch.
 
     a and b are complex (P,) arrays; one pair is a stack of one, and
-    params[i] and params[i:j] are stacks too.  Every pair must pass
-    params_valid, or a ValueError names the first that fails.  A vanishing
+    params[i] and params[i:j] are stacks too.  Every pair must be valid
+    (see Region), or a ValueError names the first that fails.  A vanishing
     a or b is allowed, but that branch can only make an unentangled output,
     on which the stage it feeds fails, so it is useless in a pipeline.
     """
@@ -117,7 +114,7 @@ class KrausParams:
         if self.a.shape != self.b.shape or not self.a.size:
             raise ValueError(f"a and b must be two (P,) arrays with P >= 1, "
                              f"got shapes {self.a.shape} and {self.b.shape}")
-        bad = np.flatnonzero(~_valid(_cabs(self.a), _cabs(self.b)))
+        bad = np.flatnonzero(~_region(_cabs(self.a), _cabs(self.b)).valid)
         if bad.size:
             i = bad[0]
             raise ValueError(f"pair {i} ({complex(self.a[i])}, {complex(self.b[i])}) is not valid: "

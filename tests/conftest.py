@@ -1,6 +1,34 @@
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import epp_lab
+
+SRC = str(Path(epp_lab.__file__).resolve().parent.parent)
+
+
+def run_child(*args, env=None, stdout=None) -> tuple[subprocess.CompletedProcess, float]:
+    """Run `python args` in a fresh child that finds epp_lab where this process
+    found it, under env (default: this process's environment).  Returns the
+    finished process, its stdout and stderr as bytes, and its peak RSS in MB
+    from wait4.  stdout, when given, is the file or descriptor the child
+    writes to instead, and the returned stdout is None."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, *args], stdout=out if stdout is None else stdout,
+                                stderr=err, env={**(os.environ if env is None else env),
+                                                 "PYTHONPATH": SRC})
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(proc.args, proc.returncode,
+                                           None if stdout is not None else out.read(), err.read())
+    return done, usage.ru_maxrss / 1024  # KiB on Linux
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ The package never calls these, so they live with the tests:
   spectra of dense state vectors of any power-of-two dimension;
 * pauli_reconstruct: the operator back from its Pauli-expansion coefficients;
 * scalar_region_tests: the constraint value, validity, asymmetry f and
-  physicality of one parameter pair, in Python's scalar arithmetic.
+  physicality of one parameter pair, in Python's scalar arithmetic and in
+  the field order of kraus.Region.
 """
 import math
 

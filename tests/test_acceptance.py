@@ -22,15 +22,11 @@ with `pytest -s tests/test_acceptance.py`.
 """
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_child
 
-import epp_lab
 from epp_lab import cli, kraus, protocols, sampling, verify, vidal
 from epp_lab.linalg import bell_phi_plus, fidelity_up_to_phase, schmidt_state
 
@@ -131,6 +127,23 @@ def test_c03_stacked_check_matches_per_pair_loop(corrupt):
 
 def test_c04_pauli_relations():
     _check(4, verify.criterion_04(SEED))
+
+
+@pytest.mark.parametrize("relation", [0, 1, 13])
+def test_c04_fails_on_a_nan_residual(monkeypatch, relation):
+    """A nan in any Pauli relation, not only the first, fails c04: the worst
+    deviation is one np.max, which propagates a nan that Python's
+    max(0.0, nan) would drop."""
+    residuals = kraus.pauli_relation_residuals
+
+    def with_nan(r):
+        out = residuals(r)
+        out[list(out)[relation]][0] = np.nan
+        return out
+
+    monkeypatch.setattr(kraus, "pauli_relation_residuals", with_nan)
+    (row,) = verify.criterion_04(SEED)
+    assert np.isnan(row.observed) and not row.passed
 
 
 def test_c04_stacked_expansion_matches_per_pair_loop():
@@ -240,7 +253,7 @@ def test_c10_stacked_grid_matches_per_pair_scan():
     best_val, best_point = -1.0, None
     for a in grid:
         for b in grid:
-            if a == 0.0 or b == 0.0 or not kraus.params_valid(a, b):
+            if a == 0.0 or b == 0.0 or not kraus.region(a, b).valid:
                 continue
             avg = np.mean(protocols.full_pipeline(states, kraus.KrausParams(a, b)).success_prob)
             if avg > best_val:
@@ -276,14 +289,7 @@ def test_c11_deterministic_verify(tmp_path):
     codes = []
     for tag in ("first", "second"):
         out = tmp_path / f"{tag}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "epp_lab", "verify", "--seed", str(SEED),
-             "--out", str(out)],
-            # the child finds the package where this process found it
-            env={**os.environ, "PYTHONPATH": str(Path(epp_lab.__file__).resolve().parent.parent)},
-            capture_output=True,
-            text=True,
-        )
+        proc, _ = run_child("-m", "epp_lab", "verify", "--seed", str(SEED), "--out", str(out))
         codes.append(proc.returncode)
         payloads.append(out.read_bytes())
     identical = payloads[0] == payloads[1]

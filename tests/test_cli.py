@@ -5,16 +5,15 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import run_child
 from test_acceptance import PINNED_SHA256
 
-import epp_lab
-from epp_lab import cli, protocols, sampling, verify, vidal
+from epp_lab import cli, kraus, protocols, sampling, verify, vidal
 from epp_lab.cli import DEFAULT_SEED, MAX_F_GRID, SEED_ENV_VAR, build_parser, main
 
 
@@ -221,24 +220,22 @@ def test_f_grid_stdout_equals_out_file(tmp_path, capsys):
     assert out == path.read_text()
 
 
-def grid_peak_rss_mb(command: str, grid: int) -> float:
-    """Peak RSS of one `vidal-curve` or `f-grid` child writing its CSV to stdout, from wait4."""
-    src = Path(epp_lab.__file__).resolve().parent.parent
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "epp_lab", command, "--grid", str(grid)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss / 1024  # KiB on Linux
+def test_f_grid_makes_one_region_call_per_row(count_calls):
+    """Each |a| row of f-grid is one region call, which converts a and b once each."""
+    regions, conversions = count_calls(cli, "region"), count_calls(kraus, "_as_array")
+    lines = "".join(cli._f_grid_blocks(30)).splitlines()
+    assert len(lines) == 1 + 30 * 30
+    assert len(regions) == 30 and len(conversions) == 2 * 30
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
 def test_f_grid_memory_is_flat_in_grid():
     """16 times the rows must not cost more than a few MB: the CSV is written
     one |a| row at a time, never held whole (about 0.23 KB a line)."""
-    small, large = grid_peak_rss_mb("f-grid", 100), grid_peak_rss_mb("f-grid", 400)
+    runs = [run_child("-m", "epp_lab", "f-grid", "--grid", str(n), stdout=subprocess.DEVNULL)
+            for n in (100, 400)]
+    assert [proc.returncode for proc, _ in runs] == [0, 0]
+    (_, small), (_, large) = runs
     assert large - small <= 5.0, (small, large)
 
 
@@ -246,7 +243,10 @@ def test_f_grid_memory_is_flat_in_grid():
 def test_vidal_curve_memory_is_flat_in_grid():
     """100 times the rows must not cost more than a few MB: the CSV is written
     1024 lines at a time, never held whole (about 0.2 KB a line)."""
-    small, large = grid_peak_rss_mb("vidal-curve", 400), grid_peak_rss_mb("vidal-curve", 40_000)
+    runs = [run_child("-m", "epp_lab", "vidal-curve", "--grid", str(n),
+                      stdout=subprocess.DEVNULL) for n in (400, 40_000)]
+    assert [proc.returncode for proc, _ in runs] == [0, 0]
+    (_, small), (_, large) = runs
     assert large - small <= 5.0, (small, large)
 
 
@@ -458,54 +458,24 @@ def test_corrupt_kraus_hook_fails_kill_vectors():
 
 # ---------------------------------------------------------------- cold start
 
-def test_cold_import_skips_scipy_integrate():
-    """The CLI's cold start loads no scipy module at all: scipy.special alone
-    costs ~0.4 s and ~24 MB, and only Gaussian draws need it.  Nor does it
-    load concurrent.futures (6-8 ms); the Monte Carlo helper thread uses
-    threading, which numpy already loads.  Neither the import nor a bounds
-    run, each in a fresh child, may load scipy* or concurrent*."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
-    report = "print([m for m in sys.modules if m.partition('.')[0] in ('scipy', 'concurrent')])"
-    for run in ("", "epp_lab.cli.main(['bounds', '--lambda', '0.3'])"):
-        code = f"import sys, epp_lab.cli\n{run}\n{report}"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert out.strip().splitlines()[-1] == "[]"
-        assert ("four_copy_bell_bound = " in out) == bool(run)
-
-
 def test_package_import_loads_no_numpy():
     """`python -m epp_lab` runs epp_lab/__init__ before the CLI, so it must
     not load numpy before cli.py has set OPENBLAS_NUM_THREADS."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, epp_lab; print('numpy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    proc, _ = run_child("-c", "import sys, epp_lab; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_defaults_to_one_blas_thread(preset, expected):
     """The CLI asks OpenBLAS for one thread unless the user chose a number."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run(
-        [sys.executable, "-c", "import os, epp_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == expected
-
-
-def run_cold(*argv) -> subprocess.CompletedProcess:
-    """`python -m epp_lab argv` in a fresh child, as a user runs it; output as bytes."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-m", "epp_lab", *argv],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    proc, _ = run_child(
+        "-c", "import os, epp_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == expected
 
 
 def test_cli_freezes_the_collector_at_exit():
@@ -513,29 +483,26 @@ def test_cli_freezes_the_collector_at_exit():
     collections of interpreter shutdown skip the objects numpy and scipy
     leave.  atexit runs handlers last in, first out: a probe registered
     before the import runs after the freeze."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
     code = ("import atexit, gc\n"
             "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
             "import epp_lab.cli")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "True"
+    proc, _ = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "True"
 
 
 def test_frozen_exit_keeps_files_and_stdout(tmp_path, capsys):
     """A cold child exits frozen and still writes the pinned --out file and
     stdout bytes; haar-average in unknown-basis mode also loads scipy."""
     curve, path = ("vidal-curve", "--grid", "3000"), tmp_path / "curve.csv"
-    assert run_cold(*curve, "--out", str(path)).returncode == 0
+    assert run_child("-m", "epp_lab", *curve, "--out", str(path))[0].returncode == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[curve]
     grid = ("f-grid", "--grid", "400")
-    proc = run_cold(*grid)
+    proc, _ = run_child("-m", "epp_lab", *grid)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_SHA256[grid]
     haar = ("haar-average", "--mode", "unknown-basis", "--samples", "1000", "--seed", "3")
-    proc = run_cold(*haar)
+    proc, _ = run_child("-m", "epp_lab", *haar)
     assert main(list(haar)) == 0
     assert proc.returncode == 0 and proc.stdout.decode() == capsys.readouterr().out
 
@@ -543,10 +510,32 @@ def test_frozen_exit_keeps_files_and_stdout(tmp_path, capsys):
 def test_frozen_exit_keeps_exit_codes(tmp_path):
     """Verification failure is still exit 1 and a usage error exit 2."""
     corrupt, path = ("verify", "--seed", "42", "--corrupt-kraus"), tmp_path / "verify.json"
-    assert run_cold(*corrupt, "--out", str(path)).returncode == 1
+    assert run_child("-m", "epp_lab", *corrupt, "--out", str(path))[0].returncode == 1
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[corrupt]
-    proc = run_cold("bounds", "--lambda", "1.5")
+    proc, _ = run_child("-m", "epp_lab", "bounds", "--lambda", "1.5")
     assert proc.returncode == 2 and b"lambda must lie strictly between" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, buffered", [
+    (("vidal-curve", "--grid", "5000"), False),
+    (("simulate", "--lambda", "0.7"), False),
+    (("simulate", "--lambda", "0.7"), True),
+], ids=["vidal-curve", "simulate", "simulate-buffered"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, buffered):
+    """A reader that closes stdout before the command writes, as `| head`
+    can, ends the command with exit 141, the shell's status for SIGPIPE,
+    and nothing on stderr.  A buffered stdout meets the closed pipe only
+    when it is flushed, an unbuffered one at the first write."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc, _ = run_child("-m", "epp_lab", *argv, env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # epp_lab modules each cold command loads beyond those of `import epp_lab.cli`
@@ -563,18 +552,21 @@ COLD_IMPORTS = {
 @pytest.mark.parametrize("argv", COLD_IMPORTS, ids=lambda argv: argv[0] if argv else "import")
 def test_each_command_imports_only_what_it_runs(argv):
     """A cold command loads the library modules it runs and no other: the CLI
-    itself needs kraus and linalg to parse, and no command here loads scipy."""
-    src = str(Path(epp_lab.__file__).resolve().parent.parent)
+    itself needs kraus and linalg to parse.  No command here loads scipy* or
+    concurrent*: scipy.special alone costs ~0.4 s and ~24 MB, and only
+    Gaussian draws need it; concurrent.futures costs 6-8 ms, and the Monte
+    Carlo helper thread uses threading, which numpy already loads."""
     report = ("print(sorted(m for m in sys.modules if m.partition('.')[0] == 'epp_lab'), "
-              "any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+              "sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}))")
     run = f"epp_lab.cli.main({list(argv)!r})" if argv else ""
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys, epp_lab.cli\n{run}\n{report}"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
+    proc, _ = run_child("-c", f"import sys, epp_lab.cli\n{run}\n{report}")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().strip().splitlines()
     modules = {"epp_lab", "epp_lab.cli", "epp_lab.kraus", "epp_lab.linalg"}
     modules |= {f"epp_lab.{name}" for name in COLD_IMPORTS[argv]}
-    assert out.strip().splitlines()[-1] == f"{sorted(modules)} False"
+    assert lines[-1] == f"{sorted(modules)} []"
+    # the command ran: it printed before the report
+    assert (len(lines) > 1) == bool(argv)
 
 
 # sha256 of each --help text at 80 columns; loading modules later must not change it

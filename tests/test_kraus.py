@@ -11,13 +11,10 @@ from epp_lab.kraus import (
     apply_kraus,
     build_kraus,
     check_universality_constraints,
-    constraint_value,
-    f_parameter,
     lift_local_kraus,
-    params_physical,
-    params_valid,
     pauli_expand,
     pauli_relation_residuals,
+    region,
 )
 from epp_lab.linalg import ATOL, basis_state, bell_phi_plus
 from epp_lab.protocols import _stage1_rows
@@ -76,15 +73,19 @@ def test_kalman_circuit_matches_family():
 
 def test_params_validation():
     KrausParams(0.5, 0.5)  # constraint value 0.25, fine
-    assert constraint_value(0.5, 0.5) == pytest.approx(0.25)
+    assert region(0.5, 0.5).constraint == pytest.approx(0.25)
     with pytest.raises(ValueError):
         KrausParams(0, 0)
     with pytest.raises(ValueError):
         KrausParams(1.0, 1.0)
     # boundary point survives rounding
     p = CANONICAL_PARAMS
-    assert constraint_value(p.a, p.b) == pytest.approx(1.0, abs=1e-12)
-    assert params_physical(p.a, p.b)
+    assert region(p.a, p.b).constraint == pytest.approx(1.0, abs=1e-12)
+    assert region(p.a, p.b).physical
+    # the constraint corner is valid; both zero and both one are not
+    assert region(2**-0.25, 0).valid
+    assert not region(0, 0).valid
+    assert not region(1, 1).valid
 
 
 def pair_values():
@@ -98,42 +99,37 @@ def pair_values():
 @given(st.lists(st.tuples(pair_values(), pair_values()), max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_region_tests_on_arrays_match_scalar_reference(drawn):
-    """Entry [i] of constraint_value, params_valid, f_parameter and
-    params_physical on (P,) arrays equals the scalar reference on pair i;
+    """Entry [i] of every field of region on (P,) arrays equals the scalar
+    reference on pair i, the whole (constraint, valid, f, physical) tuple;
     the floats are finite and non-negative, so equal means bitwise equal.
     A scalar a broadcasts against an array b."""
     pairs = EDGE_PAIRS + drawn
     a, b = (np.array(column, dtype=complex) for column in zip(*pairs))
-    expected = [scalar_region_tests(x, y) for x, y in pairs]
-    broadcast = [scalar_region_tests(a[3], y) for y in b]
-    for k, test in enumerate((constraint_value, params_valid, f_parameter, params_physical)):
-        got = test(a, b)
-        assert got.shape == (len(pairs),)
-        assert got.tolist() == [ref[k] for ref in expected], test.__name__
-        assert test(a[3], b).tolist() == [ref[k] for ref in broadcast], test.__name__
-
-
-REGION_TESTS = (constraint_value, params_valid, f_parameter, params_physical)
+    got = region(a, b)
+    assert [field.shape for field in got] == [(len(pairs),)] * 4
+    assert list(zip(*(field.tolist() for field in got))) == [
+        scalar_region_tests(x, y) for x, y in pairs]
+    assert list(zip(*(field.tolist() for field in region(a[3], b)))) == [
+        scalar_region_tests(a[3], y) for y in b]
 
 
 @pytest.mark.parametrize("n", [100, 400])
 def test_region_tests_on_the_f_grid_axis_are_bitwise_the_complex_route(n):
-    """f-grid's real axis takes real moduli; each row equals, bit for bit,
-    the same row with the axis given as complex."""
+    """f-grid's real axis takes real moduli; each field of each row equals,
+    bit for bit, the same field with the axis given as complex."""
     grid = np.linspace(0.0, 1.0, n)
-    for test in REGION_TESTS:
-        for a in grid:
-            assert test(a, grid).tobytes() == test(complex(a), grid.astype(complex)).tobytes()
+    for a in grid:
+        for real, cplx in zip(region(a, grid), region(complex(a), grid.astype(complex))):
+            assert real.dtype == cplx.dtype and real.tobytes() == cplx.tobytes()
 
 
 def test_region_tests_convert_each_argument_once(count_calls):
     calls = count_calls(kraus, "_as_array")
     grid = np.linspace(0.0, 1.0, 100)
-    for test in REGION_TESTS:
-        for a, b in [(grid[70], grid), (0.5 + 0.1j, 0.3)]:
-            calls.clear()
-            test(a, b)
-            assert len(calls) <= 2, test.__name__
+    for a, b in [(grid[70], grid), (0.5 + 0.1j, 0.3)]:
+        calls.clear()
+        region(a, b)
+        assert len(calls) <= 2
 
 
 def test_kraus_params_converts_each_argument_once(count_calls):
@@ -180,13 +176,13 @@ def test_params_hold_copies_of_their_input():
     a = np.array([0.5 + 0j, 0.3])
     params = KrausParams(a, [0.4, 0.3])
     a[0] = 5.0
-    assert params.a[0] == 0.5 and params_valid(params.a, params.b).all()
+    assert params.a[0] == 0.5 and region(params.a, params.b).valid.all()
 
 
 def test_overflowing_fourth_power_raises_value_error():
     """|a|^4 beyond the float range raises ValueError, not Python's OverflowError."""
     for a in (1e200, 1e100j, np.float64(1e200)):
-        for fn in (constraint_value, f_parameter, KrausParams):
+        for fn in (region, KrausParams):
             with pytest.raises(ValueError):
                 fn(a, 0.5)
             with pytest.raises(ValueError):
@@ -197,19 +193,20 @@ def test_degenerate_params_flagged_not_fatal():
     corner = KrausParams(2**-0.25, 0)
     # _stage1_rows's third value marks a defined but unentangled output
     assert _stage1_rows(bell_phi_plus()[None], corner)[2].all()
-    assert f_parameter(corner.a, corner.b) == pytest.approx(1.0, abs=1e-12)
+    assert region(corner.a, corner.b).f == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(build_kraus(corner)[0]) == 1
     assert not _stage1_rows(bell_phi_plus()[None], CANONICAL_PARAMS)[2].any()
-    assert f_parameter(CANONICAL_PARAMS.a, CANONICAL_PARAMS.b) == pytest.approx(0.0, abs=1e-12)
+    assert region(CANONICAL_PARAMS.a, CANONICAL_PARAMS.b).f == pytest.approx(0.0, abs=1e-12)
 
 
 @given(magnitude_pairs())
 @settings(max_examples=50)
 def test_f_parameter_range(raw):
+    """The asymmetry f of a valid pair lies in [0, 1]."""
     p = params_from(raw)
-    assert 0.0 <= f_parameter(p.a, p.b)[0] <= 1.0 + 1e-12
+    assert 0.0 <= region(p.a, p.b).f[0] <= 1.0 + 1e-12
     # symmetric moduli zero it out
-    assert f_parameter(p.a, abs(p.a)) == pytest.approx(0.0, abs=1e-12)
+    assert region(p.a, abs(p.a)).f == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lift_identity_is_identity():
@@ -454,7 +451,7 @@ def test_trace_nonincreasing_inside_operator_region(ra, rb):
     p = KrausParams(ra, rb)
     M = lift_local_kraus(build_kraus(p))[0]
     assert np.linalg.eigvalsh(M.conj().T @ M).max() <= 1.0 + ATOL
-    assert params_physical(p.a, p.b)
+    assert region(p.a, p.b).physical
 
 
 def test_trace_condition_fails_at_constraint_corner():
@@ -462,7 +459,7 @@ def test_trace_condition_fails_at_constraint_corner():
     # the lone branch is no longer completable to a physical instrument:
     # the parameter constraint is necessary, not sufficient.
     corner = KrausParams(2**-0.25, 0)
-    assert not params_physical(corner.a, corner.b)
+    assert not region(corner.a, corner.b).physical
     M = lift_local_kraus(build_kraus(corner))[0]
     largest = np.linalg.eigvalsh(M.conj().T @ M).max()
     assert largest > 1.0 + ATOL
@@ -479,13 +476,7 @@ def test_physical_matches_branch_eigenvalues(raw):
     K = build_kraus(p)[0]
     largest = np.linalg.eigvalsh(K.conj().T @ K).max()
     assume(abs(largest - 1.0) > 1e-9)
-    assert params_physical(p.a, p.b)[0] == (largest <= 1.0)
-
-
-def test_params_valid_helper():
-    assert params_valid(2**-0.25, 0)
-    assert not params_valid(0, 0)
-    assert not params_valid(1, 1)
+    assert region(p.a, p.b).physical[0] == (largest <= 1.0)
 
 
 def test_kill_vector_list_normalized():

@@ -63,8 +63,8 @@ ENTRY_POINTS = [
     ("stage1[pairs]",
      lambda *v: protocols.stage1(v[:4], KrausParams(v[4::2], v[5::2])),
      STATE + PARAMS + PARAMS, True),
-    ("constraint_value", kraus.constraint_value, PARAMS, True),
-    ("f_parameter", kraus.f_parameter, PARAMS, True),
+    ("region", kraus.region, PARAMS, True),
+    ("region[pairs]", lambda *v: kraus.region(v[::2], v[1::2]), PARAMS + PARAMS, True),
     ("fidelity_up_to_phase", lambda *v: fidelity_up_to_phase(v[:4], v[4:]),
      STATE + SCHMIDT_STATE, True),
     ("lift_local_kraus", lambda *v: kraus.lift_local_kraus(stack(v, (1, 4, 4))), KRAUS, True),

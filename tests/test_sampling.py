@@ -1,21 +1,19 @@
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_child
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-import epp_lab
 from epp_lab import protocols, sampling
 from epp_lab.kraus import CANONICAL_PARAMS
 from epp_lab.protocols import four_copy_bell_bound, full_pipeline, schmidt_pair_bound
@@ -623,20 +621,13 @@ def test_per_sample_values_are_pinned(monkeypatch, estimator, digest):
 def peak_rss_mb(samples: int, hold_max: int | None = None) -> float:
     """Peak RSS of one `haar-average --mode unknown-basis` child, from wait4;
     hold_max, if given, replaces sampling._HOLD_MAX in the child."""
-    src = Path(epp_lab.__file__).resolve().parent.parent
     argv = ["haar-average", "--mode", "unknown-basis", "--samples", str(samples), "--seed", "5"]
     code = (f"import sys\nfrom epp_lab import cli, sampling\nsampling._HOLD_MAX = {hold_max}\n"
             f"sys.exit(cli.main({argv!r}))")
     cmd = ["-m", "epp_lab", *argv] if hold_max is None else ["-c", code]
-    proc = subprocess.Popen(
-        [sys.executable, *cmd],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc, peak = run_child(*cmd, stdout=subprocess.DEVNULL)
     assert proc.returncode == 0
-    return usage.ru_maxrss / 1024  # KiB on Linux
+    return peak
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
