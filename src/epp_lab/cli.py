@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: bounds, simulate, vidal-curve, f-grid, haar-average, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (as
-for SIGPIPE) when the reader of stdout closes it early.  Seeded
+Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
+that cannot be opened among them), 74 (sysexits EX_IOERR) when stdout or
+--out cannot be written, 141 (as for SIGPIPE) when the reader of stdout
+closes it early.  A closed fd 1 discards stdout, as print does.  Seeded
 commands take --seed, fall back to the EPP_LAB_SEED environment variable,
 then to DEFAULT_SEED; the seed in effect is echoed in the output.
 haar-average takes at most sampling.MAX_SAMPLES samples.  CSV floats
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import importlib
 import os
@@ -41,7 +44,6 @@ MAX_F_GRID = 5000
 
 # CLI inputs tolerate slightly stale normalization; anything past this is an error
 _NORM_ERROR = 1e-8
-_NORM_WARN = 1e-10
 
 
 def _fmt(x) -> str:
@@ -73,7 +75,7 @@ def _parse_state(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"amplitudes must be normalized within {_NORM_ERROR:g}; |norm-1| = {abs(norm - 1.0):.3e}"
         )
-    if abs(norm - 1.0) > _NORM_WARN:
+    if abs(norm - 1.0) > ATOL:  # the library would refuse the state as given
         print(f"warning: renormalizing input state (|norm-1| = {abs(norm - 1.0):.3e})", file=sys.stderr)
     return amps / norm
 
@@ -119,17 +121,12 @@ def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
     return DEFAULT_SEED
 
 
-def _write_lines(fh, blocks) -> None:
-    """Write each text block as it is made, to the open file fh or to stdout when fh is
-    None; one write per line costs more."""
-    (sys.stdout if fh is None else fh).writelines(blocks)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epp-lab",
         description="Numerical laboratory for conclusive purification of two-qubit pure states.",
     )
+    parser.set_defaults(out=None)  # the commands without --out write to stdout only
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_args(p):
@@ -240,7 +237,7 @@ def _vidal_curve_blocks(n: int):
 
 
 def cmd_vidal_curve(args) -> int:
-    _write_lines(args.out, _vidal_curve_blocks(args.grid))
+    (args.out or sys.stdout).writelines(_vidal_curve_blocks(args.grid))
     return 0
 
 
@@ -257,7 +254,7 @@ def _f_grid_blocks(n: int):
 
 
 def cmd_f_grid(args) -> int:
-    _write_lines(args.out, _f_grid_blocks(args.grid))
+    (args.out or sys.stdout).writelines(_f_grid_blocks(args.grid))
     return 0
 
 
@@ -292,7 +289,7 @@ def cmd_verify(args) -> int:
               f"observed {row.observed}, tolerance {row.tolerance}")
     n_bad = sum(1 for r in rows if not r.passed)
     if args.out is not None:
-        _write_lines(args.out, [verify.rows_to_json(rows, args.seed)])
+        args.out.write(verify.rows_to_json(rows, args.seed))
     if n_bad:
         print(f"FAILED: {n_bad} of {len(rows)} checks")
         return 1
@@ -301,6 +298,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # fd 1 was closed: discard, as print already does
+        sys.stdout = open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "simulate":
@@ -308,30 +307,29 @@ def main(argv=None) -> int:
             args.params = KrausParams(args.a, args.b)
         except ValueError as exc:
             parser.error(f"invalid Kraus parameters: {exc}")
-    out = getattr(args, "out", None)
-    if out is not None and (os.path.isdir(out or ".")
-                            or not os.path.isdir(os.path.dirname(out) or ".")):
-        parser.error(f"--out must name a file in an existing directory, got {out!r}")
     if args.command in ("haar-average", "verify"):
         args.seed = _resolve_seed(parser, args.seed)
-    if out is not None:
-        # opened before any work, so a file that cannot be written costs nothing
+    if args.out is not None:
+        # opened before any work, so a file that cannot be written costs nothing; open
+        # refuses a missing directory, a directory and an empty path
         try:
-            args.out = open(out, "w", newline="\n")
+            args.out = open(args.out, "w", newline="\n")
         except OSError as exc:
-            parser.error(f"cannot open --out {out!r}: {exc.strerror or exc}")
+            parser.error(f"cannot open --out {args.out!r}: {exc.strerror or exc}")
     try:
-        if out is None:
+        with args.out or contextlib.nullcontext():
             code = args.func(args)
-        else:
-            with args.out:
-                code = args.func(args)
-        sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
-    except BrokenPipeError:
-        # the reader left early, as `| head` does: fd 1 goes to devnull so the
-        # interpreter's final flush cannot raise again
+            # a buffered stdout fails here, not at exit, and its report is out before --out closes
+            sys.stdout.flush()
+    except OSError as exc:
+        # no command reads a file, so this is a failed write, to stdout or to --out; fd 1
+        # goes to devnull so the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, the shell's status for a process SIGPIPE ended
+        if isinstance(exc, BrokenPipeError):  # the reader left early, as `| head` does
+            return 141  # 128 + SIGPIPE, the shell's status for a process SIGPIPE ended
+        print(f"{parser.prog}: error: cannot write the output: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 74  # EX_IOERR
     return code
 
 

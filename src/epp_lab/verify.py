@@ -23,13 +23,7 @@ SQRT_HALF = float(kraus.CANONICAL_PARAMS.a[0].real)
 
 def _plain(value):
     """Coerce numpy scalars to built-ins so rows serialize cleanly."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass

@@ -22,7 +22,7 @@ MAX_GRID = 10**6
 def _monotones(coeffs, what="a 1-D list of squared Schmidt coefficients", shape=(None,)):
     """Tail sums of a spectrum, or of each row of a stack of them, after checking it."""
     x = _as_array(coeffs, float, what, shape)
-    if not x.size:
+    if not x.shape[-1]:
         raise ValueError(f"need a spectrum of at least one coefficient, got shape {x.shape}")
     low = x.min(axis=-1)
     x = np.maximum(x, 0.0)

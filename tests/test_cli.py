@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import run_child
+from conftest import SRC, run_child
 from test_acceptance import PINNED_SHA256
 
 from epp_lab import cli, kraus, protocols, sampling, verify, vidal
@@ -349,8 +349,8 @@ def test_usage_errors_exit_2(argv):
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory", "empty"])
 @pytest.mark.parametrize("command", ["verify", "vidal-curve", "f-grid"])
 def test_out_into_missing_directory_is_usage_error(command, where, tmp_path, capsys):
-    """An --out that names no file in an existing directory is rejected before
-    any work: exit 2 with a usage message, nothing on stdout."""
+    """An --out that names no file in an existing directory is refused by open
+    before any work: exit 2 with a usage message, nothing on stdout."""
     target = {"missing-directory": str(tmp_path / "missing" / "out"),
               "a-directory": str(tmp_path), "empty": ""}[where]
     with pytest.raises(SystemExit) as exc:
@@ -358,7 +358,7 @@ def test_out_into_missing_directory_is_usage_error(command, where, tmp_path, cap
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "existing directory" in captured.err and "Traceback" not in captured.err
+    assert "cannot open --out" in captured.err and "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -536,6 +536,55 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, buffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+FULL_DISK = b"epp-lab: error: cannot write the output: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "1", "--out", "/dev/full"),
+    ("vidal-curve", "--grid", "5", "--out", "/dev/full"),
+    ("f-grid", "--grid", "5", "--out", "/dev/full"),
+    ("bounds", "--lambda", "0.7"),
+    ("simulate", "--lambda", "0.7"),
+], ids=lambda argv: argv[0] + ("-out" if "--out" in argv else "-stdout"))
+def test_failed_write_exits_74_with_one_error_line(argv, unbuffered, tmp_path):
+    """A write that fails for any reason but a closed pipe, here a full disk
+    behind --out or behind stdout, ends the command with exit 74 (EX_IOERR)
+    and one error line, whether stdout is buffered or not.  stdout is flushed
+    before --out is closed, so verify's report still reaches its reader whole."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    stdout = "/dev/full" if "--out" not in argv else tmp_path / "stdout.txt"
+    with open(stdout, "wb") as fh:
+        proc, _ = run_child("-m", "epp_lab", *argv, env=env, stdout=fh)
+    assert (proc.returncode, proc.stderr) == (74, FULL_DISK)
+    if argv[0] == "verify":
+        report = stdout.read_text().splitlines()
+        assert report[0] == "seed = 1" and report[-1] == f"all {len(report) - 2} checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ("vidal-curve", "--grid", "5", "--out", "{out}"),
+    ("bounds", "--lambda", "0.7"),
+], ids=["vidal-curve-out", "bounds"])
+def test_closed_fd_1_discards_stdout_and_exits_0(argv, tmp_path, capsys):
+    """With fd 1 closed before the interpreter starts there is no sys.stdout:
+    the command discards what it prints, as print does, still writes --out,
+    and exits 0 with nothing on stderr."""
+    path = tmp_path / "curve.csv"
+    argv = [arg.format(out=path) for arg in argv]
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m epp_lab "$@" >&-', sys.executable, *argv],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if "--out" in argv:
+        assert main(["vidal-curve", "--grid", "5"]) == 0
+        assert path.read_text() == capsys.readouterr().out
+        assert len(path.read_text().splitlines()) == 6
 
 
 # epp_lab modules each cold command loads beyond those of `import epp_lab.cli`

@@ -56,6 +56,10 @@ def test_monotones_rejects_bad_input():
         monotones([0.7, 0.1])
     with pytest.raises(ValueError):
         monotones([])
+    # a spectrum of no coefficient is refused alone or in a stack, even an empty one
+    for empty in ([], np.empty((1, 0)), np.empty((0, 0))):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            vidal_probability(empty, [1.0])
 
 
 def test_embedded_bell_matches_schmidt_oracle():
@@ -81,6 +85,8 @@ def test_vidal_probability_values():
     assert vidal_probability(doubled_schmidt_coeffs(0.9), target) == pytest.approx(0.38, abs=1e-12)
     assert vidal_probability(doubled_schmidt_coeffs(0.6), target) == 1.0
     assert vidal_probability([0.5, 0.5], [0.5, 0.5]) == 1.0
+    # an empty stack of spectra is an empty result, as for every other batched entry
+    assert vidal_probability(np.empty((0, 4)), target).shape == (0,)
 
 
 def test_vidal_probability_identical_input():
