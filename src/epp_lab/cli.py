@@ -323,8 +323,12 @@ def main(argv=None) -> int:
             sys.stdout.flush()
     except OSError as exc:
         # no command reads a file, so this is a failed write, to stdout or to --out; fd 1
-        # goes to devnull so the interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # goes to devnull so the interpreter's final flush cannot raise again; a stdout
+        # without one (a StringIO) raises io.UnsupportedOperation, before devnull is opened
+        with contextlib.suppress(OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         if isinstance(exc, BrokenPipeError):  # the reader left early, as `| head` does
             return 141  # 128 + SIGPIPE, the shell's status for a process SIGPIPE ended
         print(f"{parser.prog}: error: cannot write the output: {exc.strerror or exc}",

@@ -9,9 +9,10 @@ reorders registers so the lifted operator acts on states stored in
 Every function that takes operators takes a (P, ...) stack of them, and
 one operator is a stack of one; entry [p] of a result is bitwise the
 result on the stack of one K[p:p + 1].  A KrausParams holds P pairs, one
-pair is a stack of one.  region(a, b) says where pairs lie in the parameter
-square: constraint value, validity, asymmetry f and physicality, broadcast
-over arrays of pairs, bitwise per pair.
+pair is a stack of one; build_kraus, the one check of its type, turns it
+into the (P, 4, 4) operator stack.  region(a, b) says where pairs lie in
+the parameter square: constraint value, validity, asymmetry f and
+physicality, broadcast over arrays of pairs, bitwise per pair.
 """
 from __future__ import annotations
 
@@ -96,8 +97,8 @@ def region(a, b) -> Region:
 class KrausParams:
     """A stack of P >= 1 complex pairs (a, b) steering the success branch.
 
-    a and b are complex (P,) arrays; one pair is a stack of one, and
-    params[i] and params[i:j] are stacks too.  Every pair must be valid
+    a and b are complex (P,) arrays; one pair is a stack of one, checked
+    here once and read as arrays from then on.  Every pair must be valid
     (see Region), or a ValueError names the first that fails.  A vanishing
     a or b is allowed, but that branch can only make an unentangled output,
     on which the stage it feeds fails, so it is useless in a pipeline.
@@ -120,28 +121,16 @@ class KrausParams:
             raise ValueError(f"pair {i} ({complex(self.a[i])}, {complex(self.b[i])}) is not valid: "
                              "need 2(|a|^4 + |b|^4) <= 1, not both zero")
 
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def __getitem__(self, index) -> KrausParams:
-        return KrausParams(self.a[index], self.b[index])
-
 
 # stage-2 parameters: the symmetric point saturating the constraint
 CANONICAL_PARAMS = KrausParams(np.sqrt(2) / 2, np.sqrt(2) / 2)
 
 
-def _as_params(params) -> KrausParams:
-    """params if it is a KrausParams, else ValueError naming its type."""
-    if not isinstance(params, KrausParams):
-        raise ValueError(f"expected a KrausParams, got {type(params).__name__}")
-    return params
-
-
 def build_kraus(params: KrausParams) -> np.ndarray:
     """Success-branch operators a(|00><01| + |00><10|) + b(|10><01| - |10><10|), (P, 4, 4)."""
-    params = _as_params(params)
-    K = np.zeros((len(params), 4, 4), dtype=complex)
+    if not isinstance(params, KrausParams):
+        raise ValueError(f"expected a KrausParams, got {type(params).__name__}")
+    K = np.zeros((len(params.a), 4, 4), dtype=complex)
     K[:, 0, 1] = params.a
     K[:, 0, 2] = params.a
     K[:, 2, 1] = params.b

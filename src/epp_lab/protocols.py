@@ -14,16 +14,17 @@ stack of one).  For an (n, 4) batch and P pairs, stage1 and full_pipeline
 return (P, n) fields, stage2 (n,) fields and every closed form an (n,)
 array.  A stage whose success probability is below ZERO_PROB, the one
 floor of every route, fails: its output is undefined, an all-zero row, and
-kalman_stage2_prob raises.  The stage kernel lifts a (P, 16, 16) operator
-stack and applies it in (pair x state) tiles of at most _STEP_ROWS rows: a
-batch of n <= _STEP_ROWS states runs whole, _STEP_ROWS // n pairs a tile, a
-longer one in slices of _STEP_ROWS states, one pair a tile.  Stage 2 is
-that kernel at CANONICAL_PARAMS; full_pipeline runs it in each tile on the
-tile's stage-1 outputs, normalized in the {|00>, |11>} basis by
-construction, without stage2's input checks.  The leak, basis-support and
-closed-form checks run on every (pair, row).  Entry [p, k] of any result is
-bitwise entry [0, 0] of the call on pair p and row k alone, whatever the
-tile size.
+kalman_stage2_prob raises.  A call builds its (P, 4, 4) operator stack
+once; the stage kernel lifts and applies it, with the pairs' a and b, in
+(pair x state) tiles of at most _STEP_ROWS rows: a batch of n <= _STEP_ROWS
+states runs whole, _STEP_ROWS // n pairs a tile, a longer one in slices of
+_STEP_ROWS states, one pair a tile.  Stage 2 is that kernel at
+CANONICAL_PARAMS, its operator built at import; full_pipeline runs it in
+each tile on the tile's stage-1 outputs, normalized in the {|00>, |11>}
+basis by construction, without stage2's input checks.  The leak,
+basis-support and closed-form checks run on every (pair, row).  Entry
+[p, k] of any result is bitwise entry [0, 0] of the call on pair p and
+row k alone, whatever the tile size.
 """
 from __future__ import annotations
 
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import (CANONICAL_PARAMS, KrausParams, _as_params, apply_kraus, build_kraus,
-                    lift_local_kraus)
+from .kraus import CANONICAL_PARAMS, apply_kraus, build_kraus, lift_local_kraus
 from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
 
 # indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
@@ -47,6 +47,9 @@ ZERO_PROB = 1e-30
 # states x 1 pair, 8 x 128), where verify's 1 540-pair grid as one tile
 # peaked near 13 MB and 20 000 states as one tile near 18 MB
 _STEP_ROWS = 1024
+
+# stage 2's operator stack and pair, (K, a, b) at CANONICAL_PARAMS
+_STAGE2 = (build_kraus(CANONICAL_PARAMS), CANONICAL_PARAMS.a, CANONICAL_PARAMS.b)
 
 
 @dataclass
@@ -77,32 +80,33 @@ def _as_batch(state) -> np.ndarray:
     return _check_normalized(c.reshape(-1, 4))
 
 
-def _walk(step, c: np.ndarray, pairs: KrausParams) -> list:
-    """step(rows, chunk) over (pair x state) tiles of at most _STEP_ROWS rows, joined.
+def _walk(step, c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """step(rows, K, a, b) over (pair x state) tiles of at most _STEP_ROWS rows, joined.
 
+    Each tile gets one slice of the (P, 4, 4) stack K and of its pairs a, b.
     The tiles follow the rule above; an empty batch is one tile of no rows.
     step returns arrays with leading (pair, state) axes, copied into place.
     """
     rows = min(max(len(c), 1), _STEP_ROWS)
     size = _STEP_ROWS // rows
     fields = None
-    for i in range(0, len(pairs), size):
-        chunk = pairs[i:i + size]
+    for i in range(0, len(K), size):
         for k in range(0, max(len(c), 1), rows):
-            tile = step(c[k:k + rows], chunk)
-            fields = fields or [np.empty((len(pairs), len(c)) + f.shape[2:], f.dtype) for f in tile]
+            tile = step(c[k:k + rows], K[i:i + size], a[i:i + size], b[i:i + size])
+            fields = fields or [np.empty((len(K), len(c)) + f.shape[2:], f.dtype) for f in tile]
             for field, f in zip(fields, tile):
                 field[i:i + size, k:k + rows] = f
     return fields
 
 
-def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
-    """Matrix-level run of one two-copy branch per pair on an (n, 4) batch.
+def _stage1_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Matrix-level run of one two-copy branch per operator K[p] on an (n, 4) batch.
 
+    K is a (P, 4, 4) stack, checked against the closed form of its pairs a, b.
     Returns (prob, output, product), of shapes (P, n), (P, n, 4) and (P, n);
     product (bool) marks a defined but unentangled output.
     """
-    M = lift_local_kraus(build_kraus(pairs))
+    M = lift_local_kraus(K)
     # row k is np.kron(c[k], c[k])
     doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
@@ -121,8 +125,8 @@ def _stage1_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
     # closed form for the same amplitudes
     u, w = _products(c)
     # np.power(z, 2) rounds as z**2 on one complex does
-    expected_alpha = (2.0 * np.power(pairs.a, 2))[:, None] * (u + w)
-    expected_beta = (2.0 * np.power(pairs.b, 2))[:, None] * (u - w)
+    expected_alpha = (2.0 * np.power(a, 2))[:, None] * (u + w)
+    expected_beta = (2.0 * np.power(b, 2))[:, None] * (u - w)
     if not (np.all(np.abs(alpha - expected_alpha) <= ATOL)
             and np.all(np.abs(beta - expected_beta) <= ATOL)):
         raise RuntimeError("matrix-level amplitudes disagree with the closed form")
@@ -148,7 +152,8 @@ def stage1(state, params) -> ProtocolResult:
     Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
     every field is (P, n).
     """
-    prob, output, _ = _walk(_stage1_rows, _as_batch(state), _as_params(params))
+    prob, output, _ = _walk(_stage1_rows, _as_batch(state), build_kraus(params),
+                            params.a, params.b)
     return ProtocolResult(prob, output, [prob])
 
 
@@ -163,16 +168,16 @@ def stage2(state) -> ProtocolResult:
     c = _as_batch(state)
     if not np.all(np.abs(c[:, 1:3]) <= ATOL):
         raise ValueError("stage2 input must have Schmidt basis {|00>, |11>}")
-    prob, output, _ = (field[0] for field in _walk(_stage1_rows, c, CANONICAL_PARAMS))
+    prob, output, _ = (field[0] for field in _walk(_stage1_rows, c, *_STAGE2))
     return ProtocolResult(prob, output, [prob])
 
 
-def _pipeline_rows(c: np.ndarray, pairs: KrausParams) -> tuple:
-    p1, first_output, first_product = _stage1_rows(c, pairs)
+def _pipeline_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    p1, first_output, first_product = _stage1_rows(c, K, a, b)
     # stage 2 also runs on product stage-1 outputs; only failed ones skip it
     ran = p1 >= ZERO_PROB
     # stage2's kernel without its input checks: stage-1 outputs are normalized in its basis
-    second_prob, second_output, _ = _stage1_rows(first_output[ran], CANONICAL_PARAMS)
+    second_prob, second_output, _ = _stage1_rows(first_output[ran], *_STAGE2)
     p2 = np.zeros_like(p1)
     p2[ran] = second_prob[0]
     product = first_product | (p2 < ZERO_PROB)
@@ -195,7 +200,8 @@ def full_pipeline(state, params) -> ProtocolResult:
     Takes one state (4,) or a batch (n, 4), and a KrausParams of P pairs;
     every field is (P, n).
     """
-    p1, p2, output = _walk(_pipeline_rows, _as_batch(state), _as_params(params))
+    p1, p2, output = _walk(_pipeline_rows, _as_batch(state), build_kraus(params),
+                           params.a, params.b)
     return ProtocolResult(p1 * p1 * p2, output, [p1, p1, p2])
 
 

@@ -209,8 +209,6 @@ def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarlo
     """Mean and standard error of the values chunk_values(start, k) gives for
     rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES."""
     n = _check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
-    # a bad seed, which chunk_values holds, raises here, before any thread starts
-    chunk_values(n - 1, 1)
     held = np.empty(n) if n <= _HOLD_MAX else None
 
     def values(start, k):

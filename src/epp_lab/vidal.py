@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _as_array, _check_int
+from .linalg import ATOL, _as_array, _check_int
 
 # squared Schmidt coefficients may carry tiny negative float dust
 _NEG_TOL = 1e-12
@@ -28,7 +28,7 @@ def _monotones(coeffs, what="a 1-D list of squared Schmidt coefficients", shape=
     x = np.maximum(x, 0.0)
     total = x.sum(axis=-1)  # x is finite
     for off, value, text in ((low < -_NEG_TOL, low, "negative squared coefficient {:.3e}"),
-                             (np.abs(total - 1.0) > 1e-10, total,
+                             (np.abs(total - 1.0) > ATOL, total,
                               "squared coefficients must sum to 1, got {!r}")):
         if np.count_nonzero(off):  # cheaper than off.any() on one spectrum
             bad = np.flatnonzero(off)[0]

@@ -115,7 +115,8 @@ def test_c03_stacked_check_matches_per_pair_loop(corrupt):
     lift per pair and one norm per kill vector give, and c03 reports their
     maximum."""
     params = verify._random_valid_params(verify._sub_seed(SEED, 3), 100)
-    K = np.concatenate([kraus.build_kraus(params[i]) for i in range(len(params))])
+    K = np.concatenate([kraus.build_kraus(kraus.KrausParams(a, b))
+                        for a, b in zip(params.a, params.b)])
     K[:, 0, 0] += 0.05 if corrupt else 0.0
     expected = [[np.linalg.norm(M @ v) for v in kraus.KILL_VECTORS.T]
                 for M in (kraus.lift_local_kraus(one[None])[0] for one in K)]
@@ -151,9 +152,8 @@ def test_c04_stacked_expansion_matches_per_pair_loop():
     product and pair gives."""
     worst = 0.0
     params = verify._random_valid_params(verify._sub_seed(SEED, 4), 100)
-    for i in range(len(params)):
-        K = kraus.build_kraus(params[i])[0]
-        a, b = params.a[i], params.b[i]
+    for a, b in zip(params.a, params.b):
+        K = kraus.build_kraus(kraus.KrausParams(a, b))[0]
         r = np.array([[np.trace(np.kron(sk, sl).conj().T @ K) / 4.0
                        for sl in kraus.PAULI_BASIS] for sk in kraus.PAULI_BASIS])
         residuals = [value[0] for value in kraus.pauli_relation_residuals(r[None]).values()]

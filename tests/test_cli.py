@@ -568,6 +568,22 @@ def test_failed_write_exits_74_with_one_error_line(argv, unbuffered, tmp_path):
         assert report[0] == "seed = 1" and report[-1] == f"all {len(report) - 2} checks passed"
 
 
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("vidal-curve", "--grid", "5", "--out", "/dev/full"),
+    ("verify", "--seed", "1", "--out", "/dev/full"),
+], ids=["vidal-curve", "verify"])
+def test_failed_write_without_stdout_fd_exits_74(argv, capsys, count_calls):
+    """In-process, under a stdout with no file descriptor (pytest's capture,
+    as under contextlib.redirect_stdout), a failed write still ends the
+    command with 74 and one error line: there is no fd 1 to send to devnull,
+    so no devnull descriptor is opened."""
+    opened = count_calls(os, "open")
+    assert main(list(argv)) == 74
+    assert opened == []
+    assert capsys.readouterr().err == FULL_DISK.decode()
+
+
 @pytest.mark.parametrize("argv", [
     ("vidal-curve", "--grid", "5", "--out", "{out}"),
     ("bounds", "--lambda", "0.7"),

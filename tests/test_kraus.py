@@ -147,10 +147,11 @@ def test_build_kraus_stack_equals_stacks_of_one():
     params = KrausParams([0.31 + 0.2j, SQRT_HALF, 0.6, 0, -0.2j],
                          [0.57 - 0.1j, SQRT_HALF, 0, 0.5, 0.4])
     K = build_kraus(params)
-    assert K.shape == (5, 4, 4) and len(params) == 5
-    for i in range(len(params)):
-        assert np.array_equal(K[i], build_kraus(params[i])[0])
-        assert np.array_equal(K[i:i + 2], build_kraus(params[i:i + 2]))
+    assert K.shape == (5, 4, 4) and len(params.a) == 5
+    for i in range(len(params.a)):
+        assert np.array_equal(K[i], build_kraus(KrausParams(params.a[i], params.b[i]))[0])
+        assert np.array_equal(K[i:i + 2],
+                              build_kraus(KrausParams(params.a[i:i + 2], params.b[i:i + 2])))
 
 
 @pytest.mark.parametrize(
@@ -192,10 +193,11 @@ def test_overflowing_fourth_power_raises_value_error():
 def test_degenerate_params_flagged_not_fatal():
     corner = KrausParams(2**-0.25, 0)
     # _stage1_rows's third value marks a defined but unentangled output
-    assert _stage1_rows(bell_phi_plus()[None], corner)[2].all()
+    assert _stage1_rows(bell_phi_plus()[None], build_kraus(corner), corner.a, corner.b)[2].all()
     assert region(corner.a, corner.b).f == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(build_kraus(corner)[0]) == 1
-    assert not _stage1_rows(bell_phi_plus()[None], CANONICAL_PARAMS)[2].any()
+    canonical = (build_kraus(CANONICAL_PARAMS), CANONICAL_PARAMS.a, CANONICAL_PARAMS.b)
+    assert not _stage1_rows(bell_phi_plus()[None], *canonical)[2].any()
     assert region(CANONICAL_PARAMS.a, CANONICAL_PARAMS.b).f == pytest.approx(0.0, abs=1e-12)
 
 

@@ -54,7 +54,8 @@ def product_mask(state, params=CANONICAL_PARAMS):
     """(P, n) bool, True where stage1's output is defined but unentangled: the
     kernel's third value, over the tiles stage1 runs.  full_pipeline zeroes
     those rows; stage2 is this kernel at CANONICAL_PARAMS."""
-    return protocols._walk(protocols._stage1_rows, protocols._as_batch(state), params)[2]
+    return protocols._walk(protocols._stage1_rows, protocols._as_batch(state),
+                           build_kraus(params), params.a, params.b)[2]
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -473,9 +474,9 @@ def assert_stack_equals_single_calls(run, batch, pairs):
     """Entry [p, k] of a stacked run is bitwise the single-pair, single-state run."""
     result = run(batch, pairs)
     single_state = run(batch[0], pairs)
-    assert single_state.success_prob.shape == (len(pairs), 1)
-    for p in range(len(pairs)):
-        params = pairs[p]
+    assert single_state.success_prob.shape == (len(pairs.a), 1)
+    for p in range(len(pairs.a)):
+        params = KrausParams(pairs.a[p], pairs.b[p])
         for k, c in enumerate(batch):
             one = run(c, params)
             assert result.success_prob[p, k] == one.success_prob[0, 0]
@@ -500,9 +501,9 @@ def test_parameter_axis_equals_single_calls(seed):
     assert_stack_equals_single_calls(stage1, batch, pairs)
     assert_stack_equals_single_calls(full_pipeline, batch, pairs)
     product = product_mask(batch, pairs)
-    for p in range(len(pairs)):
+    for p in range(len(pairs.a)):
         for k, c in enumerate(batch):
-            assert product[p, k] == product_mask(c, pairs[p])[0, 0]
+            assert product[p, k] == product_mask(c, KrausParams(pairs.a[p], pairs.b[p]))[0, 0]
 
 
 @pytest.mark.parametrize("step_rows", [1, 3, 8, 24, 10**6])
@@ -651,6 +652,19 @@ def test_full_pipeline_checks_its_input_once(monkeypatch, count_calls):
     assert len(calls) == 1
 
 
+def test_operator_stack_is_built_once_per_call(monkeypatch, count_calls):
+    """stage1 and full_pipeline build the operator stack once, before any tile,
+    even when every tile is one (pair, state) row; stage 2's operator is built
+    at import."""
+    monkeypatch.setattr(protocols, "_STEP_ROWS", 1)
+    calls = count_calls(protocols, "build_kraus")
+    pairs = stack_params(*[random_params(s) for s in range(4)])
+    for run in (stage1, full_pipeline):
+        calls.clear()
+        assert run(haar_state_block(5, 3), pairs).success_prob.shape == (4, 3)
+        assert calls == [(pairs,)]
+
+
 @pytest.mark.parametrize(
     "params",
     [[], (), [CANONICAL_PARAMS, (0.5, 0.3)], (0.5, 0.3), None, 0.5,
@@ -746,7 +760,7 @@ def test_batch_guards_fire_on_any_row(monkeypatch, corrupt, message):
         return K
 
     monkeypatch.setattr(protocols, "build_kraus", corrupt_last)
-    stage1(batch, stack[:2])
+    stage1(batch, KrausParams(stack.a[:2], stack.b[:2]))
     for step_rows in (protocols._STEP_ROWS, 1):
         monkeypatch.setattr(protocols, "_STEP_ROWS", step_rows)
         for run in (stage1, full_pipeline):

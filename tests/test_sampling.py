@@ -520,6 +520,16 @@ def test_no_thread_starts_for_two_chunks(monkeypatch, estimator):
         estimator(2 * CHUNK + 1, 3)
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
+def test_bad_seed_raises_on_the_threaded_path(estimator):
+    """A bad seed raises its ValueError from the chunks on both threads, the
+    first of which reaches the caller, and the helper thread is joined."""
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="seed must be an integer at least 0"):
+        estimator(2 * CHUNK + 1, -1)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
 def test_chunk_error_stops_both_threads(monkeypatch, error, on_caller):
