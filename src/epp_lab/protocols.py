@@ -35,9 +35,6 @@ import numpy as np
 from .kraus import CANONICAL_PARAMS, apply_kraus, build_kraus, lift_local_kraus
 from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
 
-# indices of the (A, B, A', B') basis whose ancilla pair A'B' reads 00
-_AB_SLOTS = np.array([0, 4, 8, 12])
-
 # the stage-failure floor: a stage whose success probability is below it fails
 # (amplitudes cancel exactly for product inputs, so this only guards float dust)
 ZERO_PROB = 1e-30
@@ -110,18 +107,19 @@ def _stage1_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     # row k is np.kron(c[k], c[k])
     doubled = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     out, prob = apply_kraus(M, doubled)
+    # basis index 4 AB + A'B' of (A, B, A', B'): slots[..., AB, A'B']
+    slots = out.reshape(prob.shape + (4, 4))
 
     # the branch must leave the ancilla pair in |00>; anything else is a bug
-    residual = np.linalg.norm(np.delete(out, _AB_SLOTS, axis=2), axis=2)
+    residual = np.linalg.norm(slots[..., 1:], axis=(-2, -1))
     if not np.all(residual <= ATOL):
         raise RuntimeError(
             f"branch output leaked outside the |00> ancilla slot: {np.max(residual):.3e}"
         )
-    ab = out[..., _AB_SLOTS]
-    if not np.all(np.abs(ab[..., 1:3]) <= ATOL):
+    if not np.all(np.abs(slots[..., 1:3, 0]) <= ATOL):
         raise RuntimeError("branch output has support outside the {|00>, |11>} basis")
 
-    alpha, beta = ab[..., 0], ab[..., 3]
+    alpha, beta = slots[..., 0, 0], slots[..., 3, 0]
     # closed form for the same amplitudes
     u, w = _products(c)
     # np.power(z, 2) rounds as z**2 on one complex does
@@ -134,9 +132,8 @@ def _stage1_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     # rows alpha'|00> + beta'|11> normalized, zero where the branch fails
     defined = prob >= ZERO_PROB
     output = np.zeros(prob.shape + (4,), dtype=complex)
-    output[..., 0], output[..., 3] = alpha, beta
-    output[defined] /= np.sqrt(prob[defined])[:, None]
-    output[~defined] = 0.0
+    np.divide(slots[..., ::3, 0], np.sqrt(prob)[..., None], out=output[..., ::3],
+              where=defined[..., None])
     # squared moduli from real and imaginary parts round the same in any batch size
     weights = np.minimum(alpha.real**2 + alpha.imag**2, beta.real**2 + beta.imag**2)
     product = defined & (weights / np.where(defined, prob, 1.0) <= 1e-12)
@@ -174,15 +171,12 @@ def stage2(state) -> ProtocolResult:
 
 def _pipeline_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     p1, first_output, first_product = _stage1_rows(c, K, a, b)
-    # stage 2 also runs on product stage-1 outputs; only failed ones skip it
-    ran = p1 >= ZERO_PROB
-    # stage2's kernel without its input checks: stage-1 outputs are normalized in its basis
-    second_prob, second_output, _ = _stage1_rows(first_output[ran], *_STAGE2)
-    p2 = np.zeros_like(p1)
-    p2[ran] = second_prob[0]
+    # stage2's kernel without its input checks: stage-1 outputs are normalized in
+    # its basis, and a failed one is an all-zero row, on which stage 2 fails
+    second_prob, second_output, _ = _stage1_rows(first_output.reshape(-1, 4), *_STAGE2)
+    p2 = second_prob[0].reshape(p1.shape)
     product = first_product | (p2 < ZERO_PROB)
-    output = np.zeros_like(first_output)
-    output[ran] = second_output[0]
+    output = second_output[0].reshape(first_output.shape)
     # no output, no success: the pipeline succeeds exactly where its output is defined
     output[product] = 0.0
     p2[product] = 0.0

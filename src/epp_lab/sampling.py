@@ -25,13 +25,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .linalg import _as_real, _check_int
 from .protocols import _cross_term, _four_copy, _pair_bound, schmidt_pair_bound
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RNG_ALGORITHM = "philox4x64/ndtri, row i = draws [8i, 8i+8)"
 KNOWN_BASIS_RNG_ALGORITHM = "philox4x64/inverse-cdf, sample i = draw i"
@@ -54,6 +56,9 @@ _CHUNK_ROWS = 8_192
 # runs of up to this many samples keep their values (32 MB) for the second
 # pass; longer runs draw them again
 _HOLD_MAX = 2**22
+# the three-point Gauss-Legendre rule on [-1, 1], exact to degree 5
+_GAUSS_LEGENDRE_NODES = (-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5))
+_GAUSS_LEGENDRE_WEIGHTS = (5 / 9, 8 / 9, 5 / 9)
 
 
 def check_seed(seed) -> int:
@@ -115,6 +120,10 @@ def dirichlet_moment_exact(alpha, beta) -> Fraction:
     and sum(alpha) + sum(beta) at most MAX_DIRICHLET_ORDER, checked before
     any factorial; anything else raises ValueError.
     """
+    # imported here, on the one path that needs exact rationals, so that the
+    # commands that never do start without it
+    from fractions import Fraction
+
     alpha = [_check_int(a, "each alpha entry", 1) for a in alpha]
     beta = [_check_int(b, "each beta entry", 0) for b in beta]
     if len(alpha) != len(beta):
@@ -237,13 +246,15 @@ def known_basis_average_quadrature() -> float:
 
     Integrates 2 lam (1 - lam) against the lambda density over [1/2, 1]
     with three-point Gauss-Legendre, which is exact for this degree-4
-    polynomial integrand; the analytic value is 1/5.
+    polynomial integrand; the analytic value is 1/5.  The rule is taken in
+    closed form, nodes -sqrt(3/5), 0, sqrt(3/5) and weights 5/9, 8/9, 5/9
+    on [-1, 1], mapped onto [1/2, 1].
     """
-    nodes, weights = leggauss(3)
-    lams = 0.75 + 0.25 * nodes
+    lams = 0.75 + 0.25 * np.array(_GAUSS_LEGENDRE_NODES)
     bounds = schmidt_pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
     return 0.25 * math.fsum(
-        w * (bound * schmidt_lambda_pdf(lam)) for lam, w, bound in zip(lams, weights, bounds)
+        w * (bound * schmidt_lambda_pdf(lam))
+        for lam, w, bound in zip(lams, _GAUSS_LEGENDRE_WEIGHTS, bounds)
     )
 
 

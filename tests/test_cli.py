@@ -620,16 +620,20 @@ def test_each_command_imports_only_what_it_runs(argv):
     itself needs kraus and linalg to parse.  No command here loads scipy* or
     concurrent*: scipy.special alone costs ~0.4 s and ~24 MB, and only
     Gaussian draws need it; concurrent.futures costs 6-8 ms, and the Monte
-    Carlo helper thread uses threading, which numpy already loads."""
+    Carlo helper thread uses threading, which numpy already loads.  Nor does
+    any load fractions, which only exact Dirichlet moments need (~0.4 MB with
+    decimal), or numpy.polynomial: the known-basis quadrature takes its
+    Gauss-Legendre rule in closed form."""
     report = ("print(sorted(m for m in sys.modules if m.partition('.')[0] == 'epp_lab'), "
-              "sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}))")
+              "sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}), "
+              "sorted(set(sys.modules) & {'fractions', 'numpy.polynomial'}))")
     run = f"epp_lab.cli.main({list(argv)!r})" if argv else ""
     proc, _ = run_child("-c", f"import sys, epp_lab.cli\n{run}\n{report}")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.decode().strip().splitlines()
     modules = {"epp_lab", "epp_lab.cli", "epp_lab.kraus", "epp_lab.linalg"}
     modules |= {f"epp_lab.{name}" for name in COLD_IMPORTS[argv]}
-    assert lines[-1] == f"{sorted(modules)} []"
+    assert lines[-1] == f"{sorted(modules)} [] []"
     # the command ran: it printed before the report
     assert (len(lines) > 1) == bool(argv)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import run_child
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import kstest
@@ -263,6 +264,21 @@ def test_known_basis_quadrature():
     assert known_basis_average_quadrature() == pytest.approx(0.2, abs=1e-8)
     # the target haar-average and c07 compare against, bitwise
     assert sampling.KNOWN_BASIS_AVERAGE == 0.2 == float(Fraction(1, 5))
+
+
+def test_gauss_legendre_rule_is_the_closed_form():
+    """The quadrature's rule is leggauss(3) to within one ulp, integrates
+    x**0 ... x**5 on [-1, 1] exactly, and gives the pinned analytic value,
+    although its outer weights sit one ulp below leggauss's."""
+    nodes, weights = np.array(sampling._GAUSS_LEGENDRE_NODES), np.array(
+        sampling._GAUSS_LEGENDRE_WEIGHTS)
+    ref_nodes, ref_weights = leggauss(3)
+    for got, ref in ((nodes, ref_nodes), (weights, ref_weights)):
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    for k in range(6):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(weights * nodes**k) - exact) <= 1e-15
+    assert known_basis_average_quadrature() == 0.19999999999999998
 
 
 def test_unknown_basis_exact():
