@@ -45,21 +45,6 @@ CONSTRAINT_SLACK = 1e-12
 _MAX_PHYSICAL_MODULUS = np.sqrt(2) / 2
 
 
-def _moduli(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """|a| and |b| through _cabs, each argument converted once; real input stays real."""
-    return _cabs(_as_array(a, None, "pair entries a")), _cabs(_as_array(b, None, "pair entries b"))
-
-
-def _fourth_powers(ma, mb) -> tuple[np.ndarray, np.ndarray]:
-    """ma^4 and mb^4 by libm pow, as ** rounds on one float, else ValueError if not all finite."""
-    with np.errstate(over="ignore"):
-        a4, b4 = np.float_power(ma, 4), np.float_power(mb, 4)
-    bad = np.flatnonzero(~(np.isfinite(a4) & np.isfinite(b4)))
-    if bad.size:
-        raise ValueError(f"|a|^4 and |b|^4 must be finite floats, not so in pair {bad[0]}")
-    return a4, b4
-
-
 class Region(NamedTuple):
     """Where pairs (a, b) lie in the parameter square, as broadcast arrays of one entry a pair.
 
@@ -80,8 +65,13 @@ class Region(NamedTuple):
 
 
 def _region(ma, mb) -> Region:
-    """The Region of the pairs with moduli ma and mb; ValueError if a fourth power is not finite."""
-    a4, b4 = _fourth_powers(ma, mb)
+    """The Region of the pairs with moduli ma and mb, fourth powers by libm pow as ** rounds
+    on one float; ValueError names the first pair where a fourth power is not finite."""
+    with np.errstate(over="ignore"):
+        a4, b4 = np.float_power(ma, 4), np.float_power(mb, 4)
+    bad = np.flatnonzero(~(np.isfinite(a4) & np.isfinite(b4)))
+    if bad.size:
+        raise ValueError(f"|a|^4 and |b|^4 must be finite floats, not so in pair {bad[0]}")
     constraint = 2.0 * (a4 + b4)
     valid = ~((ma == 0) & (mb == 0)) & (constraint <= 1.0 + CONSTRAINT_SLACK)
     physical = valid & (np.maximum(ma, mb) <= _MAX_PHYSICAL_MODULUS + CONSTRAINT_SLACK)
@@ -89,8 +79,10 @@ def _region(ma, mb) -> Region:
 
 
 def region(a, b) -> Region:
-    """The Region of the pairs (a, b), two broadcast arrays, each converted once."""
-    return _region(*_moduli(a, b))
+    """The Region of the pairs (a, b), two broadcast arrays, each converted once and taken
+    to its modulus through _cabs; real input stays real."""
+    return _region(_cabs(_as_array(a, None, "pair entries a")),
+                   _cabs(_as_array(b, None, "pair entries b")))
 
 
 @dataclass(eq=False)

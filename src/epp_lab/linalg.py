@@ -141,10 +141,11 @@ def bell_phi_plus() -> np.ndarray:
 
 
 def fidelity_up_to_phase(a, b) -> float:
-    """|<a|b>|^2 of two non-empty 1-D states, insensitive to global phase on either."""
+    """|<a|b>|^2 of two non-empty 1-D normalized states, insensitive to global phase on either."""
     a, b = (_as_array(x, what="a non-empty 1-D state", shape=(None,)) for x in (a, b))
     if not a.size:
         raise ValueError(f"expected two non-empty 1-D states, got shapes {a.shape}, {b.shape}")
     if a.size != b.size:
         raise ValueError("states must have equal dimension")
+    _check_normalized(np.stack([a, b]))
     return float(abs(np.vdot(a, b)) ** 2)

@@ -90,12 +90,13 @@ def vidal_probability(source_coeffs, target_coeffs):
 def optimal_two_copy_prob(lam):
     """Best conversion probability for psi_lam x psi_lam into one Bell pair.
 
-    Piecewise in the larger squared Schmidt coefficient lam of the known
-    input: certainty below lam = 1/sqrt(2), then 2(1 - lam^2).  Only the
-    open interval (1/2, 1) is meaningful (entangled, non-Bell input).
+    min(1, 2(1 - lam^2)) in the larger squared Schmidt coefficient lam of the
+    known input: certainty up to lam = 1/sqrt(2), then 2(1 - lam^2), which
+    rounds above 1 at that breakpoint itself.  Only the open interval
+    (1/2, 1) is meaningful (entangled, non-Bell input).
     """
     lam = _lambdas(lam, 0.5, 1.0, closed=False)
-    return np.where(lam < 1.0 / np.sqrt(2.0), 1.0, 2.0 * (1.0 - np.float_power(lam, 2)))[()]
+    return np.minimum(2.0 * (1.0 - np.float_power(lam, 2)), 1.0)
 
 
 def universal_two_copy_prob(lam):

@@ -21,7 +21,9 @@ Each test prints one pass/fail line so the suite doubles as a report when run
 with `pytest -s tests/test_acceptance.py`.
 """
 import hashlib
+import itertools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -239,6 +241,50 @@ def test_run_all_checks_its_seed_before_any_criterion(seed, monkeypatch):
     monkeypatch.setattr(verify, "_run_once", lambda *args, **kwargs: pytest.fail("ran"))
     with pytest.raises(ValueError, match="seed must be an integer"):
         verify.run_all(seed)
+
+
+def test_at_most_fails_on_a_nan_in_any_array():
+    """_at_most takes one np.max over every array, so a nan in the last of
+    several fails the row; no deviations at all read 0.0 and pass."""
+    row = verify._at_most("r", 1e-10, np.zeros(3), np.zeros((2, 4)), np.array([0.0, np.nan]))
+    assert np.isnan(row.observed) and not row.passed
+    row = verify._at_most("r", 1e-10, np.array([]), np.zeros((0, 4)))
+    assert (row.expected, row.observed, row.passed) == (0.0, 0.0, True)
+
+
+def test_positive_passes_only_above_zero():
+    assert verify._positive("r", np.array([[2.0, 5e-324]])).passed
+    for values in ([1.0, 0.0], [1.0, -0.0], [1.0, np.nan]):
+        assert not verify._positive("r", np.array(values)).passed
+
+
+def test_runtime_rows_fail_when_the_runners_clock_overruns(monkeypatch):
+    """With the clock inside verify advancing 100 s a reading, each budgeted
+    criterion's runtime row, right after its rows, reads exceeded budget and
+    fails; every other row is unchanged."""
+    rows = verify._run_once(SEED)
+    ticks = itertools.count(step=100.0)
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    slow = verify._run_once(SEED)
+    runtime = {name for name, _ in verify._RUNTIME_BUDGETS.values()}
+    names = [r.criterion for r in rows]
+    assert [r.criterion for r in slow] == names and runtime <= set(names)
+    for i, (fast, late) in enumerate(zip(rows, slow)):
+        if fast.criterion in runtime:
+            assert names[i - 1][:3] == fast.criterion[:3] != names[i + 1][:3]
+            assert (fast.observed, fast.passed) == ("within budget", True)
+            assert (late.observed, late.passed) == ("exceeded budget", False)
+        else:
+            assert late == fast
+
+
+def test_criteria_are_a_flat_tuple_of_the_ten_functions():
+    """verify._CRITERIA is one flat tuple of criterion_01 ... criterion_10, in
+    order.  The benchmark's tracer swaps its wrappers into flat tuples and
+    module attributes only: a nested (criterion, budget) table would leave the
+    criteria untraced, and a traced run would read every verify.cNN_s as 0."""
+    assert type(verify._CRITERIA) is tuple
+    assert verify._CRITERIA == tuple(getattr(verify, f"criterion_{k:02d}") for k in range(1, 11))
 
 
 def test_c10_kraus_maximizer():

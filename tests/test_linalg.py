@@ -156,6 +156,15 @@ def test_fidelity_rejects_dim_mismatch():
         fidelity_up_to_phase([[1, 0], [0, 0]], [1, 0, 0, 0])
 
 
+def test_fidelity_rejects_unnormalized_states():
+    """An unnormalized state on either side raises, naming its row, instead of
+    a fidelity above 1 such as |<(2, 0)|(1, 0)>|^2 = 4."""
+    with pytest.raises(ValueError, match="not normalized.* in row 0$"):
+        fidelity_up_to_phase([2, 0], [1, 0])
+    with pytest.raises(ValueError, match="not normalized.* in row 1$"):
+        fidelity_up_to_phase([1, 0], [0.6, 0.6j])
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         as_state([1.0, 1.0, 0, 0])

@@ -111,6 +111,19 @@ def test_curve_values_and_breakpoint():
     assert optimal_two_copy_prob(bp - 1e-9) == 1.0
 
 
+def test_curve_stays_at_most_one_at_the_breakpoint():
+    """At lam = 1/sqrt(2), its own breakpoint, 2(1 - lam^2) rounds above 1; the
+    curve reads 1.0 there and one float below, and 2(1 - lam^2) one float above,
+    as a scalar and as an array."""
+    bp = float(1.0 / np.sqrt(2.0))
+    below, above = np.nextafter(bp, 0.0), np.nextafter(bp, 1.0)
+    assert 2.0 * (1.0 - bp**2) > 1.0
+    expected = [1.0, 1.0, 2.0 * (1.0 - above**2)]
+    assert expected[2] < 1.0
+    assert [optimal_two_copy_prob(x) for x in (below, bp, above)] == expected
+    assert optimal_two_copy_prob([below, bp, above]).tolist() == expected
+
+
 def test_curve_domain():
     for bad in (0.5, 1.0, 0.2, 1.3):
         with pytest.raises(ValueError):
@@ -221,7 +234,7 @@ def test_two_copy_curves_take_arrays_bitwise(lams):
     lam = np.array(lams)
     for i, x in enumerate(lams):
         plain = {
-            optimal_two_copy_prob: 1.0 if x < 1 / np.sqrt(2) else 2.0 * (1.0 - x**2),
+            optimal_two_copy_prob: min(2.0 * (1.0 - x**2), 1.0),
             universal_two_copy_prob: 2.0 * x * (1.0 - x),
         }
         for fn, expected in plain.items():
