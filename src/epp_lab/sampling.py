@@ -115,10 +115,11 @@ def _lambda_from_uniform(u):
 def dirichlet_moment_exact(alpha, beta) -> Fraction:
     """Exact mixed moment E[prod x_i^beta_i] under Dirichlet(alpha).
 
-    Domain: alpha and beta of equal length, each alpha entry an integer >= 1,
-    each beta entry an integer >= 0 (2.0 is accepted, 1.7 raises ValueError),
-    and sum(alpha) + sum(beta) at most MAX_DIRICHLET_ORDER, checked before
-    any factorial; anything else raises ValueError.
+    Domain: alpha and beta of equal length, at least 1, each alpha entry an
+    integer >= 1, each beta entry an integer >= 0 (2.0 is accepted, 1.7
+    raises ValueError), and sum(alpha) + sum(beta) at most
+    MAX_DIRICHLET_ORDER, checked before any factorial; anything else raises
+    ValueError.
     """
     # imported here, on the one path that needs exact rationals, so that the
     # commands that never do start without it
@@ -126,8 +127,8 @@ def dirichlet_moment_exact(alpha, beta) -> Fraction:
 
     alpha = [_check_int(a, "each alpha entry", 1) for a in alpha]
     beta = [_check_int(b, "each beta entry", 0) for b in beta]
-    if len(alpha) != len(beta):
-        raise ValueError("alpha and beta must have equal length")
+    if len(alpha) != len(beta) or not alpha:
+        raise ValueError("alpha and beta must have equal length, at least 1")
     order = _check_int(sum(alpha) + sum(beta), "sum(alpha) + sum(beta)", hi=MAX_DIRICHLET_ORDER)
     total = Fraction(math.factorial(sum(alpha) - 1), math.factorial(order - 1))
     for a, b in zip(alpha, beta):

@@ -783,6 +783,22 @@ def test_batch_rejects_bad_row(bad_row):
         schmidt_pair_bound(batch[:, 0], batch[:, 3])
 
 
+def test_pair_bound_takes_the_state_normalization_rule():
+    """A Schmidt pair is refused exactly where its state (alpha, 0, 0, beta) is:
+    by |norm - 1| > ATOL, not by | |alpha|^2 + |beta|^2 - 1 |."""
+    for alpha, beta in [(0.6, 0.8), (0.6j, 0.8 * np.exp(0.4j))]:
+        for scale in 1.0 + np.linspace(-2e-10, 2e-10, 41):
+            state = np.array([alpha, 0, 0, beta]) * scale
+            if abs(np.linalg.norm(state) - 1.0) <= ATOL:
+                assert abs(schmidt_pair_bound(alpha * scale, beta * scale)[0]
+                           - stage2(state).success_prob[0]) <= 1e-15
+            else:
+                with pytest.raises(ValueError, match="row 0"):
+                    stage2(state)
+                with pytest.raises(ValueError, match="row 0"):
+                    schmidt_pair_bound(alpha * scale, beta * scale)
+
+
 def test_stage2_batch_rejects_off_basis_row():
     batch = np.array([bell_phi_plus(), [0.5, 0.5, 0.5, 0.5], schmidt_state(0.6, 0.8)])
     with pytest.raises(ValueError, match="Schmidt basis"):

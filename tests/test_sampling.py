@@ -217,6 +217,8 @@ def test_moment_exact_errors():
         dirichlet_moment_exact((0, 1), (1, 0))
     with pytest.raises(ValueError):
         dirichlet_moment_exact((1, 1), (-1, 0))
+    with pytest.raises(ValueError, match="alpha"):
+        dirichlet_moment_exact((), ())
 
 
 def test_moment_float_paths():
