@@ -4,9 +4,11 @@ Commands: bounds, simulate, vidal-curve, f-grid, haar-average, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
 that cannot be opened among them), 74 (sysexits EX_IOERR) when stdout or
 --out cannot be written, 141 (as for SIGPIPE) when the reader of stdout
-closes it early.  A closed fd 1 discards stdout, as print does.  Seeded
-commands take --seed, fall back to the EPP_LAB_SEED environment variable,
-then to DEFAULT_SEED; the seed in effect is echoed in the output.
+closes it early.  A closed fd 1 discards stdout, as print does.
+haar-average and verify take --seed, whose default is the EPP_LAB_SEED
+environment variable, else DEFAULT_SEED: an environment value is parsed
+and checked as the flag's is, and reported as argument --seed when bad.
+Other commands ignore EPP_LAB_SEED.  The seed in effect is echoed.
 haar-average takes at most sampling.MAX_SAMPLES samples.  CSV floats
 are written with repr, which round-trips exactly.
 """
@@ -109,18 +111,6 @@ def _int_option(check):
 _parse_seed = _int_option(lambda n: _lib("sampling").check_seed(n))
 
 
-def _resolve_seed(parser: argparse.ArgumentParser, cli_seed) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return _parse_seed(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"{SEED_ENV_VAR}: {exc}")
-    return DEFAULT_SEED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epp-lab",
@@ -135,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="four complex amplitudes, e.g. \"0.6 0 0 0.8\"")
         state.add_argument("--lambda", dest="state", type=_parse_lambda, metavar="LAM",
                            help="larger squared Schmidt coefficient of sqrt(l)|00>+sqrt(1-l)|11>")
+
+    def add_seed_arg(p):  # argparse runs a string default, EPP_LAB_SEED's, through type too
+        p.add_argument("--seed", type=_parse_seed,
+                       default=os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
 
     p_bounds = sub.add_parser("bounds", help="closed-form success bounds for one state")
     p_bounds.set_defaults(func=cmd_bounds)
@@ -167,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="known-basis")
     p_haar.add_argument("--samples", default=10_000, type=_int_option(
         lambda n: _check_int(n, "samples", 1, _lib("sampling").MAX_SAMPLES)))
-    p_haar.add_argument("--seed", type=_parse_seed, default=None)
+    add_seed_arg(p_haar)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.set_defaults(func=cmd_verify)
-    p_verify.add_argument("--seed", type=_parse_seed, default=None)
+    add_seed_arg(p_verify)
     p_verify.add_argument("--out", default=None, help="JSON summary path")
     p_verify.add_argument("--corrupt-kraus", action="store_true", help=argparse.SUPPRESS)
 
@@ -307,8 +301,6 @@ def main(argv=None) -> int:
             args.params = KrausParams(args.a, args.b)
         except ValueError as exc:
             parser.error(f"invalid Kraus parameters: {exc}")
-    if args.command in ("haar-average", "verify"):
-        args.seed = _resolve_seed(parser, args.seed)
     if args.out is not None:
         # opened before any work, so a file that cannot be written costs nothing; open
         # refuses a missing directory, a directory and an empty path

@@ -150,29 +150,26 @@ class MonteCarloEstimate:
 
 
 def _exact_total(x) -> int:
-    """The exact sum of a float64 array times 2**1075, as a Python int.
+    """The exact sum of a float64 array of at most 2**24 values times 2**1075, as a Python int.
 
     A finite double is m * 2**(e - 1075) for its signed 53-bit significand
     m and exponent field e (subnormals: e = 1, no implicit bit).  Per
     exponent, bincount sums m >> 26 and m & (2**26 - 1); over at most 2**24
     rows a bucket stays below 2**53, so its float weights add exactly.
+    _sum_chunks passes at most _CHUNK_ROWS rows at a time.
     """
-    bits = np.ravel(np.asarray(x, dtype=np.float64)).view(np.int64)
-    total = 0
-    for i in range(0, bits.size, 2**24):
-        b = bits[i:i + 2**24]
-        e = (b >> 52) & 0x7FF
-        if (e == 0x7FF).any():
-            raise ValueError("per-sample values must be finite")
-        m = (b & (2**52 - 1)) | ((e != 0).astype(np.int64) << 52)
-        sign = b >> 63
-        m = (m ^ sign) - sign
-        e = np.maximum(e, 1)
-        high = np.bincount(e, weights=m >> 26, minlength=2048)
-        low = np.bincount(e, weights=m & (2**26 - 1), minlength=2048)
-        for j in np.flatnonzero(high.astype(bool) | low.astype(bool)).tolist():
-            total += ((int(high[j]) << 26) + int(low[j])) << j
-    return total
+    b = np.ravel(np.asarray(x, dtype=np.float64)).view(np.int64)
+    e = (b >> 52) & 0x7FF
+    if (e == 0x7FF).any():
+        raise ValueError("per-sample values must be finite")
+    m = (b & (2**52 - 1)) | ((e != 0).astype(np.int64) << 52)
+    sign = b >> 63
+    m = (m ^ sign) - sign
+    e = np.maximum(e, 1)
+    high = np.bincount(e, weights=m >> 26, minlength=2048)
+    low = np.bincount(e, weights=m & (2**26 - 1), minlength=2048)
+    return sum(((int(high[j]) << 26) + int(low[j])) << j
+               for j in np.flatnonzero(high.astype(bool) | low.astype(bool)).tolist())
 
 
 def _sum_chunks(n: int, chunk_values) -> int:

@@ -314,6 +314,79 @@ def test_bad_env_seed_is_usage_error(monkeypatch):
     assert exc.value.code == 2
 
 
+# -------------------------------------------------------------------- seeds
+
+SEEDED = [["haar-average", "--samples", "10"], ["verify"]]
+
+
+def set_seed_env(monkeypatch, env):
+    """EPP_LAB_SEED set to env, or unset for None."""
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+
+
+@pytest.fixture
+def seed_in_effect(capsys, monkeypatch):
+    """Run a seeded command under EPP_LAB_SEED = env and return its echoed seed;
+    verify's suite is stubbed, since only its seed is read."""
+    monkeypatch.setattr(verify, "run_all", lambda seed, corrupt_kraus: [])
+
+    def run(argv, env):
+        set_seed_env(monkeypatch, env)
+        main(argv)
+        return parse_report(capsys.readouterr().out)["seed"]
+    return run
+
+
+@pytest.mark.parametrize("argv", SEEDED)
+@pytest.mark.parametrize("env, flag, expected", [
+    (None, [], str(DEFAULT_SEED)),
+    ("777", [], "777"),
+    (None, ["--seed", "5"], "5"),
+    ("777", ["--seed", "5"], "5"),
+    ("junk", ["--seed", "5"], "5"),  # a flag leaves EPP_LAB_SEED unparsed
+    ("0", [], "0"),
+    (str(2**64 - 1), [], str(2**64 - 1)),
+])
+def test_flag_beats_env_beats_default(seed_in_effect, argv, env, flag, expected):
+    assert seed_in_effect(argv + flag, env) == expected
+
+
+@pytest.mark.parametrize("argv", SEEDED)
+@pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "junk", ""])
+def test_bad_seed_is_the_same_usage_error_from_flag_or_env(argv, value, capsys, monkeypatch):
+    errors = []
+    for env, flag in ((None, ["--seed=" + value]), (value, [])):
+        set_seed_env(monkeypatch, env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err.splitlines()[-1])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"epp-lab {argv[0]}: error: argument --seed: ")
+    if value in ("-1", str(2**64)):
+        assert errors[0].endswith(f"seed must be an integer at least 0 and at most "
+                                  f"{2**64 - 1}, got {value}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lambda", "0.7"],
+    ["simulate", "--lambda", "0.7"],
+    ["vidal-curve", "--grid", "2"],
+    ["f-grid", "--grid", "2"],
+])
+def test_unseeded_commands_ignore_env_seed(argv, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    code, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv(SEED_ENV_VAR, "junk")
+    assert run_cli(capsys, *argv) == (code, expected, "")
+    assert code == 0
+
+
 # --------------------------------------------------------------- bad inputs
 
 @pytest.mark.parametrize(

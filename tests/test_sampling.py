@@ -388,6 +388,11 @@ def test_exact_total_rounds_as_fsum(x):
     assert sampling._exact_total(x) / 2**1075 == math.fsum(x.tolist())
 
 
+def test_chunks_fit_the_exact_total_bound():
+    """_exact_total is exact over at most 2**24 rows, and a chunk is all it is given."""
+    assert sampling._CHUNK_ROWS <= 2**24
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_exact_total_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
