@@ -83,7 +83,9 @@ def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) ->
 # may use fused multiply-add, np.abs of complex arrays and real x**k other
 # algorithms.  So products are written out in real arithmetic (_cmul), moduli
 # go through hypot (_cabs), and powers through np.power(z, 2) and
-# np.float_power(x, k), which call the scalar routines element by element.
+# np.float_power(x, k), which call the scalar routines element by element;
+# protocols._square writes np.power(z, 2) out in real arithmetic, rounding
+# as it does.
 # Real arrays take x * y and np.abs, bitwise the complex route at imaginary
 # part 0 (x*y - 0*0 = x*y, hypot(x, 0) = |x|), without complex temporaries.
 

@@ -12,13 +12,15 @@ normalization, so unit variance is used.
 
 The estimators draw and evaluate _CHUNK_ROWS rows at a time and add each
 chunk into an exact integer accumulator, rounded once as `math.fsum`
-rounds, so estimates are bitwise the same for every chunk size.  Above
-2 * _CHUNK_ROWS samples two threads take chunks from one shared iterator;
-since row i depends on (seed, i) alone, no result depends on which thread
-ran which chunk.  A second pass sums the squared deviations from the
-mean, over the values held by the first pass up to 2**22 samples (32 MB),
-and above that over chunks drawn again, at about one more fill's cost.
-Memory is thus flat in the sample count.
+rounds, so estimates are bitwise the same for every chunk size.  In the
+two Haar estimators, above 2 * _CHUNK_ROWS samples two threads take
+chunks from one shared iterator; since row i depends on (seed, i) alone,
+no result depends on which thread ran which chunk.  The known-basis
+estimator runs its chunks on the calling thread alone.  A second pass
+sums the squared deviations from the mean, over the values held by the
+first pass up to 2**22 samples (32 MB), and above that over chunks drawn
+again, at about one more fill's cost.  Memory is thus flat in the sample
+count.
 """
 from __future__ import annotations
 
@@ -87,7 +89,11 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
 def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream.
 
-    Built in place, so one block peaks near 2.25 times its output bytes.
+    Built in place: ndtri writes the first four uniforms of each row into
+    the real parts and the last four into the imaginary parts, and the
+    squared moduli for the row norms, (c.conj() * c).real as np.linalg.norm
+    takes them, go into the uniforms' buffer.  So one block peaks near 2.1
+    times its output bytes: the uniforms, the output and one norm per row.
     """
     # scipy is imported here, on the one path that draws Gaussians, so that
     # the commands that never do start without it
@@ -95,9 +101,14 @@ def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
 
     z = uniform_block(seed, n, 8, start)
     c = np.empty((len(z), 4), dtype=complex)
-    c.real, c.imag = np.hsplit(ndtri(z, out=z), 2)
-    del z
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    ndtri(z[:, :4], out=c.real)
+    ndtri(z[:, 4:], out=c.imag)
+    # np.linalg.norm(c, axis=1, keepdims=True), its product taken in z
+    squares = z.view(complex)
+    np.multiply(np.conjugate(c, out=squares), c, out=squares)
+    norms = np.add.reduce(squares.real, axis=1, keepdims=True)
+    del z, squares
+    c /= np.sqrt(norms, out=norms)
     return c
 
 
@@ -121,19 +132,25 @@ def dirichlet_moment_exact(alpha, beta) -> Fraction:
     MAX_DIRICHLET_ORDER, checked before any factorial; anything else raises
     ValueError.
     """
-    # imported here, on the one path that needs exact rationals, so that the
-    # commands that never do start without it
+    # imported here, on the one path that returns exact rationals, so that
+    # the commands that never do start without it
     from fractions import Fraction
 
+    return Fraction(*_dirichlet_moment(alpha, beta))
+
+
+def _dirichlet_moment(alpha, beta) -> tuple:
+    """dirichlet_moment_exact as two ints (numerator, denominator), not reduced."""
     alpha = [_check_int(a, "each alpha entry", 1) for a in alpha]
     beta = [_check_int(b, "each beta entry", 0) for b in beta]
     if len(alpha) != len(beta) or not alpha:
         raise ValueError("alpha and beta must have equal length, at least 1")
     order = _check_int(sum(alpha) + sum(beta), "sum(alpha) + sum(beta)", hi=MAX_DIRICHLET_ORDER)
-    total = Fraction(math.factorial(sum(alpha) - 1), math.factorial(order - 1))
+    num, den = math.factorial(sum(alpha) - 1), math.factorial(order - 1)
     for a, b in zip(alpha, beta):
-        total *= Fraction(math.factorial(a + b - 1), math.factorial(a - 1))
-    return total
+        num *= math.factorial(a + b - 1)
+        den *= math.factorial(a - 1)
+    return num, den
 
 
 @dataclass
@@ -159,25 +176,33 @@ def _exact_total(x) -> int:
     _sum_chunks passes at most _CHUNK_ROWS rows at a time.
     """
     b = np.ravel(np.asarray(x, dtype=np.float64)).view(np.int64)
-    e = (b >> 52) & 0x7FF
+    e = np.right_shift(b, 52)
+    e &= 0x7FF
     if (e == 0x7FF).any():
         raise ValueError("per-sample values must be finite")
-    m = (b & (2**52 - 1)) | ((e != 0).astype(np.int64) << 52)
+    m = b & (2**52 - 1)
+    np.bitwise_or(m, 2**52, out=m, where=e != 0)
     sign = b >> 63
-    m = (m ^ sign) - sign
-    e = np.maximum(e, 1)
-    high = np.bincount(e, weights=m >> 26, minlength=2048)
-    low = np.bincount(e, weights=m & (2**26 - 1), minlength=2048)
+    m ^= sign
+    m -= sign
+    np.maximum(e, 1, out=e)
+    # the two halves of m, exact as doubles, go through sign's buffer
+    halves = sign.view(np.float64)
+    np.right_shift(m, 26, out=halves, casting="unsafe")
+    high = np.bincount(e, weights=halves, minlength=2048)
+    np.bitwise_and(m, 2**26 - 1, out=halves, casting="unsafe")
+    low = np.bincount(e, weights=halves, minlength=2048)
     return sum(((int(high[j]) << 26) + int(low[j])) << j
                for j in np.flatnonzero(high.astype(bool) | low.astype(bool)).tolist())
 
 
-def _sum_chunks(n: int, chunk_values) -> int:
+def _sum_chunks(n: int, chunk_values, helper: bool = True) -> int:
     """_exact_total of chunk_values(start, k), rows [start, start + k), over rows [0, n).
 
-    Above 2 * _CHUNK_ROWS rows the calling thread and one helper thread take
-    chunk starts from one shared iterator and each sums into its own exact
-    integer.  The first exception in either thread, KeyboardInterrupt
+    With helper, above 2 * _CHUNK_ROWS rows the calling thread and one
+    helper thread take chunk starts from one shared iterator and each sums
+    into its own exact integer; without it every chunk runs on the calling
+    thread.  The first exception in either thread, KeyboardInterrupt
     included, stops both from starting another chunk; the helper is joined
     and the exception re-raised here.
     """
@@ -198,23 +223,25 @@ def _sum_chunks(n: int, chunk_values) -> int:
             errors.append(exc)
         totals.append(total)
 
-    helper = None
-    if n > 2 * _CHUNK_ROWS:
-        helper = threading.Thread(target=fill)
-        helper.start()
+    thread = None
+    if helper and n > 2 * _CHUNK_ROWS:
+        thread = threading.Thread(target=fill)
+        thread.start()
     try:
         fill()
     finally:
-        if helper is not None:
-            helper.join()
+        if thread is not None:
+            thread.join()
     if errors:
         raise errors[0]
     return sum(totals)
 
 
-def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarloEstimate:
+def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM,
+                 helper: bool = True) -> MonteCarloEstimate:
     """Mean and standard error of the values chunk_values(start, k) gives for
-    rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES."""
+    rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES;
+    helper as in _sum_chunks."""
     n = _check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
     held = np.empty(n) if n <= _HOLD_MAX else None
 
@@ -225,7 +252,7 @@ def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarlo
         return v
 
     # int / int rounds correctly, so this is bitwise math.fsum(values) / n
-    mean = _sum_chunks(n, values) / 2**1075 / n
+    mean = _sum_chunks(n, values, helper) / 2**1075 / n
 
     def squared_deviations(start, k):
         v = chunk_values(start, k) if held is None else held[start:start + k]
@@ -233,7 +260,7 @@ def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM) -> MonteCarlo
         return np.float_power(v - mean, 2)
 
     # one sample has no standard error: NaN
-    var = math.nan if n == 1 else _sum_chunks(n, squared_deviations) / 2**1075 / (n - 1)
+    var = math.nan if n == 1 else _sum_chunks(n, squared_deviations, helper) / 2**1075 / (n - 1)
     return MonteCarloEstimate(
         mean=mean, std_error=math.sqrt(var / n), n_samples=n, algorithm=algorithm
     )
@@ -257,23 +284,28 @@ def known_basis_average_quadrature() -> float:
 
 
 def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
-    """Monte Carlo of the known-basis average; samples lambda by inverse CDF."""
+    """Monte Carlo of the known-basis average; samples lambda by inverse CDF.
+
+    Its chunks run on the calling thread: one 8 192-draw chunk is too little
+    work to pay for a helper thread's hand-off.
+    """
     def chunk(start, k):
         lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
         return _pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
-    return _mc_estimate(n_samples, chunk, KNOWN_BASIS_RNG_ALGORITHM)
+    return _mc_estimate(n_samples, chunk, KNOWN_BASIS_RNG_ALGORITHM, helper=False)
 
 
 def unknown_basis_average_exact() -> float:
     """Average four-copy pipeline success over Haar inputs, exactly 2/105.
 
     The phase term averages to zero, leaving 2 E[x1^2 x4^2] + 2 E[x2^2 x3^2]
-    with flat-Dirichlet moments.
+    with flat-Dirichlet moments, summed as integer fractions and rounded
+    once by one int / int division, as float() of their Fraction sum rounds.
     """
     ones = (1, 1, 1, 1)
-    m14 = dirichlet_moment_exact(ones, (2, 0, 0, 2))
-    m23 = dirichlet_moment_exact(ones, (0, 2, 2, 0))
-    return float(2 * m14 + 2 * m23)
+    n14, d14 = _dirichlet_moment(ones, (2, 0, 0, 2))
+    n23, d23 = _dirichlet_moment(ones, (0, 2, 2, 0))
+    return 2 * (n14 * d23 + n23 * d14) / (d14 * d23)
 
 
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:

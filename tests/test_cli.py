@@ -711,6 +711,19 @@ def test_each_command_imports_only_what_it_runs(argv):
     assert (len(lines) > 1) == bool(argv)
 
 
+def test_unknown_basis_child_loads_no_exact_rationals():
+    """A cold unknown-basis haar-average loads scipy.special for its Gaussian
+    draws, but neither fractions nor the decimal it pulls in (~0.45 MB):
+    2/105 is taken from integer factorials by one int / int division."""
+    argv = ["haar-average", "--mode", "unknown-basis", "--samples", "10"]
+    report = "print(sorted(set(sys.modules) & {'scipy.special', 'fractions', 'decimal'}))"
+    proc, _ = run_child("-c", f"import sys, epp_lab.cli\nepp_lab.cli.main({argv!r})\n{report}")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().strip().splitlines()
+    assert "analytic = 0.01904761904761905" in lines
+    assert lines[-1] == "['scipy.special']"
+
+
 # sha256 of each --help text at 80 columns; loading modules later must not change it
 HELP_SHA256 = {
     (): "ab406c7dfb2d07fce7d10edd7431f8b9a8e0b7402b57230b5732f8269363fe90",

@@ -425,16 +425,16 @@ def per_sample_values(monkeypatch, estimator, n, seed):
     drive = sampling._sum_chunks
     passes = []
 
-    def capture(n_rows, chunk_values):
+    def capture(n_rows, chunk_values, helper):
         passes.append(n_rows)
         if len(passes) > 1:
-            return drive(n_rows, chunk_values)
+            return drive(n_rows, chunk_values, helper)
 
         def record(start, k):
             v = chunk_values(start, k)
             values[start:start + k] = v
             return v
-        return drive(n_rows, record)
+        return drive(n_rows, record, helper)
 
     monkeypatch.setattr(sampling, "_sum_chunks", capture)
     estimator(n, seed)
@@ -532,21 +532,32 @@ def test_non_finite_rows_still_raise(monkeypatch, estimator, n):
         estimator(n, 3)
 
 
-@pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
-def test_no_thread_starts_for_two_chunks(monkeypatch, estimator):
-    def no_thread(*args, **kwargs):
-        raise RuntimeError("a thread was started")
+def no_thread(*args, **kwargs):
+    raise RuntimeError("a thread was started")
 
+
+@pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
+def test_no_thread_starts_for_two_chunks(monkeypatch, estimator):
     monkeypatch.setattr(sampling.threading, "Thread", no_thread)
     assert estimator(2 * CHUNK, 3).n_samples == 2 * CHUNK
     with pytest.raises(RuntimeError, match="a thread was started"):
         estimator(2 * CHUNK + 1, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2 * CHUNK, 2 * CHUNK + 1, 5 * CHUNK + 3],
+                         ids=["one", "two-chunks", "above-two-chunks", "five-chunks"])
+def test_known_basis_starts_no_thread(monkeypatch, n):
+    """A known-basis chunk is too little work to pay for a helper thread's
+    hand-off, so the estimator runs every chunk on the calling thread."""
+    monkeypatch.setattr(sampling.threading, "Thread", no_thread)
+    assert known_basis_average_mc(n, 3).n_samples == n
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS, ids=["known", "unknown", "phase"])
 def test_bad_seed_raises_on_the_threaded_path(estimator):
     """A bad seed raises its ValueError from the chunks on both threads, the
-    first of which reaches the caller, and the helper thread is joined."""
+    first of which reaches the caller, and the helper thread is joined; the
+    known-basis estimator, which starts no helper, raises it on the caller."""
     before = threading.active_count()
     with pytest.raises(ValueError, match="seed must be an integer at least 0"):
         estimator(2 * CHUNK + 1, -1)
@@ -689,6 +700,19 @@ def test_haar_block_works_in_place(traced_peak):
     haar_state_block(3, 8_192)  # imports and first-call set-up are not the chunk's
     peak = traced_peak(lambda: haar_state_block(5, 8_192, 77))
     assert peak <= 2.5 * haar_state_block(5, 8_192, 77).nbytes, peak
+
+
+def test_unknown_basis_chunk_works_in_place(traced_peak):
+    """One whole unknown-basis chunk, drawn, closed-formed and summed, peaks
+    at the Haar block's own footprint, below 2.25 times the chunk's state
+    bytes: the four-copy closed form holds at most five arrays of n besides
+    the states."""
+    n = 8_192
+    chunk = lambda: sampling._exact_total(protocols._four_copy(haar_state_block(5, n, 77)))
+    chunk()  # imports and first-call set-up are not the chunk's
+    assert traced_peak(chunk) <= 2.25 * 64 * n
+    states = haar_state_block(5, n, 77)
+    assert traced_peak(lambda: protocols._four_copy(states)) <= 5.5 * 8 * n
 
 
 def test_known_basis_chunk_keeps_real_coefficients_real(traced_peak):
