@@ -81,21 +81,34 @@ def _check_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) ->
 # Row k of a batch must be bitwise the value numpy's scalar operators give on
 # row k alone, but some array loops round differently: complex x * y and z**2
 # may use fused multiply-add, np.abs of complex arrays and real x**k other
-# algorithms.  So products are written out in real arithmetic (_cmul), moduli
-# go through hypot (_cabs), and powers through np.power(z, 2) and
-# np.float_power(x, k), which call the scalar routines element by element;
-# protocols._square writes np.power(z, 2) out in real arithmetic, rounding
-# as it does.
+# algorithms.  So every complex product, a square included, rounds as
+# (xr yr - xi yi, xr yi + xi yr) in real arithmetic, written once in
+# _cmul_into; the square of conj(z) is that of z with its imaginary part
+# negated, which is exact.  Moduli go through hypot (_cabs) and real powers
+# through np.float_power(x, k), which calls the scalar routine element by
+# element.
 # Real arrays take x * y and np.abs, bitwise the complex route at imaginary
 # part 0 (x*y - 0*0 = x*y, hypot(x, 0) = |x|), without complex temporaries.
+
+
+def _cmul_into(xr, xi, yr, yi, re, im, scratch, spare):
+    """(xr + i xi)(yr + i yi) into the float arrays re and im, by the rule above.
+
+    re and im may be xr and xi.  scratch and spare are overwritten, spare
+    before im is written: it may be im when im is not xi, or yi.
+    """
+    np.multiply(xr, yi, out=scratch)
+    np.multiply(xr, yr, out=re)
+    re -= np.multiply(xi, yi, out=spare)
+    np.multiply(xi, yr, out=im)
+    im += scratch
 
 
 def _cmul(x, y):
     if x.dtype.kind == y.dtype.kind == "f":
         return x * y
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+    _cmul_into(x.real, x.imag, y.real, y.imag, out.real, out.imag, np.empty(out.shape), out.imag)
     return out
 
 

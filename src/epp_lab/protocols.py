@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kraus import CANONICAL_PARAMS, apply_kraus, build_kraus, lift_local_kraus
-from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul
+from .linalg import ATOL, _as_array, _cabs, _check_normalized, _cmul, _cmul_into
 
 # the stage-failure floor: a stage whose success probability is below it fails
 # (amplitudes cancel exactly for product inputs, so this only guards float dust)
@@ -120,9 +120,8 @@ def _stage1_rows(c: np.ndarray, K: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     # (alpha', beta') at flat slots 0 and 12, against the closed form
     pair = out[..., ::12]
     u, w = _products(c)
-    # np.power(z, 2) rounds as z**2 on one complex does
-    expected = np.stack([(2.0 * np.power(a, 2))[:, None] * (u + w),
-                         (2.0 * np.power(b, 2))[:, None] * (u - w)], axis=-1)
+    expected = np.stack([(2.0 * _cmul(a, a))[:, None] * (u + w),
+                         (2.0 * _cmul(b, b))[:, None] * (u - w)], axis=-1)
     if not np.all(np.abs(pair - expected) <= ATOL):
         raise RuntimeError("matrix-level amplitudes disagree with the closed form")
 
@@ -197,7 +196,8 @@ def full_pipeline(state, params) -> ProtocolResult:
 
 
 # ------------------------------------------------------------ closed forms
-# each row rounds as on its own, by the rule above linalg._cmul
+# each row rounds as on its own: every complex product, a square included,
+# goes through linalg._cmul_into or its allocating form _cmul
 
 
 def _products(c):
@@ -205,43 +205,21 @@ def _products(c):
     return _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
 
 
-def _square(z, re, im, scratch, conj=False):
-    """np.power(z, 2), or np.power(z.conj(), 2), into re and im; scratch is overwritten.
-
-    That power rounds as (zr zr - zi zi, zr zi + zi zr), whose imaginary
-    part is 2 zr zi exactly; squaring conj(z) only flips its sign.
-    """
-    np.multiply(z.real, z.real, out=re)
-    re -= np.multiply(z.imag, z.imag, out=scratch)
-    np.multiply(z.real, z.imag, out=im)
-    im *= -2.0 if conj else 2.0
-
-
-def _cmul_in_place(xr, xi, yr, yi, scratch):
-    """(xr, xi) times (yr, yi) into xr and xi, rounding as _cmul; yi and scratch are overwritten."""
-    np.multiply(xr, yi, out=scratch)
-    xr *= yr
-    yi *= xi
-    xr -= yi
-    xi *= yr
-    xi += scratch
-
-
 def _cross_term(c):
     """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2] for every row of a validated (n, 4) batch.
 
-    The three products run in place through five arrays of n.
+    The squares and their products run through _cmul_into in five arrays of n;
+    a conjugate's square is the square with its imaginary part negated.
     """
     re, im, sq_re, sq_im, scratch = (np.empty(len(c)) for _ in range(5))
-    _square(c[:, 0], re, im, scratch)
-    for k, conj in (3, False), (1, True):
-        _square(c[:, k], sq_re, sq_im, scratch, conj)
-        _cmul_in_place(re, im, sq_re, sq_im, scratch)
-    _square(c[:, 2], sq_re, sq_im, scratch, conj=True)
-    # of the last product only the real part is kept
-    re *= sq_re
-    im *= sq_im
-    re -= im
+    z = c[:, 0]
+    _cmul_into(z.real, z.imag, z.real, z.imag, re, im, scratch, im)
+    for k in 3, 1, 2:
+        z = c[:, k]
+        _cmul_into(z.real, z.imag, z.real, z.imag, sq_re, sq_im, scratch, sq_im)
+        if k < 3:  # conj(c2)^2 and conj(c3)^2
+            sq_im *= -1.0
+        _cmul_into(re, im, sq_re, sq_im, re, im, scratch, sq_im)
     return re
 
 
@@ -287,27 +265,21 @@ def four_copy_bell_bound(state):
     return _four_copy(_as_batch(state))
 
 
-def _twice_fourth_power(x, y, out, re, im):
-    """2 |x y|^4 into out, with |x y| as _cabs(_cmul(x, y)) rounds it; re and im are overwritten."""
-    np.multiply(x.real, y.real, out=re)
-    re -= np.multiply(x.imag, y.imag, out=im)
-    np.multiply(x.real, y.imag, out=im)
-    im += np.multiply(x.imag, y.real, out=out)
-    np.float_power(np.hypot(re, im, out=re), 4, out=out)
-    out *= 2.0
-    return out
-
-
 def _four_copy(c):
     """four_copy_bell_bound for every row of a validated (n, 4) batch.
 
-    Evaluated as 2|c2 c3|^4 + 2|c1 c4|^4 - 4 _cross_term(c), one operation
-    at a time in place, so at most five arrays of n are live.
+    Evaluated as 2|c2 c3|^4 + 2|c1 c4|^4 - 4 _cross_term(c), each product
+    through _cmul_into, one operation at a time in place, so at most five
+    arrays of n are live.
     """
     cross = _cross_term(c)
     value, other, re, im = (np.empty(len(c)) for _ in range(4))
-    _twice_fourth_power(c[:, 1], c[:, 2], value, re, im)
-    value += _twice_fourth_power(c[:, 0], c[:, 3], other, re, im)
+    for k, out in (1, value), (0, other):
+        x, y = c[:, k], c[:, 3 - k]
+        _cmul_into(x.real, x.imag, y.real, y.imag, re, im, out, im)
+        np.float_power(np.hypot(re, im, out=re), 4, out=out)
+        out *= 2.0
+    value += other
     cross *= 4.0
     value -= cross
     # clip float dust: the quantity is a squared modulus
@@ -332,5 +304,5 @@ def kalman_stage2_prob(state):
     failed = np.flatnonzero(~(2.0 * half_p1 >= ZERO_PROB))
     if failed.size:
         raise ValueError(f"undefined: stage-1 probability below {ZERO_PROB:g} in row {failed[0]}")
-    return np.float_power(_cabs(np.power(u, 2) - np.power(w, 2)), 2) / (
+    return np.float_power(_cabs(_cmul(u, u) - _cmul(w, w)), 2) / (
         2.0 * np.float_power(half_p1, 2))

@@ -12,6 +12,7 @@ from epp_lab.linalg import (
     _cabs,
     _check_int,
     _cmul,
+    _cmul_into,
     as_state,
     basis_state,
     bell_phi_plus,
@@ -309,3 +310,46 @@ def test_real_arrays_take_real_arithmetic_bitwise(drawn):
         assert _cmul(x, y.astype(complex)).tobytes() == expected.tobytes()
     assert product.dtype == float and product.tobytes() == expected.real.tobytes()
     assert _cabs(x).dtype == float and _cabs(x).tobytes() == _cabs(x.astype(complex)).tobytes()
+
+
+def _edge_and_drawn(drawn):
+    """Complex array of every EDGE_FLOATS pair, as (re, im), then the drawn pairs."""
+    pairs = [(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS] + drawn
+    return np.array([complex(x, y) for x, y in pairs])
+
+
+@given(st.lists(st.tuples(finite_floats, finite_floats), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_square_rounds_as_np_power(drawn):
+    """_cmul_into of z with itself is bitwise np.power(z, 2), and with its
+    imaginary part negated bitwise np.power(z.conj(), 2), subnormals,
+    overflow and the nan of inf - inf included.  A zero base is the one
+    exception: np.power returns +0 + 0j for it whatever its signs, the
+    product keeps the signs of its zeros, and the two are equal in value."""
+    z = _edge_and_drawn(drawn)
+    re, im, scratch = (np.empty(len(z)) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        _cmul_into(z.real, z.imag, z.real, z.imag, re, im, scratch, im)
+        square, conj_square = np.power(z, 2), np.power(z.conj(), 2)
+    nonzero = z != 0
+    for got, want in ((re, square.real), (im, square.imag), (re, conj_square.real),
+                      (np.negative(im), conj_square.imag)):
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+
+
+@given(st.lists(st.tuples(finite_floats, finite_floats), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_product_in_place_rounds_as_a_fresh_one(drawn):
+    """_cmul_into with out aliasing x and y's imaginary part as spare gives
+    the bits of a fresh out, and of _cmul."""
+    x = _edge_and_drawn(drawn)
+    y = x[::-1].copy()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        re, im, scratch = (np.empty(len(x)) for _ in range(3))
+        _cmul_into(x.real, x.imag, y.real, y.imag, re, im, scratch, im)
+        xr, xi, yi = x.real.copy(), x.imag.copy(), y.imag.copy()
+        _cmul_into(xr, xi, y.real, yi, xr, xi, scratch, yi)
+        expected = _cmul(x, y)
+    assert xr.tobytes() == re.tobytes() == expected.real.tobytes()
+    assert xi.tobytes() == im.tobytes() == expected.imag.tobytes()

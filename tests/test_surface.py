@@ -15,6 +15,8 @@ their public names only; linalg's shared helpers are the one exception.
 Caller input becomes an array in one place, linalg._as_array, which
 decides its kind, shape and finiteness: no other function calls
 np.asarray, except sampling._exact_total on values the package made.
+No function squares through np.power: every complex product rounds in
+linalg._cmul_into.
 """
 import ast
 from pathlib import Path
@@ -214,15 +216,15 @@ def test_guard_sees_a_test_only_name(tmp_path):
 ASARRAY_OWNERS = ["linalg._as_array", "sampling._exact_total"]
 
 
-def asarray_callers(modules: dict) -> list:
+def numpy_callers(modules: dict, name: str) -> list:
     """Sorted "module.name" of each top-level function or class, and "module"
-    for other top-level statements, that calls np.asarray or numpy.asarray, in
+    for other top-level statements, that calls np.<name> or numpy.<name>, in
     the sources modules maps by module name."""
     found = set()
     for stem, source in modules.items():
         for stmt in ast.parse(source).body:
             if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and node.func.attr == "asarray" and isinstance(node.func.value, ast.Name)
+                   and node.func.attr == name and isinstance(node.func.value, ast.Name)
                    and node.func.value.id in ("np", "numpy") for node in ast.walk(stmt)):
                 named = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                 found.add(f"{stem}.{stmt.name}" if named else stem)
@@ -231,17 +233,26 @@ def asarray_callers(modules: dict) -> list:
 
 def test_only_the_owner_converts_input_with_asarray():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert asarray_callers(modules) == ASARRAY_OWNERS
+    assert numpy_callers(modules, "asarray") == ASARRAY_OWNERS
+
+
+def test_no_function_squares_through_np_power():
+    """Squares are complex products, rounded by linalg._cmul_into alone."""
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert numpy_callers(modules, "power") == []
 
 
 def test_guard_sees_an_asarray_call():
     """Calls inside functions, methods and at top level are reported; other
-    numpy functions are not."""
+    numpy functions are not, np.float_power under the name power included."""
     source = (
         "import numpy as np\n"
         "X = np.asarray([1])\n"
         "def f(x):\n    return np.array(np.asarray(x))\n"
         "class K:\n    def m(self, x):\n        return numpy.asarray(x)\n"
         "def g(x):\n    return np.atleast_1d(x)\n"
+        "def h(z):\n    return np.power(z, 2) + np.float_power(z, 2)\n"
+        "def q(z):\n    return np.float_power(z, 4)\n"
     )
-    assert asarray_callers({"mod": source}) == ["mod", "mod.K", "mod.f"]
+    assert numpy_callers({"mod": source}, "asarray") == ["mod", "mod.K", "mod.f"]
+    assert numpy_callers({"mod": source}, "power") == ["mod.h"]
