@@ -205,13 +205,15 @@ def _products(c):
     return _cmul(c[:, 0], c[:, 3]), _cmul(c[:, 1], c[:, 2])
 
 
-def _cross_term(c):
+def _cross_term(c, work=None):
     """Re[c1^2 c4^2 conj(c2)^2 conj(c3)^2] for every row of a validated (n, 4) batch.
 
     The squares and their products run through _cmul_into in five arrays of n;
     a conjugate's square is the square with its imaginary part negated.
+    work, if given, is those five arrays, the result in the first;
+    otherwise each is allocated in turn.
     """
-    re, im, sq_re, sq_im, scratch = (np.empty(len(c)) for _ in range(5))
+    re, im, sq_re, sq_im, scratch = (np.empty(len(c)) for _ in range(5)) if work is None else work
     z = c[:, 0]
     _cmul_into(z.real, z.imag, z.real, z.imag, re, im, scratch, im)
     for k in 3, 1, 2:
@@ -265,15 +267,17 @@ def four_copy_bell_bound(state):
     return _four_copy(_as_batch(state))
 
 
-def _four_copy(c):
+def _four_copy(c, work=None):
     """four_copy_bell_bound for every row of a validated (n, 4) batch.
 
     Evaluated as 2|c2 c3|^4 + 2|c1 c4|^4 - 4 _cross_term(c), each product
     through _cmul_into, one operation at a time in place, so at most five
-    arrays of n are live.
+    arrays of n are live.  work, if given, is five float arrays of n
+    that _cross_term and then the rest run in, the result in the second;
+    otherwise each is allocated in turn.
     """
-    cross = _cross_term(c)
-    value, other, re, im = (np.empty(len(c)) for _ in range(4))
+    cross = _cross_term(c, work)
+    value, other, re, im = (np.empty(len(c)) for _ in range(4)) if work is None else work[1:]
     for k, out in (1, value), (0, other):
         x, y = c[:, k], c[:, 3 - k]
         _cmul_into(x.real, x.imag, y.real, y.imag, re, im, out, im)

@@ -21,6 +21,16 @@ sums the squared deviations from the mean, over the values held by the
 first pass up to 2**22 samples (32 MB), and above that over chunks drawn
 again, at about one more fill's cost.  Memory is thus flat in the sample
 count.
+
+Workspace rule: a pass gives each thread that sums its chunks one
+workspace for the whole pass, and the calling thread makes every one of
+them, and does the first draw's set-up (scipy's import), before the
+helper starts.  A Haar chunk draws its uniforms and states into its
+workspace, and its closed form and exact sum then work in the spent
+uniforms, so no chunk allocates a float array of its rows, and the
+helper leaves nothing chunk-sized in a malloc arena of its own, where
+the calling thread could not reuse it.  The known-basis estimator's chunks
+allocate as they go: they are small and run on the calling thread.
 """
 from __future__ import annotations
 
@@ -68,13 +78,15 @@ def check_seed(seed) -> int:
     return _check_int(seed, "seed", 0, 2**64 - 1)
 
 
-def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarray:
+def uniform_block(seed: int, n: int, width: int = 8, start: int = 0, out=None) -> np.ndarray:
     """Rows [start, start + n) of the (., width) uniforms from Philox keyed by seed.
 
     Row i depends only on (seed, i): one Philox counter yields four draws,
     so the stream advances start*width // 4 counters and discards the
     remaining start*width % 4 draws.  Rows past the end of the stream raise
-    ValueError, since Philox would wrap around to its first counter.
+    ValueError, since Philox would wrap around to its first counter.  out,
+    if given, is a C-contiguous float64 (n, width) array the rows are
+    written to and returned in; the bits are those of a fresh array.
     """
     n, width = _check_int(n, "n", 0), _check_int(width, "width", 0)
     start = _check_int(start, "start", 0)
@@ -83,10 +95,11 @@ def uniform_block(seed: int, n: int, width: int = 8, start: int = 0) -> np.ndarr
     skip, discard = divmod(start * width, 4)
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)).advance(skip))
     rng.random(discard)
-    return rng.random((n, width))
+    return rng.random((n, width), out=out)
 
 
-def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
+def haar_state_block(seed: int, n: int, start: int = 0, out=None, uniforms=None,
+                     norms=None) -> np.ndarray:
     """(n, 4) complex amplitudes; row k is sample start + k of the seeded stream.
 
     Built in place: ndtri writes the first four uniforms of each row into
@@ -94,19 +107,24 @@ def haar_state_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     squared moduli for the row norms, (c.conj() * c).real as np.linalg.norm
     takes them, go into the uniforms' buffer.  So one block peaks near 2.1
     times its output bytes: the uniforms, the output and one norm per row.
+    A chunk draws into its workspace (the workspace rule above): out, if
+    given, is the C-contiguous (n, 4) complex array the states are written
+    to and returned in, and uniforms and norms are C-contiguous float64
+    (n, 8) and (n, 1) arrays that are left spent.  Without them each array
+    is allocated in turn; the bits are the same either way.
     """
     # scipy is imported here, on the one path that draws Gaussians, so that
     # the commands that never do start without it
     from scipy.special import ndtri
 
-    z = uniform_block(seed, n, 8, start)
-    c = np.empty((len(z), 4), dtype=complex)
+    z = uniform_block(seed, n, 8, start, uniforms)
+    c = np.empty((len(z), 4), dtype=complex) if out is None else out
     ndtri(z[:, :4], out=c.real)
     ndtri(z[:, 4:], out=c.imag)
     # np.linalg.norm(c, axis=1, keepdims=True), its product taken in z
     squares = z.view(complex)
     np.multiply(np.conjugate(c, out=squares), c, out=squares)
-    norms = np.add.reduce(squares.real, axis=1, keepdims=True)
+    norms = np.add.reduce(squares.real, axis=1, keepdims=True, out=norms)
     del z, squares
     c /= np.sqrt(norms, out=norms)
     return c
@@ -166,23 +184,25 @@ class MonteCarloEstimate:
         return abs(self.mean - target) <= AGREEMENT_SIGMAS * self.std_error
 
 
-def _exact_total(x) -> int:
+def _exact_total(x, e=None, m=None, sign=None) -> int:
     """The exact sum of a float64 array of at most 2**24 values times 2**1075, as a Python int.
 
     A finite double is m * 2**(e - 1075) for its signed 53-bit significand
     m and exponent field e (subnormals: e = 1, no implicit bit).  Per
     exponent, bincount sums m >> 26 and m & (2**26 - 1); over at most 2**24
     rows a bucket stays below 2**53, so its float weights add exactly.
-    _sum_chunks passes at most _CHUNK_ROWS rows at a time.
+    _sum_chunks passes at most _CHUNK_ROWS rows at a time.  e, m and sign,
+    if given, are contiguous int64 arrays of len(x) to work in; otherwise
+    each is allocated when it is first written.
     """
     b = np.ravel(np.asarray(x, dtype=np.float64)).view(np.int64)
-    e = np.right_shift(b, 52)
+    e = np.right_shift(b, 52, out=e)
     e &= 0x7FF
     if (e == 0x7FF).any():
         raise ValueError("per-sample values must be finite")
-    m = b & (2**52 - 1)
+    m = np.bitwise_and(b, 2**52 - 1, out=m)
     np.bitwise_or(m, 2**52, out=m, where=e != 0)
-    sign = b >> 63
+    sign = np.right_shift(b, 63, out=sign)
     m ^= sign
     m -= sign
     np.maximum(e, 1, out=e)
@@ -196,21 +216,30 @@ def _exact_total(x) -> int:
                for j in np.flatnonzero(high.astype(bool) | low.astype(bool)).tolist())
 
 
-def _sum_chunks(n: int, chunk_values, helper: bool = True) -> int:
-    """_exact_total of chunk_values(start, k), rows [start, start + k), over rows [0, n).
+def _sum_chunks(n: int, make_chunk, helper: bool = True) -> int:
+    """_exact_total of chunk(start, k), rows [start, start + k), over rows [0, n).
 
-    With helper, above 2 * _CHUNK_ROWS rows the calling thread and one
-    helper thread take chunk starts from one shared iterator and each sums
-    into its own exact integer; without it every chunk runs on the calling
+    make_chunk(rows) returns (chunk, scratch): chunk evaluates chunks of at
+    most rows rows in one workspace, and scratch holds the three int64
+    arrays of rows the exact totals work in, or nothing.  The calling
+    thread calls it once for each thread that sums, before any helper
+    starts: one workspace per thread for the whole pass, however many
+    chunks there are, and every one, with the set-up making it does, from
+    the calling thread.  With
+    helper, above 2 * _CHUNK_ROWS rows the calling thread and one helper
+    thread take chunk starts from one shared iterator and each sums into
+    its own exact integer; without it every chunk runs on the calling
     thread.  The first exception in either thread, KeyboardInterrupt
     included, stops both from starting another chunk; the helper is joined
     and the exception re-raised here.
     """
+    rows = min(n, _CHUNK_ROWS)
+    workers = [make_chunk(rows) for _ in range(2 if helper and n > 2 * _CHUNK_ROWS else 1)]
     starts = iter(range(0, n, _CHUNK_ROWS))
     lock = threading.Lock()
     errors, totals = [], []
 
-    def fill():
+    def fill(chunk, scratch):
         total = 0
         try:
             while not errors:
@@ -218,17 +247,18 @@ def _sum_chunks(n: int, chunk_values, helper: bool = True) -> int:
                     start = next(starts, None)
                 if start is None:
                     break
-                total += _exact_total(chunk_values(start, min(_CHUNK_ROWS, n - start)))
+                k = min(_CHUNK_ROWS, n - start)
+                total += _exact_total(chunk(start, k), *[s[:k] for s in scratch])
         except BaseException as exc:  # re-raised by the calling thread below
             errors.append(exc)
         totals.append(total)
 
     thread = None
-    if helper and n > 2 * _CHUNK_ROWS:
-        thread = threading.Thread(target=fill)
+    if len(workers) > 1:
+        thread = threading.Thread(target=fill, args=workers[1])
         thread.start()
     try:
-        fill()
+        fill(*workers[0])
     finally:
         if thread is not None:
             thread.join()
@@ -237,33 +267,72 @@ def _sum_chunks(n: int, chunk_values, helper: bool = True) -> int:
     return sum(totals)
 
 
-def _mc_estimate(n_samples, chunk_values, algorithm=RNG_ALGORITHM,
+def _mc_estimate(n_samples, make_chunk, algorithm=RNG_ALGORITHM,
                  helper: bool = True) -> MonteCarloEstimate:
-    """Mean and standard error of the values chunk_values(start, k) gives for
-    rows [start, start + k), over rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES;
-    helper as in _sum_chunks."""
+    """Mean and standard error of the values the chunks of make_chunk give for
+    rows [0, n_samples), 1 <= n_samples <= MAX_SAMPLES.
+
+    make_chunk and helper are as in _sum_chunks; each of the two passes
+    makes its own workspaces through it, on the calling thread.  The
+    second pass squares the deviations in place, in the held values or in
+    the values a chunk has just returned, so a chunk returns an array it
+    owns, such as a view of its workspace.
+    """
     n = _check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
     held = np.empty(n) if n <= _HOLD_MAX else None
 
-    def values(start, k):
-        v = chunk_values(start, k)
-        if held is not None:
-            held[start:start + k] = v
-        return v
+    def make_values(rows):
+        chunk, scratch = make_chunk(rows)
+
+        def values(start, k):
+            v = chunk(start, k)
+            if held is not None:
+                held[start:start + k] = v
+            return v
+        return values, scratch
 
     # int / int rounds correctly, so this is bitwise math.fsum(values) / n
-    mean = _sum_chunks(n, values, helper) / 2**1075 / n
+    mean = _sum_chunks(n, make_values, helper) / 2**1075 / n
 
-    def squared_deviations(start, k):
-        v = chunk_values(start, k) if held is None else held[start:start + k]
-        # float_power squares through libm pow, as float ** 2 does
-        return np.float_power(v - mean, 2)
+    def make_squared_deviations(rows):
+        chunk, scratch = make_chunk(rows)
+
+        def squared_deviations(start, k):
+            v = chunk(start, k) if held is None else held[start:start + k]
+            # float_power squares through libm pow, as float ** 2 does
+            return np.float_power(np.subtract(v, mean, out=v), 2, out=v)
+        return squared_deviations, scratch
 
     # one sample has no standard error: NaN
-    var = math.nan if n == 1 else _sum_chunks(n, squared_deviations, helper) / 2**1075 / (n - 1)
+    var = (math.nan if n == 1 else
+           _sum_chunks(n, make_squared_deviations, helper) / 2**1075 / (n - 1))
     return MonteCarloEstimate(
         mean=mean, std_error=math.sqrt(var / n), n_samples=n, algorithm=algorithm
     )
+
+
+def _haar_chunks(seed: int, closed_form):
+    """make_chunk for _mc_estimate: closed_form(states, work) on the Haar rows of seed.
+
+    Each call makes one workspace: 9 * rows floats for the uniforms and
+    the norms, whose first 5 * rows then hold the closed form's five
+    temporaries and the next 3 * rows the exact total's scratch, and the
+    (rows, 4) complex states.  A chunk draws, normalizes, evaluates and
+    sums in it without allocating a float array of its rows.
+    """
+    def make_chunk(rows):
+        # a first draw's set-up, scipy's import, is done here, by the thread
+        # that makes the workspace, so that no helper does it
+        import scipy.special  # noqa: F401
+
+        draws, states = np.empty(9 * rows), np.empty((rows, 4), dtype=complex)
+
+        def chunk(start, k):
+            c = haar_state_block(seed, k, start, states[:k], draws[:8 * k].reshape(k, 8),
+                                 draws[8 * rows:][:k, None])
+            return closed_form(c, draws[:5 * k].reshape(5, k))
+        return chunk, draws[5 * rows:8 * rows].view(np.int64).reshape(3, rows)
+    return make_chunk
 
 
 def known_basis_average_quadrature() -> float:
@@ -292,7 +361,8 @@ def known_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     def chunk(start, k):
         lams = _lambda_from_uniform(uniform_block(seed, k, 1, start)[:, 0])
         return _pair_bound(np.sqrt(lams), np.sqrt(1.0 - lams))
-    return _mc_estimate(n_samples, chunk, KNOWN_BASIS_RNG_ALGORITHM, helper=False)
+    return _mc_estimate(n_samples, lambda rows: (chunk, ()), KNOWN_BASIS_RNG_ALGORITHM,
+                        helper=False)
 
 
 def unknown_basis_average_exact() -> float:
@@ -310,7 +380,7 @@ def unknown_basis_average_exact() -> float:
 
 def unknown_basis_average_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo of the four-copy average over Haar states, via the closed-form bound."""
-    return _mc_estimate(n_samples, lambda start, k: _four_copy(haar_state_block(seed, k, start)))
+    return _mc_estimate(n_samples, _haar_chunks(seed, _four_copy))
 
 
 def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
@@ -319,4 +389,4 @@ def phase_term_mc(n_samples: int, seed: int) -> MonteCarloEstimate:
     The term equals x1 x2 x3 x4 cos(eta) with eta = 2(th1 + th4 - th2 - th3),
     and eta is uniform given the magnitudes.
     """
-    return _mc_estimate(n_samples, lambda start, k: _cross_term(haar_state_block(seed, k, start)))
+    return _mc_estimate(n_samples, _haar_chunks(seed, _cross_term))

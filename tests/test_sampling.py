@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -80,6 +81,25 @@ def test_haar_state_block_start_is_a_row_offset(start):
     long = haar_state_block(23, 400)
     assert np.array_equal(haar_state_block(23, 400 - start, start), long[start:])
     assert np.array_equal(haar_state_block(23, 3, start=start), long[start:start + 3])
+
+
+BUFFERED = [(1, 0), (7, 3), (300, 123_457), (8_191, 1), (8_192, 77)]
+
+
+@pytest.mark.parametrize("k, start", BUFFERED, ids=[f"{k}-at-{s}" for k, s in BUFFERED])
+def test_blocks_into_buffers_are_the_allocated_blocks_bitwise(k, start):
+    """Buffers sliced to a ragged k, as a chunk slices its workspace, and
+    full of stale values change no bit of the rows."""
+    rows = 8_192
+    uniforms = np.full((rows, 3), np.nan)
+    got = uniform_block(21, k, 3, start, out=uniforms[:k])
+    assert np.shares_memory(got, uniforms)
+    assert got.tobytes() == uniform_block(21, k, 3, start).tobytes()
+    states, draws = np.full((rows, 4), np.nan, dtype=complex), np.full(9 * rows, -1.0)
+    got = haar_state_block(21, k, start, out=states[:k], uniforms=draws[:8 * k].reshape(k, 8),
+                           norms=draws[8 * rows:][:k, None])
+    assert np.shares_memory(got, states)
+    assert got.tobytes() == haar_state_block(21, k, start).tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, math.nan, math.inf, -math.inf])
@@ -333,7 +353,8 @@ def test_mc_determinism():
 def estimate_of(values, algorithm=RNG_ALGORITHM):
     """The estimator body run on given per-sample values, sliced per chunk."""
     values = np.asarray(values, dtype=float)
-    return sampling._mc_estimate(values.size, lambda start, k: values[start:start + k], algorithm)
+    chunk = lambda start, k: values[start:start + k]
+    return sampling._mc_estimate(values.size, lambda rows: (chunk, ()), algorithm)
 
 
 def test_estimate_basic():
@@ -384,8 +405,11 @@ def float_sums(draw):
 @given(float_sums())
 @settings(max_examples=200, deadline=None)
 def test_exact_total_rounds_as_fsum(x):
-    """The bucket sum is exact, so rounding it once gives fsum's bits."""
-    assert sampling._exact_total(x) / 2**1075 == math.fsum(x.tolist())
+    """The bucket sum is exact, so rounding it once gives fsum's bits, and
+    the same integer in a workspace's stale scratch."""
+    total = sampling._exact_total(x)
+    assert total / 2**1075 == math.fsum(x.tolist())
+    assert sampling._exact_total(x, *np.full((3, x.size), -1, dtype=np.int64)) == total
 
 
 def test_chunks_fit_the_exact_total_bound():
@@ -425,16 +449,20 @@ def per_sample_values(monkeypatch, estimator, n, seed):
     drive = sampling._sum_chunks
     passes = []
 
-    def capture(n_rows, chunk_values, helper):
+    def capture(n_rows, make_chunk, helper):
         passes.append(n_rows)
         if len(passes) > 1:
-            return drive(n_rows, chunk_values, helper)
+            return drive(n_rows, make_chunk, helper)
 
-        def record(start, k):
-            v = chunk_values(start, k)
-            values[start:start + k] = v
-            return v
-        return drive(n_rows, record, helper)
+        def make_record(rows):
+            chunk_values, scratch = make_chunk(rows)
+
+            def record(start, k):
+                v = chunk_values(start, k)
+                values[start:start + k] = v
+                return v
+            return record, scratch
+        return drive(n_rows, make_record, helper)
 
     monkeypatch.setattr(sampling, "_sum_chunks", capture)
     estimator(n, seed)
@@ -495,6 +523,97 @@ def test_threaded_values_are_one_block_bitwise(monkeypatch, estimator, n):
     assert est == estimate_of(expected, est.algorithm)
 
 
+@pytest.mark.parametrize("hold", [None, 1], ids=["held", "drawn-again"])
+@pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
+def test_haar_rows_go_through_the_public_blocks(monkeypatch, count_calls, estimator, hold):
+    """The benchmark's tracer counts the rows of sampling.haar_state_block
+    and sampling.uniform_block: every row a Haar estimator draws, into its
+    workspace or not, goes through both module attributes, once per pass
+    that draws it."""
+    if hold is not None:
+        monkeypatch.setattr(sampling, "_HOLD_MAX", hold)
+    haar, uniform = (count_calls(sampling, name) for name in ("haar_state_block", "uniform_block"))
+    n = 2 * CHUNK + 5
+    estimator(n, 3)
+    rows = [args[1] for args in haar]
+    assert sum(rows) == sum(args[1] for args in uniform) == (1 if hold is None else 2) * n
+    assert max(rows) == CHUNK
+
+
+@pytest.mark.parametrize("helper", [False, True], ids=["serial", "threaded"])
+@pytest.mark.parametrize("chunks", [2, 6, 20])
+def test_a_pass_makes_one_workspace_per_thread(monkeypatch, chunks, helper):
+    """Workspaces are per thread, not per chunk: a serial pass makes one, a
+    threaded pass two, all on the calling thread, however many chunks run.
+    Two chunks or fewer never start a helper."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 4)
+    made = []
+
+    def make_chunk(rows):
+        made.append((rows, threading.get_ident()))
+        return (lambda start, k: np.ones(k)), ()
+
+    assert sampling._sum_chunks(4 * chunks, make_chunk, helper) == 4 * chunks << 1075
+    assert made == [(4, threading.get_ident())] * (2 if helper and chunks > 2 else 1)
+
+
+def record_workspaces(monkeypatch):
+    """A list that gets, for each workspace the estimators make from now on,
+    its row count and whether the main thread made it."""
+    made, drive = [], sampling._sum_chunks
+
+    def traced(n, make_chunk, helper=True):
+        def make(rows):
+            made.append((rows, threading.current_thread() is threading.main_thread()))
+            return make_chunk(rows)
+        return drive(n, make, helper)
+
+    monkeypatch.setattr(sampling, "_sum_chunks", traced)
+    return made
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
+def test_haar_estimators_make_one_workspace_per_thread_and_pass(monkeypatch, estimator):
+    """Both passes of a threaded Haar estimate, drawn or read from the held
+    values, make two workspaces each, of the chunk size, on the calling thread."""
+    made = record_workspaces(monkeypatch)
+    estimator(20 * CHUNK, 3)
+    assert made == [(CHUNK, True)] * 4
+
+
+def test_workspaces_and_first_call_set_up_stay_on_the_calling_thread():
+    """In a fresh process, a threaded unknown-basis estimate makes every
+    workspace on the calling thread and imports scipy.special there before
+    the helper starts, so the helper allocates nothing chunk-sized in a
+    malloc arena of its own, where the calling thread could not reuse it."""
+    code = (
+        "import json, sys, threading\n"
+        "from epp_lab import sampling\n"
+        "makers, imported = [], []\n"
+        "drive = sampling._sum_chunks\n"
+        "def traced(n, make_chunk, helper=True):\n"
+        "    def make(rows):\n"
+        "        makers.append(threading.current_thread() is threading.main_thread())\n"
+        "        return make_chunk(rows)\n"
+        "    return drive(n, make, helper)\n"
+        "sampling._sum_chunks = traced\n"
+        "class Helper(threading.Thread):\n"
+        "    def start(self):\n"
+        "        imported.append('scipy.special' in sys.modules)\n"
+        "        super().start()\n"
+        "sampling.threading.Thread = Helper\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "sampling.unknown_basis_average_mc(2 * sampling._CHUNK_ROWS + 1, 5)\n"
+        "print(json.dumps([before, makers, imported]))\n"
+    )
+    proc, _ = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    before, makers, imported = json.loads(proc.stdout)
+    assert not before
+    assert makers == [True] * 4
+    assert imported == [True, True]
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS[1:], ids=["unknown", "phase"])
 def test_chunks_do_not_recheck_their_rows(count_calls, estimator):
     """The Haar rows are the package's own, so no closed form re-checks their norms."""
@@ -520,8 +639,8 @@ def test_non_finite_rows_still_raise(monkeypatch, estimator, n):
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", 4)
     draw = sampling.uniform_block
 
-    def with_zero(seed, k, width=8, start=0):
-        u = draw(seed, k, width, start)
+    def with_zero(seed, k, width=8, start=0, out=None):
+        u = draw(seed, k, width, start, out)
         if start <= 5 < start + k:
             u[5 - start, 0] = 0.0
         return u
@@ -583,7 +702,7 @@ def test_chunk_error_stops_both_threads(monkeypatch, error, on_caller):
 
     before = threading.active_count()
     with pytest.raises(error, match=r"^chunk \d+$") as info:
-        sampling._sum_chunks(800, chunk_values)
+        sampling._sum_chunks(800, lambda rows: (chunk_values, ()))
     assert str(info.value) == f"chunk {failed[0]}"
     assert threading.active_count() == before
     assert len(started) - started.index(failed[0]) - 1 <= 2
@@ -606,9 +725,9 @@ def test_threads_take_each_chunk_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        total = sampling._sum_chunks(30_001, chunk_values)
+        total = sampling._sum_chunks(30_001, lambda rows: (chunk_values, ()))
         taken_once, threads_once = sorted(taken), len(threads)
-        est = sampling._mc_estimate(30_001, chunk_values)
+        est = sampling._mc_estimate(30_001, lambda rows: (chunk_values, ()))
     finally:
         sys.setswitchinterval(interval)
     assert total == sum(range(30_001)) << 1075
@@ -713,6 +832,26 @@ def test_unknown_basis_chunk_works_in_place(traced_peak):
     assert traced_peak(chunk) <= 2.25 * 64 * n
     states = haar_state_block(5, n, 77)
     assert traced_peak(lambda: protocols._four_copy(states)) <= 5.5 * 8 * n
+
+
+@pytest.mark.parametrize("closed_form", [protocols._four_copy, protocols._cross_term],
+                         ids=["unknown-basis", "phase-term"])
+def test_chunk_in_its_workspace_allocates_no_block(traced_peak, closed_form):
+    """In its workspace a chunk draws, normalizes, evaluates and sums with
+    under three float arrays of its rows allocated at once: numpy's ufunc
+    buffers of at most 8 192 elements and the bincounts, against 2.25 times
+    its state bytes without one.  Its values and total are those of the
+    allocating route, bitwise."""
+    n = 8_192
+    chunk, scratch = sampling._haar_chunks(5, closed_form)(n)
+    sampling._exact_total(chunk(0, n), *scratch)  # imports and first-call set-up are not the chunk's
+    assert traced_peak(lambda: sampling._exact_total(chunk(77, n), *scratch)) <= 3 * 8 * n
+    for k, start in (n, 77), (1_000, 12_345):
+        expected = closed_form(haar_state_block(5, k, start))
+        total = sampling._exact_total(expected)
+        values = chunk(start, k)
+        assert values.tobytes() == expected.tobytes()
+        assert sampling._exact_total(values, *scratch[:, :k]) == total
 
 
 def test_known_basis_chunk_keeps_real_coefficients_real(traced_peak):
